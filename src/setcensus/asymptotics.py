@@ -15,9 +15,12 @@ growth constants (zeta, b, rho, lambda*, C(rho)) from scalar evaluations of
 the block EGF B alone.
 
 Scalar values of C, x*C', x^2*C'' for synthetic and list classes are computed
-from a coefficient head plus an analytic tail (Hurwitz zeta / Lerch
-transcendent applied to the growth formula), which keeps the evaluation
-accurate even where the raw series converges too slowly to sum term by term.
+from a coefficient head plus the growth formula's tail sum_{n>H} n^{-s} z^n,
+z = x/rho.  For z <= 1 - 2^-8 the tail is summed directly in float64 until a
+geometric remainder bound falls below 2^-60 of the sum.  Only where that sum
+would need too many terms does mpmath take over: the Lerch transcendent in the
+band 1 - 2^-8 < z < 1 and the Hurwitz zeta at z = 1.  The saddle x_lambda of
+these classes comes from a bracketed Newton iteration on x*C'/C.
 """
 
 import math
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import mpmath
+import numpy as np
 
 from . import species
 from .errors import (
@@ -38,6 +42,8 @@ _CRITICAL_WINDOW = 1e-9  # |lambda - lambda*| below this counts as critical
 _ALPHA_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _HEAD_TERMS = 64
+_TAIL_BAND = 2.0**-8  # the float tail sums z <= 1 - _TAIL_BAND; mpmath takes the band above
+_SCALAR_CACHE_MAX = 64
 
 
 class Regime(str, Enum):
@@ -106,39 +112,19 @@ class RegimeEstimate:
 
 # --- gamma --------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma_fn(z):
-    """Gamma function on the reals (Lanczos approximation with reflection)."""
+    """Gamma function on the reals, with DomainError at the poles 0, -1, -2, ..."""
     z = float(z)
     if z <= 0 and z == math.floor(z):
         raise DomainError(f"gamma has a pole at {z}")
-    if z < 0.5:
-        return math.pi / (math.sin(math.pi * z) * gamma_fn(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(z)
 
 
 # --- root finding -------------------------------------------------------------
 
 
-def _bisect(f, lo, hi, iters=110):
+def _bisect(f, lo, hi):
     flo = f(lo)
     fhi = f(hi)
     if flo == 0:
@@ -149,7 +135,7 @@ def _bisect(f, lo, hi, iters=110):
         raise InternalConsistencyError(
             f"root not bracketed on [{lo}, {hi}]: f = {flo}, {fhi}"
         )
-    for _ in range(iters):
+    for _ in range(110):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -163,8 +149,8 @@ def _bisect(f, lo, hi, iters=110):
     return 0.5 * (lo + hi)
 
 
-def _newton_polish(f, fprime, x, lo, hi, steps=4):
-    for _ in range(steps):
+def _newton_polish(f, fprime, x, lo, hi):
+    for _ in range(4):
         d = fprime(x)
         if d == 0:
             break
@@ -174,6 +160,41 @@ def _newton_polish(f, fprime, x, lo, hi, steps=4):
         if abs(nxt - x) <= 1e-16 * max(1.0, abs(x)):
             x = nxt
             break
+        x = nxt
+    return x
+
+
+def _safe_newton(fdf, lo, hi, x, iters=100):
+    """Root of an increasing f with f(lo) < 0 < f(hi), starting at x in [lo, hi].
+
+    fdf(x) returns (f(x), f'(x)).  Every evaluation narrows the bracket.  A
+    Newton step that would leave it (or an infinite derivative) gives way to
+    the secant through the bracket ends, and to bisection while an end is
+    unevaluated or when the bracket has not halved over the last two steps,
+    so the iterate stays in [lo, hi] and secant steps cannot stall.
+    """
+    flo = fhi = None
+    width = [math.inf, math.inf]  # bracket widths one and two steps back
+    for _ in range(iters):
+        fx, dfx = fdf(x)
+        if fx == 0:
+            return x
+        if fx < 0:
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        step = fx / dfx if 0 < dfx < math.inf else math.inf
+        if abs(step) <= 4e-16 * x:
+            return x - step
+        nxt = x - step
+        if not lo < nxt < hi:
+            if flo is None or fhi is None or hi - lo > 0.5 * width[1]:
+                nxt = 0.5 * (lo + hi)
+            else:
+                nxt = lo - flo * (hi - lo) / (fhi - flo)
+        if not lo < nxt < hi:
+            return x  # the bracket has closed to neighbouring floats
+        width = [hi - lo, width[0]]
         x = nxt
     return x
 
@@ -246,7 +267,7 @@ def recipe_constants(cls):
 # --- scalar EGF evaluation ------------------------------------------------------
 
 
-def _egf_at(cls, x, need_second=False):
+def _egf_at(cls, x):
     """(C(x), x*C'(x), x^2*C''(x)) as floats; the third entry may be inf.
 
     Results are cached per class and x.  For block classes the values come
@@ -257,7 +278,7 @@ def _egf_at(cls, x, need_second=False):
         raise DomainError(f"evaluation point x = {x} must be a positive real")
     x = float(x)
     cached = cls._scalar_cache.get(x)
-    if cached is not None and (not need_second or cached[2] is not None):
+    if cached is not None:
         return cached
     if cls.block_spec is not None:
         vals = _egf_block(cls, x)
@@ -269,6 +290,8 @@ def _egf_at(cls, x, need_second=False):
         vals = _egf_head_tail(cls, x, species.coefficients(cls, cls.list_length))
     else:
         raise DomainError(f"class {cls.name} supports no scalar EGF evaluation")
+    if len(cls._scalar_cache) >= _SCALAR_CACHE_MAX:
+        cls._scalar_cache.clear()  # recipe_constants recomputes its entry on demand
     cls._scalar_cache[x] = vals
     return vals
 
@@ -322,23 +345,31 @@ def _egf_head_tail(cls, x, head_coeffs):
     if z > 1.0 - 1e-12:
         z = 1.0
     H = len(head_coeffs)
-
-    def tail(s):
-        # sum_{n > H} n^{-s} z^n; requires s > 1 when z = 1
-        with mpmath.workdps(40):
-            if z == 1.0:
-                if s <= 1.0:
-                    return math.inf
-                return float(mpmath.zeta(s, H + 1))
-            return float(z ** (H + 1) * mpmath.lerchphi(z, s, H + 1))
-
-    tC = tail(1.0 + alpha)
-    tA = tail(alpha)
-    tA1 = tail(alpha - 1.0)
+    tC = _tail(z, 1.0 + alpha, H)
+    tA = _tail(z, alpha, H)
+    tA1 = _tail(z, alpha - 1.0, H)
     sC += b * tC
     sA += b * tA
     sD = sD + b * (tA1 - tA) if math.isfinite(tA1) else math.inf
     return (sC, sA, sD)
+
+
+def _tail(z, s, H):
+    """sum_{n > H} n^{-s} z^n for 0 < z <= 1 and s > 0 (inf when z = 1, s <= 1)."""
+    if z == 1.0:
+        if s <= 1.0:
+            return math.inf
+        with mpmath.workdps(40):
+            return float(mpmath.zeta(s, H + 1))
+    if z > 1.0 - _TAIL_BAND:
+        with mpmath.workdps(40):
+            return float(z ** (H + 1) * mpmath.lerchphi(z, s, H + 1))
+    # After term M the remainder is at most M^{-s} z^{M+1}/(1-z), which is
+    # z^{M-H}/(1-z) times the first term or less; stop once that is 2^-60.
+    lz = math.log(z)
+    terms = math.ceil((60.0 * math.log(2.0) - math.log1p(-z)) / -lz)
+    n = np.arange(H + 1, H + 1 + terms, dtype=float)
+    return float(np.exp(n * lz - s * np.log(n)).sum())
 
 
 def lambda_star(cls):
@@ -389,7 +420,7 @@ def solve_supercritical(cls, lam):
         )
     if cls.block_spec is not None:
         return _supercritical_block(cls, lam)
-    return _supercritical_scalar(cls, lam, lam_star)
+    return _supercritical_scalar(cls, lam)
 
 
 def _supercritical_block(cls, lam):
@@ -419,25 +450,19 @@ def _supercritical_block(cls, lam):
     return SupercriticalPoint(lam=lam, y_lambda=y, x_lambda=x, C_x_lambda=C, sigma2=sigma2)
 
 
-def _supercritical_scalar(cls, lam, lam_star):
+def _supercritical_scalar(cls, lam):
     rho = cls.growth.rho
     target = 1.0 / lam
 
-    def m(x):
-        C, A, _ = _egf_at(cls, x)
-        return A / C
+    def fdf(x):
+        C, A, D = _egf_at(cls, x)
+        return A / C - target, (C * (A + D) - A * A) / (x * C * C)
 
-    def f(x):
-        return m(x) - target
-
-    x = _bisect(f, rho * 1e-9, rho, iters=70)
-
-    def mprime(x):
-        C, A, D = _egf_at(cls, x, need_second=True)
-        return (C * (A + D) - A * A) / (x * C * C)
-
-    x = _newton_polish(f, mprime, x, 0.0, rho, steps=3)
-    C, A, D = _egf_at(cls, x, need_second=True)
+    # A/C rises from 1 at x = 0+ to 1/lambda* > target at rho, which brackets the
+    # root.  Starting at rho (cached by lambda_star) puts the first Newton steps
+    # on the side from which they approach a convex ratio without overshooting.
+    x = _safe_newton(fdf, rho * 1e-9, rho, rho)
+    C, A, D = _egf_at(cls, x)
     if abs(A / C - target) > _RESIDUAL_TOL:
         raise InternalConsistencyError(f"saddle residual too large at lambda = {lam}")
     sigma2 = D / C + 1.0 / lam - 1.0 / lam**2
@@ -475,7 +500,7 @@ def _sigma2_at_rho(cls):
     b, rho, alpha, lam_star, C_rho = _growth_constants(cls)
     if alpha <= 2.0 + _ALPHA_TOL:
         raise DomainError("the variance at rho is finite only for alpha > 2")
-    _C, _A, D = _egf_at(cls, rho, need_second=True)
+    _C, _A, D = _egf_at(cls, rho)
     return D / C_rho + 1.0 / lam_star - 1.0 / lam_star**2
 
 
@@ -503,6 +528,37 @@ def constant_above(cls, lam):
 # --- the regime classifier ------------------------------------------------------
 
 
+def classify(cls, lam):
+    """(regime, alpha_case, leading constant, saddle) at density lambda.
+
+    lambda within 1e-9 of lambda* counts as critical, where the constant is
+    the critical one for alpha <= 2 and the gaussian one at lambda* above.
+    The saddle is the SupercriticalPoint above lambda* and None otherwise.
+    """
+    _b, _rho, alpha, lam_star, _C = _growth_constants(cls)
+    if alpha < 2.0 - _ALPHA_TOL:
+        alpha_case = AlphaCase.LT2
+    elif abs(alpha - 2.0) <= _ALPHA_TOL:
+        alpha_case = AlphaCase.EQ2
+    else:
+        alpha_case = AlphaCase.GT2
+    sp = None
+    if lam < lam_star - _CRITICAL_WINDOW:
+        regime = Regime.BELOW
+        const = constant_below(cls, lam)
+    elif lam <= lam_star + _CRITICAL_WINDOW:
+        regime = Regime.CRITICAL
+        if alpha_case is AlphaCase.GT2:
+            const = constant_above(cls, lam_star)
+        else:
+            const = constant_critical(cls)
+    else:
+        regime = Regime.ABOVE
+        sp = solve_supercritical(cls, lam)
+        const = constant_above(cls, lam)
+    return regime, alpha_case, const, sp
+
+
 def estimate(cls, n, lam):
     """First-order estimate of log count(n, floor(lambda*n)) with its factors."""
     if n != int(n) or n < 2:
@@ -515,43 +571,23 @@ def estimate(cls, n, lam):
     if N < 1:
         raise DomainError(f"floor(lambda*n) = {N}; need at least one component")
 
-    b, rho, alpha, lam_star, C_rho = _growth_constants(cls)
-    if alpha < 2.0 - _ALPHA_TOL:
-        alpha_case = AlphaCase.LT2
-    elif abs(alpha - 2.0) <= _ALPHA_TOL:
-        alpha_case = AlphaCase.EQ2
-    else:
-        alpha_case = AlphaCase.GT2
-
+    _b, rho, alpha, lam_star, C_rho = _growth_constants(cls)
+    regime, alpha_case, const, sp = classify(cls, lam)
+    n_power = -0.5
     log_power = 0.0
-    if lam < lam_star - _CRITICAL_WINDOW:
-        regime = Regime.BELOW
-        const = constant_below(cls, lam)
+    x_base, h = rho, C_rho
+    if regime is Regime.BELOW:
         n_power = -alpha
-        x_base, h = rho, C_rho
-    elif lam <= lam_star + _CRITICAL_WINDOW:
-        regime = Regime.CRITICAL
-        x_base, h = rho, C_rho
-        if alpha_case is AlphaCase.LT2:
-            const = constant_critical(cls)
-            n_power = -1.0 / alpha
-        elif alpha_case is AlphaCase.EQ2:
-            if lam_star * n <= 1.0:
-                raise DomainError(
-                    f"n = {n} is too small for the log-corrected critical formula"
-                )
-            const = constant_critical(cls)
-            n_power = -0.5
-            log_power = -0.5
-        else:
-            const = constant_above(cls, lam_star)
-            n_power = -0.5
-    else:
-        regime = Regime.ABOVE
-        sp = solve_supercritical(cls, lam)
-        const = constant_above(cls, lam)
-        n_power = -0.5
+    elif regime is Regime.ABOVE:
         x_base, h = sp.x_lambda, sp.C_x_lambda
+    elif alpha_case is AlphaCase.LT2:
+        n_power = -1.0 / alpha
+    elif alpha_case is AlphaCase.EQ2:
+        if lam_star * n <= 1.0:
+            raise DomainError(
+                f"n = {n} is too small for the log-corrected critical formula"
+            )
+        log_power = -0.5
 
     factors = EstimateFactors(
         log_constant=math.log(const),

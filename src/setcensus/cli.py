@@ -131,20 +131,10 @@ def _cmd_constants(args):
         at = {"lambda": _real(lam)}
         if not (0.0 < lam < 1.0):
             raise DomainError(f"lambda = {lam} must lie strictly between 0 and 1")
-        if lam < lam_star - 1e-9:
-            at["regime"] = "below"
-            at["constant"] = _real(asymptotics.constant_below(cls, lam))
-        elif lam <= lam_star + 1e-9:
-            at["regime"] = "critical"
-            alpha = cls.growth.alpha
-            if alpha <= 2.0 + 1e-12:
-                at["constant"] = _real(asymptotics.constant_critical(cls))
-            else:
-                at["constant"] = _real(asymptotics.constant_above(cls, lam_star))
-        else:
-            at["regime"] = "above"
-            sp = asymptotics.solve_supercritical(cls, lam)
-            at["constant"] = _real(asymptotics.constant_above(cls, lam))
+        regime, _alpha_case, const, sp = asymptotics.classify(cls, lam)
+        at["regime"] = regime.value
+        at["constant"] = _real(const)
+        if sp is not None:
             at["x_lambda"] = _real(sp.x_lambda)
             at["y_lambda"] = _real(sp.y_lambda)
             at["C_x_lambda"] = _real(sp.C_x_lambda)

@@ -137,6 +137,44 @@ class TestScalarEvaluation:
             last = A / C
 
 
+class TestFloatTail:
+    """The float64 tail against mpmath's Lerch transcendent and Hurwitz zeta."""
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 3.7])
+    @pytest.mark.parametrize(
+        "z", [0.01, 0.3, 0.7, 0.9, 1 - asy._TAIL_BAND, 1 - asy._TAIL_BAND / 2, 1.0]
+    )
+    def test_matches_mpmath(self, z, alpha):
+        for s in (alpha - 1, alpha, alpha + 1):
+            for H in (1, 64):
+                got = asy._tail(z, s, H)
+                if z == 1.0 and s <= 1:
+                    assert got == math.inf
+                    continue
+                with mpmath.workdps(40):
+                    if z == 1.0:
+                        want = mpmath.zeta(s, H + 1)
+                    else:
+                        want = mpmath.mpf(z) ** (H + 1) * mpmath.lerchphi(z, s, H + 1)
+                    assert abs(got - want) <= 1e-12 * want, (z, s, H)
+
+
+# (alpha, lambda, x_lambda, C(x_lambda), sigma2) of synthetic(1, 0.5, alpha),
+# computed by the 70-step bisection and Newton polish the saddle used before;
+# the first lambda of each alpha is lambda* + 1e-6.
+FROZEN_LAMBDA_STAR = {2.5: 0.8227462569866653, 1.5: 0.5143694339697948}
+FROZEN_SADDLES = [
+    (2.5, 0.8227472569866653, 0.49999916976477476, 1.1628594879626746, 0.8883803386373257),
+    (2.5, 0.85, 0.4626143344285044, 1.0598428929207213, 0.3704939587445726),
+    (2.5, 0.9, 0.34944574222695746, 0.7699168417493379, 0.1561564593921554),
+    (2.5, 0.99, 0.039709960203838005, 0.08021912002646608, 0.010284272815056283),
+    (1.5, 0.5143704339697949, 0.4999999999990568, 1.2881500603617688, 1001824.5948959847),
+    (1.5, 0.85, 0.33421459652584395, 0.7535046247060162, 0.3640304745195939),
+    (1.5, 0.9, 0.2598593756197001, 0.5655684493176418, 0.1850305170521931),
+    (1.5, 0.99, 0.037775014438575644, 0.07629152084399883, 0.010793145957319394),
+]
+
+
 class TestSupercritical:
     @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
     def test_trees_closed_forms(self, lam):
@@ -167,6 +205,38 @@ class TestSupercritical:
         sp = asy.solve_supercritical(cls, 0.9)
         C, A, _ = asy._egf_at(cls, sp.x_lambda)
         assert abs(A / C - 1 / 0.9) < 1e-9
+
+    @pytest.mark.parametrize("alpha,lam,x,C,sigma2", FROZEN_SADDLES)
+    def test_scalar_saddle_grid(self, monkeypatch, alpha, lam, x, C, sigma2):
+        cls = species.synthetic(1, 0.5, alpha)
+        assert asy.lambda_star(cls) == pytest.approx(FROZEN_LAMBDA_STAR[alpha], rel=1e-12)
+        calls = []
+        egf_at = asy._egf_at
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return egf_at(*args, **kwargs)
+
+        monkeypatch.setattr(asy, "_egf_at", counting)
+        sp = asy.solve_supercritical(cls, lam)
+        assert len(calls) <= 40
+        assert sp.x_lambda == pytest.approx(x, rel=1e-12)
+        assert sp.C_x_lambda == pytest.approx(C, rel=1e-12)
+        assert sp.sigma2 == pytest.approx(sigma2, rel=1e-12)
+
+    def test_scalar_cache_is_bounded(self):
+        cls = species.synthetic(1, 0.5, 2.5)
+        lam_star = asy.lambda_star(cls)
+        for i in range(200):
+            asy.solve_supercritical(cls, lam_star + 0.01 + (0.98 - lam_star) * i / 200)
+            asy._egf_at(cls, 0.45 * (i + 1) / 200)
+            assert len(cls._scalar_cache) <= asy._SCALAR_CACHE_MAX
+        cacti = species.builtin("cacti")
+        rc = asy.recipe_constants(cacti)
+        for i in range(200):
+            asy._egf_at(cacti, rc.rho * (i + 1) / 201)
+            assert len(cacti._scalar_cache) <= asy._SCALAR_CACHE_MAX
+        assert asy.recipe_constants(cacti) == rc
 
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.99999999, 1.0, 1.5])
     def test_domain(self, lam):
