@@ -164,8 +164,8 @@ def _newton_polish(f, fprime, x, lo, hi):
     return x
 
 
-def _safe_newton(fdf, lo, hi, x, iters=100):
-    """Root of an increasing f with f(lo) < 0 < f(hi), starting at x in [lo, hi].
+def _safe_newton(fdf, lo, hi):
+    """Root of an increasing f with f(lo) < 0 < f(hi), starting at hi.
 
     fdf(x) returns (f(x), f'(x)).  Every evaluation narrows the bracket.  A
     Newton step that would leave it (or an infinite derivative) gives way to
@@ -175,7 +175,8 @@ def _safe_newton(fdf, lo, hi, x, iters=100):
     """
     flo = fhi = None
     width = [math.inf, math.inf]  # bracket widths one and two steps back
-    for _ in range(iters):
+    x = hi
+    for _ in range(100):
         fx, dfx = fdf(x)
         if fx == 0:
             return x
@@ -461,7 +462,7 @@ def _supercritical_scalar(cls, lam):
     # A/C rises from 1 at x = 0+ to 1/lambda* > target at rho, which brackets the
     # root.  Starting at rho (cached by lambda_star) puts the first Newton steps
     # on the side from which they approach a convex ratio without overshooting.
-    x = _safe_newton(fdf, rho * 1e-9, rho, rho)
+    x = _safe_newton(fdf, rho * 1e-9, rho)
     C, A, D = _egf_at(cls, x)
     if abs(A / C - target) > _RESIDUAL_TOL:
         raise InternalConsistencyError(f"saddle residual too large at lambda = {lam}")

@@ -338,19 +338,11 @@ _forest_dist_lock = threading.Lock()
 
 
 def _forest_distribution(n, k, x):
-    """Tree size table for (n, k) at x; x = None picks the default of sample_forest."""
     key = (n, k, x)
     with _forest_dist_lock:
         dist = _forest_dist_cache.get(key)
         if dist is None:
             trees = species.builtin("trees")
-            if x is None:
-                lam = k / n
-                lam_star = asymptotics.lambda_star(trees)
-                if lam > lam_star + 1e-12 and lam < 1.0:
-                    x = asymptotics.solve_supercritical(trees, lam).x_lambda
-                else:
-                    x = trees.growth.rho
             dist = size_distribution(trees, x, n_max=n - k + 1)
             if len(_forest_dist_cache) > 64:
                 _forest_dist_cache.clear()
@@ -374,8 +366,16 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     n, k = int(n), int(k)
     if rng is None:
         rng = np.random.default_rng()
-    dist = _forest_distribution(n, k, None if x is None else float(x))
-    x = dist.x
+    trees_cls = species.builtin("trees")
+    if x is None:
+        lam = k / n
+        lam_star = asymptotics.lambda_star(trees_cls)
+        if lam > lam_star + 1e-12 and lam < 1.0:
+            x = asymptotics.solve_supercritical(trees_cls, lam).x_lambda
+        else:
+            x = trees_cls.growth.rho
+    x = float(x)
+    dist = _forest_distribution(n, k, x)
     sizes = None
     attempts = 0
     while attempts <= max_rejects:
