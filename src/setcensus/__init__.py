@@ -6,9 +6,15 @@ vertices and N = floor(lambda*n) components exactly (big-integer coefficient
 extraction), estimates the counts through the three asymptotic regimes of the
 component density lambda, and draws uniform objects through a Boltzmann
 sampler; the three routes cross-validate each other.
+
+numpy and mpmath load on first use: `sampler` and `cli` are imported when
+first reached as attributes of the package, and the float series flavor, the
+Lerch and Hurwitz tails and the chi-square tail import mpmath when called.
 """
 
-from . import asymptotics, cli, exact, powerseries, sampler, species
+import importlib
+
+from . import asymptotics, exact, powerseries, species
 from .errors import (
     ConstantTermError,
     DivergenceError,
@@ -47,3 +53,12 @@ __all__ = [
     "RetryBudgetError",
     "__version__",
 ]
+
+_LAZY_MODULES = ("cli", "sampler")
+
+
+def __getattr__(name):
+    # sampler (numpy) and cli (argparse) load on first access, not on import
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

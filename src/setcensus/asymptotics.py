@@ -27,9 +27,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath
-import numpy as np
-
 from . import species
 from .errors import (
     DivergenceError,
@@ -124,46 +121,6 @@ def gamma_fn(z):
 # --- root finding -------------------------------------------------------------
 
 
-def _bisect(f, lo, hi):
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise InternalConsistencyError(
-            f"root not bracketed on [{lo}, {hi}]: f = {flo}, {fhi}"
-        )
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(f, fprime, x, lo, hi):
-    for _ in range(4):
-        d = fprime(x)
-        if d == 0:
-            break
-        nxt = x - f(x) / d
-        if not (lo <= nxt <= hi):
-            break
-        if abs(nxt - x) <= 1e-16 * max(1.0, abs(x)):
-            x = nxt
-            break
-        x = nxt
-    return x
-
-
 def _safe_newton(fdf, lo, hi):
     """Root of an increasing f with f(lo) < 0 < f(hi), starting at hi.
 
@@ -171,7 +128,9 @@ def _safe_newton(fdf, lo, hi):
     Newton step that would leave it (or an infinite derivative) gives way to
     the secant through the bracket ends, and to bisection while an end is
     unevaluated or when the bracket has not halved over the last two steps,
-    so the iterate stays in [lo, hi] and secant steps cannot stall.
+    so the iterate stays in [lo, hi] and secant steps cannot stall.  It stops
+    at an evaluated x where f is 0, where the Newton step no longer moves x,
+    or where the bracket has closed to neighbouring floats.
     """
     flo = fhi = None
     width = [math.inf, math.inf]  # bracket widths one and two steps back
@@ -185,9 +144,9 @@ def _safe_newton(fdf, lo, hi):
         else:
             hi, fhi = x, fx
         step = fx / dfx if 0 < dfx < math.inf else math.inf
-        if abs(step) <= 4e-16 * x:
-            return x - step
         nxt = x - step
+        if nxt == x:
+            return x
         if not lo < nxt < hi:
             if flo is None or fhi is None or hi - lo > 0.5 * width[1]:
                 nxt = 0.5 * (lo + hi)
@@ -213,6 +172,9 @@ def solve_zeta(cls):
     def g(t):
         return t * Bpp(t) - 1.0
 
+    def gdg(t):
+        return g(t), Bpp(t) + t * Bppp(t)
+
     lo = 1e-12
     if g(lo) >= 0:
         lo = 1e-300
@@ -234,8 +196,7 @@ def solve_zeta(cls):
         raise NotSubcriticalError(
             f"class {cls.name} is not subcritical: t*B''(t) stays below 1 on (0, R)"
         )
-    zeta = _bisect(g, lo, hi)
-    zeta = _newton_polish(g, lambda t: Bpp(t) + t * Bppp(t), zeta, lo, hi)
+    zeta = _safe_newton(gdg, lo, hi)
     if abs(zeta * Bpp(zeta) - 1.0) > _RESIDUAL_TOL:
         raise InternalConsistencyError(
             f"zeta residual too large: {zeta * Bpp(zeta) - 1.0}"
@@ -307,17 +268,11 @@ def _egf_block(cls, x):
     if x >= rc.rho * (1.0 - 1e-14):
         y = rc.zeta
     else:
-        def f(t):
-            return t * math.exp(-spec.Bp(t)) - x
+        def fdf(t):
+            e = math.exp(-spec.Bp(t))
+            return t * e - x, e * (1.0 - t * spec.Bpp(t))
 
-        y = _bisect(f, 1e-300, rc.zeta)
-        y = _newton_polish(
-            f,
-            lambda t: math.exp(-spec.Bp(t)) * (1.0 - t * spec.Bpp(t)),
-            y,
-            0.0,
-            rc.zeta,
-        )
+        y = _safe_newton(fdf, 1e-300, rc.zeta)
     C = y - y * spec.Bp(y) + spec.B(y)
     A = y
     denom = 1.0 - y * spec.Bpp(y)
@@ -360,11 +315,17 @@ def _tail(z, s, H):
     if z == 1.0:
         if s <= 1.0:
             return math.inf
+        import mpmath
+
         with mpmath.workdps(40):
             return float(mpmath.zeta(s, H + 1))
     if z > 1.0 - _TAIL_BAND:
+        import mpmath
+
         with mpmath.workdps(40):
             return float(z ** (H + 1) * mpmath.lerchphi(z, s, H + 1))
+    import numpy as np
+
     # After term M the remainder is at most M^{-s} z^{M+1}/(1-z), which is
     # z^{M-H}/(1-z) times the first term or less; stop once that is 2^-60.
     lz = math.log(z)
@@ -431,16 +392,11 @@ def _supercritical_block(cls, lam):
     def h(t):
         return 1.0 - spec.Bp(t) + spec.B(t) / t
 
-    def f(t):
-        return h(t) - lam
+    def fdf(t):
+        # h decreases from 1 at 0+ to lambda* at zeta, so lam - h increases
+        return lam - h(t), spec.Bpp(t) - spec.Bp(t) / t + spec.B(t) / t**2
 
-    # h decreases from 1 at 0+ to lambda* at zeta
-    y = _bisect(f, 1e-12 * rc.zeta, rc.zeta)
-
-    def hprime(t):
-        return -spec.Bpp(t) + spec.Bp(t) / t - spec.B(t) / t**2
-
-    y = _newton_polish(f, hprime, y, 0.0, rc.zeta)
+    y = _safe_newton(fdf, 1e-12 * rc.zeta, rc.zeta)
     if abs(h(y) - lam) > _RESIDUAL_TOL:
         raise InternalConsistencyError(f"saddle residual too large at lambda = {lam}")
     x = y * math.exp(-spec.Bp(y))

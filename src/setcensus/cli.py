@@ -18,9 +18,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import asymptotics, exact, sampler, species
+from . import asymptotics, exact, species
 from . import powerseries as ps
 from .errors import (
     DomainError,
@@ -274,6 +272,10 @@ def _cmd_compare(args):
 
 
 def _cmd_sample(args):
+    import numpy as np
+
+    from . import sampler
+
     if args.seed is None:
         raise DomainError("--seed is required for sample")
     if args.trials < 1:

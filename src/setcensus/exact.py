@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import powerseries as ps
 from . import species
 from .errors import DomainError, InternalConsistencyError, PrecisionError
@@ -59,6 +57,8 @@ def _c_egf_float(cls, T, precision_bits, usable=None):
     the float solution of the block fixed point.  Other classes convert their
     exact counts.
     """
+    import mpmath
+
     U = T if usable is None else min(usable, T)
     with mpmath.workprec(precision_bits):
         if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
@@ -88,6 +88,8 @@ def count(cls, n, k):
 
 def count_log(cls, n, k, precision_bits=ps.DEFAULT_PRECISION_BITS):
     """log count(n, k) via float coefficient extraction at the given precision."""
+    import mpmath
+
     n, k = _check_domain(n, k)
     c = _c_egf_float(cls, n, precision_bits, usable=n - k + 1)
     p = ps.pow(c, k, n)

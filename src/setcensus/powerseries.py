@@ -16,9 +16,8 @@ series of the connected class C, via
     C(x) = y - y*B'(y) + B(y),      |C_n| = (n-1)! * [x^n] y.
 """
 
+import contextlib
 from fractions import Fraction
-
-import mpmath
 
 from .errors import (
     ConstantTermError,
@@ -70,6 +69,8 @@ class SeriesFloat:
     __slots__ = ("coeffs", "precision_bits")
 
     def __init__(self, coeffs, precision_bits=DEFAULT_PRECISION_BITS):
+        import mpmath
+
         if precision_bits < 8:
             raise ValueError("precision_bits must be at least 8")
         self.precision_bits = int(precision_bits)
@@ -83,15 +84,23 @@ class SeriesFloat:
         return len(self.coeffs) - 1
 
     def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k <= self.order else mpmath.mpf(0)
+        if 0 <= k <= self.order:
+            return self.coeffs[k]
+        import mpmath
+
+        return mpmath.mpf(0)
 
     def __repr__(self):
+        import mpmath
+
         head = ", ".join(mpmath.nstr(c, 8) for c in self.coeffs[:6])
         tail = ", ..." if self.order >= 6 else ""
         return f"SeriesFloat([{head}{tail}], order={self.order}, bits={self.precision_bits})"
 
 
 def _to_mpf(c):
+    import mpmath
+
     if isinstance(c, Fraction):
         return mpmath.mpf(c.numerator) / c.denominator
     return mpmath.mpf(c)
@@ -103,14 +112,18 @@ class _Kernel:
     def __init__(self, exact, precision_bits=DEFAULT_PRECISION_BITS):
         self.exact = exact
         self.precision_bits = precision_bits
-        self.zero = Fraction(0) if exact else mpmath.mpf(0)
-        self.one = Fraction(1) if exact else mpmath.mpf(1)
+        if exact:
+            self.zero, self.one = Fraction(0), Fraction(1)
+        else:
+            import mpmath
+
+            self.zero, self.one = mpmath.mpf(0), mpmath.mpf(1)
 
     def ctx(self):
         if self.exact:
-            import contextlib
-
             return contextlib.nullcontext()
+        import mpmath
+
         return mpmath.workprec(self.precision_bits)
 
     def wrap(self, coeffs):

@@ -26,7 +26,6 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import asymptotics
@@ -457,5 +456,7 @@ def chi_square_sf(statistic, df):
         raise DomainError(f"df = {df} must be positive")
     if statistic < 0:
         return 1.0
+    import mpmath
+
     with mpmath.workdps(30):
         return float(mpmath.gammainc(df / 2.0, statistic / 2.0, mpmath.inf, regularized=True))

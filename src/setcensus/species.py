@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import mpmath
-
 from . import powerseries as ps
 from .errors import DomainError, UnknownClassError, ValidationError
 
@@ -244,7 +242,7 @@ class _ExpDerivativeComposer:
 
 def _composer_factory(spec, kernel):
     if spec.kind == "cactus":
-        half = Fraction(1, 2) if kernel.exact else mpmath.mpf("0.5")
+        half = kernel.one / 2  # Fraction(1, 2) or mpf(0.5), both exact
         return lambda: _CactusDerivativeComposer(kernel.zero, half)
     if spec.kind == "complete":
         return lambda: _ExpDerivativeComposer(kernel.zero, kernel.one)
@@ -329,6 +327,8 @@ def _synthetic_coeff(growth, n):
             + (math.lgamma(n + 1) / math.log(2))
         )
         prec = max(96, int(bits) + 96)
+        import mpmath
+
         with mpmath.workprec(prec):
             v = (
                 mpmath.mpf(b)

@@ -1,0 +1,100 @@
+"""Import hygiene: numpy and mpmath load only on the paths that use them.
+
+Each check runs in a fresh interpreter, because this suite's own process has
+long since imported both libraries.  The child imports the same ``setcensus``
+package as the suite, with its ``src/`` first on ``PYTHONPATH``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import setcensus
+
+HEAVY = ("numpy", "mpmath")
+
+
+def run_child(code, cwd=None):
+    """Run ``code`` in a fresh interpreter and return the JSON it prints last."""
+    package_root = str(Path(setcensus.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    loaded = run_child(
+        "import json, sys, setcensus\n"
+        f"print(json.dumps([m for m in {HEAVY!r} + ('setcensus.cli', 'setcensus.sampler') "
+        "if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv, expect_loaded",
+    [
+        pytest.param(["constants", "--class", "trees", "--lambda", "0.75"], [], id="constants"),
+        pytest.param(["exact", "--class", "cacti", "-n", "30", "-k", "12"], [], id="exact"),
+        pytest.param(
+            ["exact", "--class", "trees", "-n", "6", "--k-range", "1:3"], [], id="exact-range"
+        ),
+        pytest.param(
+            ["estimate", "--class", "husimi", "-n", "200", "--lambda", "0.3"], [], id="estimate"
+        ),
+        pytest.param(["series", "--class", "husimi", "--terms", "6"], [], id="series"),
+        pytest.param(
+            ["series", "--class", "cacti", "--terms", "5", "--export", "cacti5.json"],
+            [],
+            id="series-export",
+        ),
+        # the sampler needs numpy: shows that the child would see a load
+        pytest.param(
+            ["sample", "--class", "trees", "-n", "6", "-k", "2", "--seed", "7"],
+            ["numpy"],
+            id="sample",
+        ),
+    ],
+)
+def test_readme_cli_loads_only_what_it_uses(tmp_path, argv, expect_loaded):
+    result = run_child(
+        "import contextlib, io, json, sys\n"
+        "from setcensus import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))",
+        cwd=tmp_path,
+    )
+    assert result == [0, expect_loaded]
+
+
+def test_sampler_resolves_after_bare_import():
+    result = run_child(
+        "import json, setcensus\n"
+        "f = setcensus.sampler.size_distribution\n"
+        "print(json.dumps([f.__module__, setcensus.cli.main.__module__, "
+        "hasattr(setcensus, 'no_such_module')]))"
+    )
+    assert result == ["setcensus.sampler", "setcensus.cli", False]
+
+
+def test_star_import_binds_all_names():
+    missing = run_child(
+        "import json\n"
+        "from setcensus import *\n"
+        "import setcensus\n"
+        "print(json.dumps([n for n in setcensus.__all__ if n not in globals()]))"
+    )
+    assert missing == []
