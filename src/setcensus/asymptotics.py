@@ -385,19 +385,56 @@ def solve_supercritical(cls, lam):
     return _supercritical_scalar(cls, lam)
 
 
+def _complete_gap(t):
+    """B'(t) - B(t)/t for B = e^t - t - 1, as sum_{m>=1} m t^m / (m+1)!."""
+    total, term, m = 0.0, 0.5 * t, 1
+    while total + term != total:
+        total += term
+        term *= t * (m + 1) / (m * (m + 2))
+        m += 1
+    return total
+
+
+def _cactus_gap(t):
+    """B'(t) - B(t)/t for the cactus block, as t/4 + (1/2) sum_{m>=1} m t^m / (m+1)."""
+    total, power, m = 0.0, t, 1
+    while True:
+        term = m * power / (m + 1)
+        if total + term == total:
+            return 0.25 * t + 0.5 * total
+        total += term
+        power *= t
+        m += 1
+
+
+# g(t) = B'(t) - B(t)/t as a sum of positive terms, for the block kinds whose
+# closed forms cancel at small t (e^t - 1 - t, log1p); edge and polynomial
+# blocks evaluate B and B' directly.
+_GAP_SERIES = {"complete": _complete_gap, "cactus": _cactus_gap}
+
+
 def _supercritical_block(cls, lam):
+    # The saddle y solves g(y) = 1 - lambda, where g = B' - B/t rises from 0
+    # at 0+ to 1 - lambda* at zeta; g' = B'' - g/t.
     spec = cls.block_spec
     rc = recipe_constants(cls)
+    gap = _GAP_SERIES.get(spec.kind)
+    if gap is None:
 
-    def h(t):
-        return 1.0 - spec.Bp(t) + spec.B(t) / t
+        def fdf(t):
+            return (
+                lam - (1.0 - spec.Bp(t) + spec.B(t) / t),
+                spec.Bpp(t) - spec.Bp(t) / t + spec.B(t) / t**2,
+            )
 
-    def fdf(t):
-        # h decreases from 1 at 0+ to lambda* at zeta, so lam - h increases
-        return lam - h(t), spec.Bpp(t) - spec.Bp(t) / t + spec.B(t) / t**2
+    else:
+
+        def fdf(t):
+            g = gap(t)
+            return g - (1.0 - lam), spec.Bpp(t) - g / t
 
     y = _safe_newton(fdf, 1e-12 * rc.zeta, rc.zeta)
-    if abs(h(y) - lam) > _RESIDUAL_TOL:
+    if abs(fdf(y)[0]) > _RESIDUAL_TOL:
         raise InternalConsistencyError(f"saddle residual too large at lambda = {lam}")
     x = y * math.exp(-spec.Bp(y))
     C = lam * y

@@ -17,6 +17,12 @@ with C(x) the truncated normalizer.  sum_size_probability_exact evaluates the
 right-hand P as an exact rational; mc_sum_probability estimates it by
 simulation.
 
+Block classes get their size table from a float64 fixed-point recurrence
+tilted by x^n.  Entry n depends only on the entries below it, so the
+search for n_max (256, 512, ... entries) extends one table instead of
+solving it again at every length, and a table of length M holds the same
+floats as the first M entries of any longer one.
+
 All randomness flows through a caller-supplied numpy Generator; a fixed seed
 fixes every sample exactly.
 """
@@ -44,14 +50,15 @@ _MAX_BLOCK_TABLE = 200_000  # cap for O(n_max^2) block fixed-point tables
 _FORMULA_HEAD = 64  # synthetic classes: exact integers this far, formula beyond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SizeDistribution:
     """Truncated, renormalized component-size law at Boltzmann parameter x.
 
     pmf[j] is P(size = j + 1) for j = 0..n_max-1.  normalizer is the truncated
     EGF value sum_{j <= n_max} |C_j| x^j / j!; truncated_mass estimates the
     probability mass of sizes beyond n_max under the untruncated model (nan
-    when the class has no tail model).
+    when the class has no tail model).  Tables compare and hash by identity,
+    since their array fields have no single truth value.
     """
 
     x: float
@@ -59,10 +66,10 @@ class SizeDistribution:
     pmf: np.ndarray
     truncated_mass: float
     normalizer: float
-    cdf: np.ndarray = field(repr=False, compare=False)
+    cdf: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Composition:
     """A draw from the unconditioned Boltzmann model: component sizes only."""
 
@@ -74,7 +81,7 @@ class Composition:
             raise DomainError("composition size list does not match kappa")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledForest:
     """A labeled forest on vertices 1..n: vertex blocks and tree edges per block."""
 
@@ -101,14 +108,21 @@ def _log_factorials(M):
 
 def _weights(cls, x, M):
     """w[j] = |C_{j+1}| x^{j+1} / (j+1)! as float64, j = 0..M-1."""
+    return _weight_table(cls, x)(M)
+
+
+def _weight_table(cls, x):
+    """The function M -> _weights(cls, x, M) for one class at one x.
+
+    A block class keeps its fixed-point table between calls and only extends
+    it, so a search over growing M solves each entry once.
+    """
     if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
-        if M > _MAX_BLOCK_TABLE:
-            raise PrecisionError(
-                f"block-derived size table of length {M} exceeds the supported "
-                f"maximum {_MAX_BLOCK_TABLE}; pass a smaller n_max",
-                suggested=_MAX_BLOCK_TABLE,
-            )
-        return _tilted_block_weights(cls, x, M)
+        return _BlockTable(cls.block_spec, x).weights
+    return lambda M: _formula_weights(cls, x, M)
+
+
+def _formula_weights(cls, x, M):
     if M > _MAX_TABLE:
         raise PrecisionError(
             f"size table of length {M} exceeds the supported maximum {_MAX_TABLE}; "
@@ -149,44 +163,93 @@ def _weights(cls, x, M):
     return w
 
 
-def _tilted_block_weights(cls, x, M):
-    """Tilted fixed-point solve in float64: w_n = y_n x^n / n stays O(1)."""
-    spec = cls.block_spec
-    Y = np.zeros(M + 1)
-    A = np.zeros(M + 1)
-    E = np.zeros(M + 1)
-    E[0] = 1.0
-    ks = np.arange(M + 1, dtype=float)
-    kind = spec.kind
-    if kind == "cactus":
-        S = np.zeros(M + 1)
-    elif kind == "complete":
-        EY = np.zeros(M + 1)
-        EY[0] = 1.0
-    elif kind == "poly":
-        tail = [float(c) for c in spec.bprime_series(species._poly_degree(spec)).coeffs[1:]]
-        while tail and tail[-1] == 0.0:
-            tail.pop()
-        P = [np.zeros(M + 1) for _ in tail]
-    for n in range(1, M + 1):
-        Y[n] = x * E[n - 1]
-        if kind == "edge":
-            A[n] = Y[n]
-        elif kind == "cactus":
-            S[n] = Y[n] + float(np.dot(Y[1:n], S[n - 1:0:-1]))
-            A[n] = 0.5 * (Y[n] + S[n])
-        elif kind == "complete":
-            EY[n] = float(np.dot(ks[1 : n + 1] * Y[1 : n + 1], EY[n - 1 :: -1])) / n
-            A[n] = EY[n]
-        else:
-            for d in range(1, len(tail) + 1):
-                if d == 1:
-                    P[0][n] = Y[n]
-                elif d <= n:
-                    P[d - 1][n] = float(np.dot(P[d - 2][d - 1 : n], Y[n - d + 1 : 0 : -1]))
-            A[n] = sum(c * P[d][n] for d, c in enumerate(tail) if c)
-        E[n] = float(np.dot(ks[1 : n + 1] * A[1 : n + 1], E[n - 1 :: -1])) / n
-    return Y[1:] / np.arange(1, M + 1, dtype=float)
+class _BlockTable:
+    """Tilted fixed-point solve in float64: w_n = y_n x^n / n stays O(1).
+
+    y = x exp(B'(y)) is solved term by term, with A = B'(y) and E = exp(A).
+    Term n depends only on the terms below it, so the table grows in place
+    and terms 1..M are the same floats whatever length it reaches.  Every
+    convolution is one dot product of two contiguous slices.  The factor read
+    backwards is stored reversed, term j at index cap - j: E, S = y/(1-y)
+    (cacti), exp(y) (complete blocks) and y (polynomial blocks).  The factor
+    read forwards is stored as it is used: n A_n, n y_n (complete blocks) and
+    the powers y^d (polynomial blocks).  Buffers a kind does not use stay
+    unfilled.
+    """
+
+    def __init__(self, spec, x):
+        self.x = x
+        self.kind = spec.kind
+        tail = []
+        if spec.kind == "poly":
+            tail = [float(c) for c in spec.bprime_series(species._poly_degree(spec)).coeffs[1:]]
+            while tail and tail[-1] == 0.0:
+                tail.pop()
+        self.tail = tail  # B'(u) = sum_d tail[d-1] u^d
+        self.n = 0  # terms 1..n are solved
+        self.cap = 0
+        self.Y, self.kA, self.kY = np.zeros(1), np.zeros(1), np.zeros(1)
+        self.P = [np.zeros(1) for _ in tail[1:]]  # y^2, y^3, ...
+        self.Er, self.Sr, self.EYr, self.Yr = np.ones(1), np.zeros(1), np.ones(1), np.zeros(1)
+
+    def weights(self, M):
+        if M > _MAX_BLOCK_TABLE:
+            raise PrecisionError(
+                f"block-derived size table of length {M} exceeds the supported "
+                f"maximum {_MAX_BLOCK_TABLE}; pass a smaller n_max",
+                suggested=_MAX_BLOCK_TABLE,
+            )
+        if M > self.cap:
+            self._grow(M)
+        if M > self.n:
+            self._solve(M)
+        return self.Y[1 : M + 1] / np.arange(1, M + 1, dtype=float)
+
+    def _grow(self, cap):
+        old = self.cap
+
+        def forward(a):
+            b = np.zeros(cap + 1)
+            b[: old + 1] = a
+            return b
+
+        def backward(a):
+            b = np.zeros(cap + 1)
+            b[cap - old :] = a
+            return b
+
+        self.Y, self.kA, self.kY = map(forward, (self.Y, self.kA, self.kY))
+        self.P = list(map(forward, self.P))
+        self.Er, self.Sr, self.EYr, self.Yr = map(backward, (self.Er, self.Sr, self.EYr, self.Yr))
+        self.cap = cap
+
+    def _solve(self, M):
+        x, c, kind, tail = self.x, self.cap, self.kind, self.tail
+        Y, kA, kY, Er, Sr, EYr, Yr = self.Y, self.kA, self.kY, self.Er, self.Sr, self.EYr, self.Yr
+        P = [Y] + self.P  # P[d - 1] holds y^d
+        e = float(Er[c - self.n])
+        for n in range(self.n + 1, M + 1):
+            y = x * e
+            Y[n] = y
+            if kind == "edge":
+                a = y
+            elif kind == "cactus":
+                s = y + float(Y[1:n].dot(Sr[c - n + 1 : c]))
+                Sr[c - n] = s
+                a = 0.5 * (y + s)
+            elif kind == "complete":
+                kY[n] = n * y
+                a = float(kY[1 : n + 1].dot(EYr[c - n + 1 : c + 1])) / n
+                EYr[c - n] = a
+            else:
+                Yr[c - n] = y
+                for d in range(2, min(len(tail), n) + 1):
+                    P[d - 1][n] = float(P[d - 2][d - 1 : n].dot(Yr[c - n + d - 1 : c]))
+                a = sum(t * P[d][n] for d, t in enumerate(tail) if t)
+            kA[n] = n * a
+            e = float(kA[1 : n + 1].dot(Er[c - n + 1 : c + 1])) / n
+            Er[c - n] = e
+        self.n = M
 
 
 def _full_value(cls, x):
@@ -223,9 +286,10 @@ def size_distribution(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
         w = _weights(cls, x, M)
     else:
         C_full = _full_value(cls, x)
+        weights = _weight_table(cls, x)
         M = 256
         while True:
-            w = _weights(cls, x, M)
+            w = weights(M)
             s = float(np.sum(w))
             if C_full - s <= mass_tol * C_full:
                 break
@@ -260,12 +324,11 @@ def size_distribution(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
 
 def sample_size(dist, rng):
     """One component size by inverse-CDF lookup."""
-    return int(np.searchsorted(dist.cdf, rng.random(), side="right")) + 1
+    return int(dist.cdf.searchsorted(rng.random(), side="right")) + 1
 
 
 def _draw_sizes(dist, rng, count):
-    u = rng.random(count)
-    return np.searchsorted(dist.cdf, u, side="right") + 1
+    return dist.cdf.searchsorted(rng.random(count), side="right") + 1
 
 
 def sample_set(cls, x, rng, dist=None):
@@ -273,21 +336,21 @@ def sample_set(cls, x, rng, dist=None):
     if dist is None:
         dist = size_distribution(cls, x)
     kappa = int(rng.poisson(dist.normalizer))
-    sizes = tuple(int(v) for v in _draw_sizes(dist, rng, kappa)) if kappa else ()
+    sizes = tuple(_draw_sizes(dist, rng, kappa).tolist()) if kappa else ()
     return Composition(kappa=kappa, sizes=sizes)
 
 
 def sample_partition(sizes, rng):
     """Uniform ordered set partition of 1..sum(sizes) with the given block sizes."""
-    sizes = [int(s) for s in sizes]
+    sizes = list(map(int, sizes))
     if any(s < 1 for s in sizes):
         raise DomainError("all block sizes must be positive")
     n = sum(sizes)
-    perm = rng.permutation(n) + 1
+    perm = (rng.permutation(n) + 1).tolist()
     blocks = []
     at = 0
     for s in sizes:
-        blocks.append(tuple(sorted(int(v) for v in perm[at : at + s])))
+        blocks.append(tuple(sorted(perm[at : at + s])))
         at += s
     return tuple(blocks)
 
@@ -323,7 +386,7 @@ def _uniform_tree_edges(labels, rng):
         return ()
     if m == 2:
         return ((min(labels), max(labels)),)
-    seq = [int(v) for v in rng.integers(0, m, size=m - 2)]
+    seq = rng.integers(0, m, size=m - 2).tolist()
     edges = _prufer_decode(m, seq)
     out = []
     for a, b in edges:
@@ -374,14 +437,16 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
         else:
             x = trees_cls.growth.rho
     x = float(x)
-    dist = _forest_distribution(n, k, x)
+    cdf = _forest_distribution(n, k, x).cdf
     sizes = None
     attempts = 0
     while attempts <= max_rejects:
         attempts += 1
-        draw = _draw_sizes(dist, rng, k)
-        if int(draw.sum()) == n:
-            sizes = [int(v) for v in draw]
+        # 0-based size indices: the sizes total n exactly when these total n - k
+        # (np.add.reduce is idx.sum() without its Python wrapper)
+        idx = cdf.searchsorted(rng.random(k), side="right")
+        if np.add.reduce(idx) == n - k:
+            sizes = (idx + 1).tolist()
             break
     if sizes is None:
         raise RetryBudgetError(

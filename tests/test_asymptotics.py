@@ -200,6 +200,22 @@ class TestSupercritical:
         assert sp.x_lambda == pytest.approx(y * math.exp(-spec.Bp(y)), rel=1e-12)
         assert sp.C_x_lambda == pytest.approx(0.8 * y, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["cacti", "husimi"])
+    @pytest.mark.parametrize("lam", [0.9, 0.95, 0.99, 0.999])
+    def test_block_saddle_near_one(self, name, lam):
+        # against the root of g(t) = B'(t) - B(t)/t = 1 - lambda at 40 digits
+        def g(t):
+            if name == "husimi":
+                return mpmath.expm1(t) - (mpmath.exp(t) - t - 1) / t
+            Bp = t / 2 - mpmath.mpf(1) / 2 + 1 / (2 * (1 - t))
+            return Bp - (t * t / 4 - t / 2 - mpmath.log1p(-t) / 2) / t
+
+        with mpmath.workdps(40):
+            target = 1 - mpmath.mpf(lam)
+            want = mpmath.findroot(lambda t: g(t) - target, 2 * target)
+            got = asy.solve_supercritical(species.builtin(name), lam).y_lambda
+            assert float(abs(got - want) / want) <= 1e-14
+
     def test_scalar_class_residual(self):
         cls = species.synthetic(1, 0.5, 2.5)
         sp = asy.solve_supercritical(cls, 0.9)

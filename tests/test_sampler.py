@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -89,6 +91,15 @@ class TestSizeDistribution:
         assert d.n_max == 1
         assert d.pmf[0] == 1.0
         assert d.normalizer == pytest.approx(0.3, abs=1e-15)
+
+    def test_tables_compare_and_hash_by_identity(self):
+        trees = species.builtin("trees")
+        a = sampler.size_distribution(trees, 0.1)
+        b = sampler.size_distribution(trees, 0.1)
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
     def test_block_table_cap_raises_precision(self, monkeypatch):
         monkeypatch.setattr(sampler, "_MAX_BLOCK_TABLE", 64)
@@ -271,3 +282,197 @@ class TestChiSquare:
         assert sampler.chi_square_sf(-1.0, 4) == 1.0
         with pytest.raises(DomainError):
             sampler.chi_square_sf(1.0, 0)
+
+
+# --- frozen outputs ---------------------------------------------------------------
+#
+# Values recorded from the sampler as released; a faster table recurrence or draw
+# loop must reproduce every float and every seeded draw bit for bit.  Table floats
+# come from np.dot, whose summation order depends on the BLAS kernel, so they are
+# recorded per kernel family and named by the digest of a fixed set of dot products.
+
+_BLOCK_FILES = {
+    "edge": {"name": "edge-trees", "block": {"kind": "edge"}},
+    "poly": {"name": "c4", "block": {"kind": "poly", "bprime": ["0", "1", "1/2", "1/2"]}},
+    "poly-gap": {"name": "p3", "block": {"kind": "poly", "bprime": ["0", "1", "0", "1/3"]}},
+}
+
+
+@pytest.fixture(scope="module")
+def frozen_classes(tmp_path_factory):
+    classes = {"cacti": species.builtin("cacti"), "husimi": species.builtin("husimi")}
+    root = tmp_path_factory.mktemp("blocks")
+    for name, doc in _BLOCK_FILES.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        classes[name] = species.from_file(path)
+    return classes
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def dot_order():
+    """Digest of np.dot over prefixes of two fixed vectors: it names the summation order."""
+    k = np.arange(1.0, 1002.0)
+    a, b = (k % 13 - 6) / 7, (k % 11 - 5) / 3
+    return _sha(b"".join(a[:m].dot(b[:m]).tobytes() for m in range(1, 1001)))[:12]
+
+
+def _table_fingerprint(cls, scale):
+    d = sampler.size_distribution(cls, scale * cls.growth.rho)
+    return (
+        _sha(d.pmf.tobytes()),
+        _sha(d.cdf.tobytes()),
+        d.n_max,
+        d.normalizer.hex(),
+        d.truncated_mass.hex(),
+    )
+
+
+def _draw_fingerprints():
+    rng = np.random.default_rng(123)
+    small = [sampler.sample_forest(7, 3, rng=rng) for _ in range(5)]
+    large = sampler.sample_forest(2000, 1200, rng=np.random.default_rng(7))
+    cacti = species.builtin("cacti")
+    x = cacti.growth.rho
+    dist = sampler.size_distribution(cacti, x)
+    rng = np.random.default_rng(11)
+    comps = [sampler.sample_set(cacti, x, rng, dist=dist) for _ in range(300)]
+    part = sampler.sample_partition((3, 1, 4, 1, 5, 9, 2, 6), np.random.default_rng(5))
+    return {
+        "forest(7, 3)": _sha(repr(small).encode()),
+        "forest(2000, 1200)": _sha(repr(large).encode()),
+        "sample_set(cacti, rho)": _sha(repr(comps).encode()),
+        "sample_partition": repr(part),
+    }
+
+
+FROZEN_TABLES = {
+    "7c4506ab67cd": {  # AVX-512 OpenBLAS kernels (SkylakeX and later)
+        ("cacti", 0.6): (
+            "830738c5cd3374a3", "35aca494e1000723", 256, "0x1.401d4a7c8c16cp-3", "0x1.99741ef7c6efdp-52",
+        ),
+        ("cacti", 0.9): (
+            "ac20f807c4179b36", "8390e0db9d84f5fe", 256, "0x1.00ffee79229c8p-2", "0x0.0p+0",
+        ),
+        ("cacti", 1.0): (
+            "3630a0a42d5953d6", "1b1f68064bce645f", 8192, "0x1.283ea74b5b01fp-2", "0x1.90edf8bc8fedap-22",
+        ),
+        ("husimi", 0.6): (
+            "93f60092cc19a3f3", "183f592a970362e3", 256, "0x1.66890b75cdda6p-3", "0x1.3fe1142f6de17p-50",
+        ),
+        ("husimi", 0.9): (
+            "ba93165c7bd25a62", "25eb8dd78e740511", 256, "0x1.233b099ebe86dp-2", "0x1.c21004bf21606p-52",
+        ),
+        ("husimi", 1.0): (
+            "b9f086cf0609d85e", "9deccfee5d9fa190", 8192, "0x1.524b746e9a38dp-2", "0x1.0810d5f261ea0p-21",
+        ),
+        ("edge", 0.6): (
+            "e565a0622ce329e8", "8401ab962a7b5fa4", 256, "0x1.03066b08bea04p-2", "0x0.0p+0",
+        ),
+        ("edge", 0.9): (
+            "5b059bde240d0bde", "694fd568d271cdc8", 256, "0x1.b17601eb5a72dp-2", "0x0.0p+0",
+        ),
+        ("edge", 1.0): (
+            "0d99f5653ca373f1", "ee4d31229def9162", 8192, "0x1.ffffe7ee25a26p-2", "0x1.811da5da00000p-21",
+        ),
+        ("poly", 0.6): (
+            "484a9164f1b4d7ae", "0de0c36208f6c6e7", 256, "0x1.5387e0c4db381p-3", "0x0.0p+0",
+        ),
+        ("poly", 0.9): (
+            "cc10c8d0fe9dced5", "e5ca9c96d46ceace", 256, "0x1.1277accd2c6b1p-2", "0x0.0p+0",
+        ),
+        ("poly", 1.0): (
+            "57111fa3c179399c", "90fb6a22d53977f6", 8192, "0x1.3df6eadbab9b2p-2", "0x1.ef9b5b2fd3bbap-22",
+        ),
+        ("poly-gap", 0.6): (
+            "4b961bf12514e341", "73888c19e858d41e", 256, "0x1.aa2ae3222ab39p-3", "0x1.338f4f16c6ca2p-53",
+        ),
+        ("poly-gap", 0.9): (
+            "051103113eb17e2e", "9472020729cb7501", 256, "0x1.5c09589825083p-2", "0x1.789aaad612b65p-53",
+        ),
+        ("poly-gap", 1.0): (
+            "6a867d0cd48cbbda", "caa1887ab76928c4", 8192, "0x1.94d760e115e81p-2", "0x1.03e15fb3ee248p-21",
+        ),
+    },
+    "6440c6090564": {  # AVX2 OpenBLAS kernels (Haswell, Zen)
+        ("cacti", 0.6): (
+            "cf6c5ee5a3db1acc", "35aca494e1000723", 256, "0x1.401d4a7c8c16cp-3", "0x1.99741ef7c6efdp-52",
+        ),
+        ("cacti", 0.9): (
+            "b29e8dec95d70085", "8390e0db9d84f5fe", 256, "0x1.00ffee79229c8p-2", "0x0.0p+0",
+        ),
+        ("cacti", 1.0): (
+            "66fff24660712eb6", "1b1f68064bce645f", 8192, "0x1.283ea74b5b01fp-2", "0x1.90edf8bc8fedap-22",
+        ),
+        ("husimi", 0.6): (
+            "1184bba256b61f1d", "183f592a970362e3", 256, "0x1.66890b75cdda6p-3", "0x1.3fe1142f6de17p-50",
+        ),
+        ("husimi", 0.9): (
+            "999fd2ade86a0153", "25eb8dd78e740511", 256, "0x1.233b099ebe86dp-2", "0x1.c21004bf21606p-52",
+        ),
+        ("husimi", 1.0): (
+            "8f9a55414d40ea4a", "9deccfee5d9fa190", 8192, "0x1.524b746e9a38dp-2", "0x1.0810d5f261ea0p-21",
+        ),
+        ("edge", 0.6): (
+            "2c239bf4b003db2a", "d3c83721ba07e033", 256, "0x1.03066b08bea04p-2", "0x0.0p+0",
+        ),
+        ("edge", 0.9): (
+            "d8677266934a2f7f", "694fd568d271cdc8", 256, "0x1.b17601eb5a72dp-2", "0x0.0p+0",
+        ),
+        ("edge", 1.0): (
+            "1b1957f13d0c45f9", "ee4d31229def9162", 8192, "0x1.ffffe7ee25a26p-2", "0x1.811da5da00000p-21",
+        ),
+        ("poly", 0.6): (
+            "5b81bd4d1cc0eac3", "0de0c36208f6c6e7", 256, "0x1.5387e0c4db381p-3", "0x0.0p+0",
+        ),
+        ("poly", 0.9): (
+            "ee2208447a4475ff", "e5ca9c96d46ceace", 256, "0x1.1277accd2c6b1p-2", "0x0.0p+0",
+        ),
+        ("poly", 1.0): (
+            "1d964846bda17982", "90fb6a22d53977f6", 8192, "0x1.3df6eadbab9b2p-2", "0x1.ef9b5b2fd3bbap-22",
+        ),
+        ("poly-gap", 0.6): (
+            "fd13f9ddb5a5ec8b", "73888c19e858d41e", 256, "0x1.aa2ae3222ab39p-3", "0x1.338f4f16c6ca2p-53",
+        ),
+        ("poly-gap", 0.9): (
+            "1ba43eea38e8309b", "e1f1e949688e801c", 256, "0x1.5c09589825084p-2", "0x0.0p+0",
+        ),
+        ("poly-gap", 1.0): (
+            "687a37c3466bd6b7", "3c6f90eef5060fcb", 8192, "0x1.94d760e115e81p-2", "0x1.03e15fb3ee248p-21",
+        ),
+    },
+}
+
+FROZEN_DRAWS = {
+    "forest(7, 3)": "78215f5dc518c7f1",
+    "forest(2000, 1200)": "c23b6eca1ae243d3",
+    "sample_set(cacti, rho)": "1b9d3c156312c0ba",
+    "sample_partition": (
+        "((3, 10, 21), (8,), (7, 12, 20, 24), (13,), (4, 25, 26, 27, 31), "
+        "(2, 5, 16, 17, 18, 19, 28, 29, 30), (11, 14), (1, 6, 9, 15, 22, 23))"
+    ),
+}
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("key", sorted(FROZEN_TABLES["7c4506ab67cd"]))
+    def test_size_table(self, frozen_classes, dot_order, key):
+        if dot_order not in FROZEN_TABLES:
+            pytest.skip(f"no table floats recorded for dot summation order {dot_order}")
+        name, scale = key
+        assert _table_fingerprint(frozen_classes[name], scale) == FROZEN_TABLES[dot_order][key]
+
+    @pytest.mark.parametrize("name", ["cacti", "husimi", "edge", "poly", "poly-gap"])
+    def test_weights_are_prefix_stable(self, frozen_classes, name):
+        cls = frozen_classes[name]
+        x = cls.growth.rho
+        longer = sampler._weights(cls, x, 1500)
+        for M in (255, 256, 257, 1000):
+            assert sampler._weights(cls, x, M).tobytes() == longer[:M].tobytes()
+
+    def test_seeded_draws(self):
+        assert _draw_fingerprints() == FROZEN_DRAWS
