@@ -407,8 +407,15 @@ def _cactus_gap(t):
         m += 1
 
 
+def _poly_gap(spec):
+    """B'(t) - B(t)/t for B' = sum_d c_d t^d, as sum_d c_d d/(d+1) t^d."""
+    tail = spec.bprime_series(species._poly_degree(spec)).coeffs
+    coeffs = [float(c * d / (d + 1)) for d, c in enumerate(tail)]
+    return lambda t: sum(c * t**d for d, c in enumerate(coeffs) if c)
+
+
 # g(t) = B'(t) - B(t)/t as a sum of positive terms, for the block kinds whose
-# closed forms cancel at small t (e^t - 1 - t, log1p); edge and polynomial
+# closed forms cancel at small t (e^t - 1 - t, log1p, polynomials); edge
 # blocks evaluate B and B' directly.
 _GAP_SERIES = {"complete": _complete_gap, "cactus": _cactus_gap}
 
@@ -418,7 +425,7 @@ def _supercritical_block(cls, lam):
     # at 0+ to 1 - lambda* at zeta; g' = B'' - g/t.
     spec = cls.block_spec
     rc = recipe_constants(cls)
-    gap = _GAP_SERIES.get(spec.kind)
+    gap = _poly_gap(spec) if spec.kind == "poly" else _GAP_SERIES.get(spec.kind)
     if gap is None:
 
         def fdf(t):

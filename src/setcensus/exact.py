@@ -2,7 +2,8 @@
 
 count(n, k) is the number of labeled objects on n vertices made of exactly k
 connected components: count(n, k) = (n!/k!) * [x^n] C(x)^k, a non-negative
-integer computed with exact rational arithmetic.  count_log evaluates the same
+integer computed on the labeled counts |C_m| = m! [x^m] C in Python integers,
+where the EGF product is a binomial convolution.  count_log evaluates the same
 coefficient extraction in fixed-precision floating point, which reaches sizes
 where the exact route is too slow.  count_table reuses one running power of C
 to produce a whole row of counts.
@@ -10,7 +11,7 @@ to produce a whole row of counts.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
 
 from . import powerseries as ps
 from . import species
@@ -33,25 +34,43 @@ def _check_domain(n, k):
     return int(n), int(k)
 
 
-def _c_egf_exact(cls, T, usable=None):
-    """SeriesExact of the EGF C(x) through order T.
+def _labeled_counts(cls, n, usable):
+    """[0, |C_1|, ..., |C_usable|, 0, ...] of length n + 1; n! [x^n] C^k needs
+    sizes up to n - k + 1 only, so explicit lists keep their full reach."""
+    return [0, *species.coefficients(cls, usable), *[0] * (n - usable)]
 
-    Extracting [x^T] C^k only ever touches component sizes up to T - k + 1,
-    so callers may pass usable = T - k + 1; sizes above it are padded with
-    zeros, which keeps explicit coefficient lists usable at their full reach.
-    """
-    U = T if usable is None else min(usable, T)
-    counts = species.coefficients(cls, U)
-    coeffs = [Fraction(0)]
-    fact = 1
-    for n in range(1, T + 1):
-        fact *= n
-        coeffs.append(Fraction(counts[n - 1], fact) if n <= U else Fraction(0))
-    return ps.SeriesExact(coeffs)
+
+def _labeled_product(f, g, n):
+    """h_m = sum_j C(m, j) f_j g_{m-j} for m = 0..n, so h_m = m! [x^m] F*G
+    when f_m = m! [x^m] F and g_m = m! [x^m] G.  One Pascal row is alive at a
+    time; the leading zeros of f are skipped."""
+    a = next((j for j, v in enumerate(f) if v), n + 1)
+    h, row = [], [1]
+    for m in range(n + 1):
+        terms = zip(row[a:], f[a:], reversed(g[: m - a + 1]))
+        h.append(sum(r * x * y for r, x, y in terms) if m >= a else 0)
+        row = [1, *map(add, row, row[1:]), 1]
+    return h
+
+
+def _labeled_power(c, k, n):
+    """Labeled k-th power of c through size n, by binary exponentiation."""
+    if k == 1:
+        return c
+    half = _labeled_power(c, k // 2, n)
+    square = _labeled_product(half, half, n)
+    return _labeled_product(square, c, n) if k & 1 else square
+
+
+def _divide_exact(value, k_fact, what):
+    q, r = divmod(value, k_fact)
+    if r or q < 0:
+        raise InternalConsistencyError(f"{what} = {value}/{k_fact} is not a non-negative integer")
+    return q
 
 
 def _c_egf_float(cls, T, precision_bits, usable=None):
-    """SeriesFloat of the EGF C(x) through order T (see _c_egf_exact on usable).
+    """SeriesFloat of the EGF C(x) through order T (see _labeled_counts on usable).
 
     Block classes avoid huge integers entirely: [x^n] C = y_n / n where y is
     the float solution of the block fixed point.  Other classes convert their
@@ -76,14 +95,8 @@ def _c_egf_float(cls, T, precision_bits, usable=None):
 def count(cls, n, k):
     """Number of objects with n vertices and exactly k components, exactly."""
     n, k = _check_domain(n, k)
-    c = _c_egf_exact(cls, n, usable=n - k + 1)
-    p = ps.pow(c, k, n)
-    val = p.coeffs[n] * math.factorial(n) / Fraction(math.factorial(k))
-    if val.denominator != 1 or val < 0:
-        raise InternalConsistencyError(
-            f"count({n}, {k}) = {val} is not a non-negative integer"
-        )
-    return int(val)
+    power = _labeled_power(_labeled_counts(cls, n, n - k + 1), k, n)
+    return _divide_exact(power[n], math.factorial(k), f"count({n}, {k})")
 
 
 def count_log(cls, n, k, precision_bits=ps.DEFAULT_PRECISION_BITS):
@@ -117,22 +130,16 @@ def count_table(cls, n, k_range=None):
     if not ks or ks[0] < 1 or ks[-1] > n:
         raise DomainError(f"k_range must select integers within [1, {n}]")
     wanted = set(ks)
-    c = _c_egf_exact(cls, n, usable=n - ks[0] + 1)
-    n_fact = math.factorial(n)
+    c = _labeled_counts(cls, n, n - ks[0] + 1)
     rows = []
     power = c
     k_fact = 1
     for k in range(1, ks[-1] + 1):
         if k > 1:
-            power = ps.mul(power, c, n)
+            power = _labeled_product(power, c, n)
             k_fact *= k
         if k in wanted:
-            val = power.coeffs[n] * n_fact / Fraction(k_fact)
-            if val.denominator != 1 or val < 0:
-                raise InternalConsistencyError(
-                    f"count({n}, {k}) = {val} is not a non-negative integer"
-                )
-            cnt = int(val)
+            cnt = _divide_exact(power[n], k_fact, f"count({n}, {k})")
             rows.append((k, cnt, math.log(cnt) if cnt > 0 else -math.inf))
     return CountTable(n=n, rows=tuple(rows))
 
@@ -140,13 +147,15 @@ def count_table(cls, n, k_range=None):
 def total_count(cls, n):
     """Number of objects with n vertices and any number of components.
 
-    Equals n! [x^n] exp(C(x)); used as a row-sum cross-check on count_table.
+    Equals n! [x^n] exp(C(x)), by G_m = sum_j C(m-1, j-1) |C_j| G_{m-j};
+    used as a row-sum cross-check on count_table.
     """
     if n != int(n) or n < 1:
         raise DomainError(f"n = {n} must be a positive integer")
     n = int(n)
-    g = ps.exp(_c_egf_exact(cls, n), n)
-    val = g.coeffs[n] * math.factorial(n)
-    if val.denominator != 1 or val < 0:
-        raise InternalConsistencyError(f"total count at n = {n} is {val}")
-    return int(val)
+    c = species.coefficients(cls, n)
+    g, row = [1], [1]
+    for m in range(1, n + 1):
+        g.append(sum(r * x * y for r, x, y in zip(row, c, reversed(g))))
+        row = [1, *map(add, row, row[1:]), 1]
+    return _divide_exact(g[n], 1, f"total count at n = {n}")

@@ -1,9 +1,11 @@
 """Truncated power-series arithmetic for exponential generating functions.
 
-Two coefficient flavors back every pipeline in the package: SeriesExact holds
-arbitrary-precision rationals (no rounding anywhere), SeriesFloat holds
-mpmath floats at a configurable mantissa width (default 128 bits) for the
-large-n work where coefficients span hundreds of orders of magnitude.
+Two coefficient flavors: SeriesExact holds arbitrary-precision rationals (no
+rounding anywhere) for the block fixed point of species.coefficients and for
+sampler.sum_size_probability_exact; SeriesFloat holds mpmath floats at a
+configurable mantissa width (default 128 bits) for exact.count_log and
+species.y_series(exact=False).  exact.count, count_table and total_count use
+neither: they run on labeled integer counts.
 
 Beyond ring arithmetic (mul, pow, exp, compose) the module solves the
 block-decomposition fixed point

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import math
 from functools import lru_cache
 
 import pytest
 
 from setcensus import exact, species
-from setcensus.errors import DomainError, PrecisionError
+from setcensus.errors import DomainError, InternalConsistencyError, PrecisionError
 
 
 def forest_counts_oracle(counts):
@@ -130,3 +132,87 @@ class TestCountTable:
         table = exact.count_table(cls, 6)
         for k, c, _lg in table.rows:
             assert exact.count(cls, 6, k) == c
+
+
+def _digest(value):
+    return hashlib.sha256(str(value).encode()).hexdigest()[:16]
+
+
+def _poly_class(tmp_path):
+    path = tmp_path / "c4.json"
+    path.write_text(
+        json.dumps({"name": "c4", "block": {"kind": "poly", "bprime": ["0", "1", "1/2", "1/2"]}})
+    )
+    return species.from_file(str(path))
+
+
+class TestFrozenExact:
+    """Exact integers frozen from the Fraction-series implementation."""
+
+    def test_count_cacti(self):
+        assert _digest(exact.count(species.builtin("cacti"), 120, 60)) == "a6673d33faacbc0b"
+
+    def test_count_trees(self):
+        assert _digest(exact.count(species.builtin("trees"), 150, 30)) == "467c2fa54794638d"
+
+    def test_count_table_trees(self):
+        rows = exact.count_table(species.builtin("trees"), 60).rows
+        assert _digest(rows) == "7f595c25a6520b7e"
+
+    def test_total_count_cacti(self):
+        assert _digest(exact.total_count(species.builtin("cacti"), 150)) == "2a1046e0bb18f315"
+
+    def test_total_count_husimi(self):
+        assert _digest(exact.total_count(species.builtin("husimi"), 120)) == "86348850fd530793"
+
+
+class TestAgainstOracle:
+    def test_grid(self, tmp_path):
+        classes = [species.builtin(name) for name in ("trees", "cacti", "husimi")]
+        classes += [species.synthetic(1, 0.5, 2), _poly_class(tmp_path)]
+        for cls in classes:
+            g = forest_counts_oracle(species.coefficients(cls, 9))
+            for n in range(1, 10):
+                row = [g(n, k) for k in range(1, n + 1)]
+                assert [exact.count(cls, n, k) for k in range(1, n + 1)] == row, cls.name
+                assert [c for _k, c, _lg in exact.count_table(cls, n).rows] == row, cls.name
+                assert exact.total_count(cls, n) == sum(row), cls.name
+
+    def test_explicit_list_grid(self):
+        cls = species.from_coefficients("tiny", [1, 0, 6])
+        g = forest_counts_oracle([1, 0, 6])
+        for n in range(1, 4):
+            row = [g(n, k) for k in range(1, n + 1)]
+            assert [c for _k, c, _lg in exact.count_table(cls, n).rows] == row
+            assert exact.total_count(cls, n) == sum(row)
+        for n in range(1, 10):
+            for k in range(max(1, n - 2), n + 1):
+                assert exact.count(cls, n, k) == g(n, k)
+
+    def test_explicit_list_reach(self):
+        # count(n, k) needs |C_1..n-k+1|; a list of length 3 reaches n - k = 2
+        cls = species.from_coefficients("tiny", [1, 0, 6])
+        assert exact.count(cls, 40, 38) == forest_counts_oracle([1, 0, 6])(40, 38)
+        with pytest.raises(DomainError):
+            exact.count(cls, 40, 37)
+        with pytest.raises(DomainError):
+            exact.count_table(cls, 40, range(37, 41))
+        with pytest.raises(DomainError):
+            exact.total_count(cls, 4)
+
+    @pytest.mark.parametrize("corrupt", [lambda v: v + 1, lambda v: -v], ids=["remainder", "negative"])
+    def test_bad_product_raises(self, monkeypatch, corrupt):
+        trees = species.builtin("trees")
+        assert exact.count(trees, 6, 3) == forest_counts_oracle(species.coefficients(trees, 6))(6, 3)
+        product = exact._labeled_product
+
+        def corrupted(f, g, n):
+            h = product(f, g, n)
+            h[n] = corrupt(h[n])
+            return h
+
+        monkeypatch.setattr(exact, "_labeled_product", corrupted)
+        with pytest.raises(InternalConsistencyError):
+            exact.count(trees, 6, 3)
+        with pytest.raises(InternalConsistencyError):
+            exact.count_table(trees, 6, [3])
