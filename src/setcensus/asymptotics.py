@@ -373,16 +373,28 @@ def _growth_constants(cls):
 
 
 def solve_supercritical(cls, lam):
-    """Saddle point x_lambda with x*C'(x)/C(x) = 1/lambda, for lambda* < lambda < 1."""
+    """Saddle point x_lambda with x*C'(x)/C(x) = 1/lambda, for lambda* < lambda < 1.
+
+    Results are cached per class and lambda, next to the _egf_at values.
+    """
     lam = float(lam)
+    key = ("saddle", lam)
+    cached = cls._scalar_cache.get(key)
+    if cached is not None:
+        return cached
     lam_star = lambda_star(cls)
     if not (lam_star < lam < 1.0):
         raise DomainError(
             f"lambda = {lam} is not in the supercritical range ({lam_star}, 1)"
         )
     if cls.block_spec is not None:
-        return _supercritical_block(cls, lam)
-    return _supercritical_scalar(cls, lam)
+        sp = _supercritical_block(cls, lam)
+    else:
+        sp = _supercritical_scalar(cls, lam)
+    if len(cls._scalar_cache) >= _SCALAR_CACHE_MAX:
+        cls._scalar_cache.clear()
+    cls._scalar_cache[key] = sp
+    return sp
 
 
 def _complete_gap(t):

@@ -25,6 +25,18 @@ floats as the first M entries of any longer one.
 
 All randomness flows through a caller-supplied numpy Generator; a fixed seed
 fixes every sample exactly.
+
+sample_forest conditions on total n a block of rejection attempts at a
+time: it saves the bit generator's state, draws every uniform of the block
+in one call and maps them to sizes through a 4096-bucket guide table (Chen
+and Asau, 1974).  A bucket whose index is constant holds it; the others
+fall back to searchsorted.  u * 4096 is exact, so the sizes equal the
+inverse-CDF search bit for bit.  On a hit before the block's last attempt
+the state is restored and only the attempts up to the hit are drawn again,
+so forests, attempt counts and every later draw from the same Generator
+are what testing one attempt at a time gives.  Blocks start at about 256
+uniforms and double up to about 8192; they never run past max_rejects + 1
+attempts.  This needs rng to be a numpy.random.Generator.
 """
 
 import math
@@ -48,6 +60,9 @@ DEFAULT_MASS_TOL = 1e-6
 _MAX_TABLE = 5_000_000  # cap for direct-formula weight tables
 _MAX_BLOCK_TABLE = 200_000  # cap for O(n_max^2) block fixed-point tables
 _FORMULA_HEAD = 64  # synthetic classes: exact integers this far, formula beyond
+_GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact
+_BLOCK_START = 256  # uniforms in the first block of forest rejection attempts
+_BLOCK_MAX = 8192  # blocks double up to this many uniforms
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,6 +346,30 @@ def _draw_sizes(dist, rng, count):
     return dist.cdf.searchsorted(rng.random(count), side="right") + 1
 
 
+def _guide_table(cdf):
+    """Bucket table for cdf: entry i is cdf.searchsorted(u, side="right") for every
+    u in [i/4096, (i+1)/4096), or -1 when that index is not constant on the bucket."""
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    hi = cdf.searchsorted(np.nextafter(edges[1:], 0.0), side="right")
+    lo[lo != hi] = -1
+    return lo
+
+
+def _lookup(cdf, guide, u):
+    """cdf.searchsorted(u, side="right") through the guide table; scales u in place.
+
+    u * 4096 is exact, so the bucket of u is exact and so is u * 4096 / 4096,
+    which the uniforms in ambiguous buckets are searched with.
+    """
+    u *= _GUIDE_BUCKETS
+    idx = guide.take(u.astype(np.intp))
+    if np.minimum.reduce(idx) < 0:
+        amb = idx < 0
+        idx[amb] = cdf.searchsorted(u[amb] / _GUIDE_BUCKETS, side="right")
+    return idx
+
+
 def sample_set(cls, x, rng, dist=None):
     """Unconditioned Boltzmann draw: kappa ~ Poisson(C(x)), then iid sizes."""
     if dist is None:
@@ -395,21 +434,52 @@ def _uniform_tree_edges(labels, rng):
     return tuple(out)
 
 
-_forest_dist_cache = {}
-_forest_dist_lock = threading.Lock()
+_forest_table_cache = {}
+_forest_table_lock = threading.Lock()
 
 
-def _forest_distribution(n, k, x):
+def _forest_table(n, k, x):
+    """(cdf, guide table) of the trees size law at x, truncated at n - k + 1."""
     key = (n, k, x)
-    with _forest_dist_lock:
-        dist = _forest_dist_cache.get(key)
-        if dist is None:
+    with _forest_table_lock:
+        table = _forest_table_cache.get(key)
+        if table is None:
             trees = species.builtin("trees")
-            dist = size_distribution(trees, x, n_max=n - k + 1)
-            if len(_forest_dist_cache) > 64:
-                _forest_dist_cache.clear()
-            _forest_dist_cache[key] = dist
-    return dist
+            cdf = size_distribution(trees, x, n_max=n - k + 1).cdf
+            table = (cdf, _guide_table(cdf))
+            if len(_forest_table_cache) > 64:
+                _forest_table_cache.clear()
+            _forest_table_cache[key] = table
+    return table
+
+
+def _first_hit(cdf, guide, k, total, rng, max_rejects):
+    """Rejection for k 0-based size indices that sum to total, a block of attempts
+    at a time.
+
+    Returns (indices, attempts); indices is None when all max_rejects + 1
+    attempts miss.  A block draws its uniforms in one call, and on a hit
+    before its last attempt the generator is rewound and moved past the hit
+    only, so it stands where testing one attempt at a time would leave it.
+    """
+    bits = rng.bit_generator
+    per_block = max(1, _BLOCK_START // k)
+    attempts = 0
+    while attempts <= max_rejects:
+        b = min(per_block, max_rejects + 1 - attempts)
+        state = bits.state
+        idx = _lookup(cdf, guide, rng.random(b * k)).reshape(b, k)
+        # np.add.reduce is idx.sum() without its Python wrapper
+        hit = np.add.reduce(idx, axis=1) == total
+        j = int(hit.argmax())
+        if hit[j]:
+            if j < b - 1:
+                bits.state = state
+                rng.random((j + 1) * k)
+            return idx[j], attempts + j + 1
+        attempts += b
+        per_block = min(2 * per_block, max(1, _BLOCK_MAX // k))
+    return None, attempts
 
 
 def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
@@ -419,7 +489,8 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     rejection (at parameter x; the default picks the saddle x_lambda for
     lambda = k/n above the threshold 1/2, the radius e^{-1} otherwise), the
     vertex partition is uniform given the sizes, and each component is a
-    uniform labeled tree via a Pruefer draw.
+    uniform labeled tree via a Pruefer draw.  rng must be a
+    numpy.random.Generator (default: a fresh unseeded one).
     """
     if n != int(n) or n < 1:
         raise DomainError(f"n = {n} must be a positive integer")
@@ -428,6 +499,11 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     n, k = int(n), int(k)
     if rng is None:
         rng = np.random.default_rng()
+    elif not isinstance(rng, np.random.Generator):
+        raise DomainError(
+            f"rng must be a numpy.random.Generator, not {type(rng).__name__}; "
+            "pass numpy.random.default_rng(seed)"
+        )
     trees_cls = species.builtin("trees")
     if x is None:
         lam = k / n
@@ -437,24 +513,16 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
         else:
             x = trees_cls.growth.rho
     x = float(x)
-    cdf = _forest_distribution(n, k, x).cdf
-    sizes = None
-    attempts = 0
-    while attempts <= max_rejects:
-        attempts += 1
-        # 0-based size indices: the sizes total n exactly when these total n - k
-        # (np.add.reduce is idx.sum() without its Python wrapper)
-        idx = cdf.searchsorted(rng.random(k), side="right")
-        if np.add.reduce(idx) == n - k:
-            sizes = (idx + 1).tolist()
-            break
-    if sizes is None:
+    cdf, guide = _forest_table(n, k, x)
+    # 0-based size indices: the sizes total n exactly when these total n - k
+    idx, attempts = _first_hit(cdf, guide, k, n - k, rng, max_rejects)
+    if idx is None:
         raise RetryBudgetError(
             f"no size vector with total {n} in {attempts} attempts at x = {x}",
             acceptance_rate=0.0,
             attempts=attempts,
         )
-    blocks = sample_partition(sizes, rng)
+    blocks = sample_partition((idx + 1).tolist(), rng)
     forest_trees = tuple(_uniform_tree_edges(b, rng) for b in blocks)
     return LabeledForest(n=n, blocks=blocks, trees=forest_trees)
 
@@ -502,13 +570,14 @@ def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):
     n, k, trials = int(n), int(k), int(trials)
     if dist is None:
         dist = size_distribution(cls, float(x), n_max=n - k + 1)
+    guide = _guide_table(dist.cdf)
     hits = 0
     chunk = max(1, min(trials, 10_000_000 // max(k, 1)))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        draws = _draw_sizes(dist, rng, m * k).reshape(m, k)
-        hits += int(np.count_nonzero(draws.sum(axis=1) == n))
+        idx = _lookup(dist.cdf, guide, rng.random(m * k)).reshape(m, k)
+        hits += int(np.count_nonzero(idx.sum(axis=1) == n - k))
         done += m
     p = hits / trials
     stderr = math.sqrt(p * (1.0 - p) / trials)

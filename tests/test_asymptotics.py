@@ -285,6 +285,21 @@ class TestSupercritical:
             assert len(cacti._scalar_cache) <= asy._SCALAR_CACHE_MAX
         assert asy.recipe_constants(cacti) == rc
 
+    def test_saddle_is_solved_once_per_lambda(self, monkeypatch):
+        trees = species.builtin("trees")
+        trees._scalar_cache.clear()
+        calls = []
+        block = asy._supercritical_block
+
+        def counting(cls, lam):
+            calls.append(lam)
+            return block(cls, lam)
+
+        monkeypatch.setattr(asy, "_supercritical_block", counting)
+        first = asy.solve_supercritical(trees, 0.75)
+        assert asy.solve_supercritical(trees, 0.75) is first
+        assert calls == [0.75]
+
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.99999999, 1.0, 1.5])
     def test_domain(self, lam):
         trees = species.builtin("trees")

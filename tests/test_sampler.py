@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from setcensus import exact, sampler, species
+from setcensus import asymptotics, exact, sampler, species
 from setcensus.errors import (
     DivergenceError,
     DomainError,
@@ -212,15 +212,126 @@ class TestForests:
             sampler.sample_forest(n, k, rng=np.random.default_rng(0))
 
     def test_retry_budget(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(RetryBudgetError) as info:
-            sampler.sample_forest(8, 1, x=1e-12, rng=np.random.default_rng(0), max_rejects=10)
+            sampler.sample_forest(8, 1, x=1e-12, rng=rng, max_rejects=10)
         assert info.value.attempts == 11
         assert info.value.acceptance_rate == 0.0
+        # 11 attempts of k = 1 uniform each, and not one more
+        fresh = np.random.default_rng(0)
+        fresh.random(11)
+        assert rng.random() == fresh.random()
 
     def test_seed_determinism(self):
         a = sampler.sample_forest(7, 3, rng=np.random.default_rng(123))
         b = sampler.sample_forest(7, 3, rng=np.random.default_rng(123))
         assert a == b
+
+
+def _default_x(n, k):
+    trees = species.builtin("trees")
+    if asymptotics.lambda_star(trees) + 1e-12 < k / n < 1.0:
+        return asymptotics.solve_supercritical(trees, k / n).x_lambda
+    return trees.growth.rho
+
+
+def _probe_uniforms(cdf):
+    """Bucket edges, their left neighbours, the cdf values and their neighbours, in [0, 1)."""
+    edges = np.arange(4096) / 4096
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)],
+        edges,
+        np.nextafter(edges, 0.0),
+        cdf,
+        np.nextafter(cdf, 0.0),
+        np.nextafter(cdf, 1.0),
+        np.random.default_rng(4096).random(50_000),
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("n,k", [(2000, 1200), (2000, 1600), (8, 6), (5, 2), (4, 2)])
+    def test_forest_tables(self, n, k):
+        cdf, guide = sampler._forest_table(n, k, _default_x(n, k))
+        u = _probe_uniforms(cdf)
+        want = cdf.searchsorted(u, side="right")
+        assert np.array_equal(sampler._lookup(cdf, guide, u.copy()), want)
+
+    def test_long_table_at_radius(self):
+        cacti = species.builtin("cacti")
+        cdf = sampler.size_distribution(cacti, cacti.growth.rho).cdf
+        assert len(cdf) == 8192
+        u = _probe_uniforms(cdf)
+        got = sampler._lookup(cdf, sampler._guide_table(cdf), u.copy())
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    def test_zero_weight_sizes(self):
+        gap = species.from_coefficients("gap", [1, 0, 6])
+        cdf = sampler.size_distribution(gap, 0.5).cdf
+        assert cdf[0] == cdf[1]
+        u = _probe_uniforms(cdf)
+        got = sampler._lookup(cdf, sampler._guide_table(cdf), u.copy())
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+        assert 1 not in got  # size 2 has no weight and is never drawn
+
+    def test_ambiguous_buckets_are_marked(self):
+        cdf = np.array([0.3, 0.5, 1.0])
+        guide = sampler._guide_table(cdf)
+        # 0.5 is a bucket edge, 0.3 is not: only the bucket holding 0.3 is ambiguous
+        assert list(np.flatnonzero(guide < 0)) == [int(0.3 * 4096)]
+        assert guide[2047] == 1 and guide[2048] == 2
+
+
+def _one_attempt_forest(n, k, x, rng, max_rejects):
+    """sample_forest as it was first written: one searchsorted per rejection attempt."""
+    cdf, _guide = sampler._forest_table(n, k, x)
+    attempts = 0
+    while attempts <= max_rejects:
+        attempts += 1
+        idx = cdf.searchsorted(rng.random(k), side="right")
+        if idx.sum() == n - k:
+            blocks = sampler.sample_partition((idx + 1).tolist(), rng)
+            trees = tuple(sampler._uniform_tree_edges(b, rng) for b in blocks)
+            return sampler.LabeledForest(n=n, blocks=blocks, trees=trees)
+    raise RetryBudgetError("reference budget", acceptance_rate=0.0, attempts=attempts)
+
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
+
+
+class TestBlockRejection:
+    @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+    @pytest.mark.parametrize("n,k", [(2000, 1200), (200, 150), (8, 6), (7, 3), (4, 2), (1, 1)])
+    def test_generator_ends_where_one_attempt_at_a_time_does(self, bit_generator, n, k):
+        x = _default_x(n, k)
+        ours = np.random.Generator(bit_generator(2024))
+        ref = np.random.Generator(bit_generator(2024))
+        for _ in range(3):
+            assert sampler.sample_forest(n, k, rng=ours) == _one_attempt_forest(
+                n, k, x, ref, 10_000
+            )
+            assert ours.random() == ref.random()
+
+    def test_small_budgets_match_the_reference(self):
+        # budgets that end inside the first block, on its last attempt and past it
+        for max_rejects in (0, 1, 5, 40, 41, 42, 300):
+            ours, ref = np.random.default_rng(max_rejects), np.random.default_rng(max_rejects)
+            for _ in range(20):
+                try:
+                    want = _one_attempt_forest(8, 6, _default_x(8, 6), ref, max_rejects)
+                except RetryBudgetError as err:
+                    with pytest.raises(RetryBudgetError) as info:
+                        sampler.sample_forest(8, 6, rng=ours, max_rejects=max_rejects)
+                    assert info.value.attempts == err.attempts
+                else:
+                    assert sampler.sample_forest(8, 6, rng=ours, max_rejects=max_rejects) == want
+                assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("rng", [np.random.RandomState(0), 7, "seed"])
+    def test_rng_must_be_a_generator(self, rng):
+        with pytest.raises(DomainError, match=r"numpy\.random\.default_rng\(seed\)"):
+            sampler.sample_forest(6, 2, rng=rng)
 
 
 class TestSumProbability:
@@ -257,6 +368,13 @@ class TestSumProbability:
         assert mc.hits >= 1
         assert mc.estimate == mc.hits / mc.trials
         assert abs(mc.estimate - want) <= 3 * mc.stderr
+
+    def test_mc_hits_match_a_binary_search(self):
+        trees = species.builtin("trees")
+        mc = sampler.mc_sum_probability(trees, 0.3, 3, 7, 5000, np.random.default_rng(8))
+        d = sampler.size_distribution(trees, 0.3, n_max=5)
+        sizes = d.cdf.searchsorted(np.random.default_rng(8).random(15000), side="right") + 1
+        assert mc.hits == int(np.count_nonzero(sizes.reshape(5000, 3).sum(axis=1) == 7))
 
     def test_mc_single_component_matches_pmf(self):
         trees = species.builtin("trees")
