@@ -24,6 +24,7 @@ these classes comes from a bracketed Newton iteration on x*C'/C.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -236,7 +237,8 @@ def _egf_at(cls, x):
     from the inverse of y*exp(-B'(y)); for synthetic and growth-annotated list
     classes from an exact coefficient head plus an analytic tail.
     """
-    if not (isinstance(x, (int, float)) and x > 0 and math.isfinite(x)):
+    # float and int first: they skip the slower abstract-class check
+    if not (isinstance(x, (float, int, numbers.Real)) and x > 0 and math.isfinite(x)):
         raise DomainError(f"evaluation point x = {x} must be a positive real")
     x = float(x)
     cached = cls._scalar_cache.get(x)

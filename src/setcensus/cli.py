@@ -436,11 +436,13 @@ def main(argv=None):
     except SetCensusError as e:
         code = _ERROR_CODES.get(type(e).__name__, "domain")
         payload = {"code": code, "message": str(e)}
-        if isinstance(e, PrecisionError) and e.suggested is not None:
+        if isinstance(e, (PrecisionError, RetryBudgetError)) and e.suggested is not None:
             payload["suggested"] = e.suggested
         if isinstance(e, RetryBudgetError):
             payload["attempts"] = e.attempts
             payload["acceptance_rate"] = _real(e.acceptance_rate)
+            if e.expected_acceptance is not None:
+                payload["expected_acceptance"] = _real(e.expected_acceptance)
         print(json.dumps({"error": payload}), file=sys.stderr)
         if isinstance(e, PrecisionError):
             return 3

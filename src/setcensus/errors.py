@@ -61,10 +61,15 @@ class RetryBudgetError(SetCensusError):
     """Rejection sampling exhausted its budget.
 
     ``acceptance_rate`` is the observed acceptance estimate, ``attempts`` the
-    number of proposals made.
+    number of proposals made.  ``expected_acceptance`` is the exact
+    per-attempt acceptance and ``suggested`` a budget that succeeds with
+    probability 0.95, when known.
     """
 
-    def __init__(self, message, acceptance_rate=0.0, attempts=0):
+    def __init__(self, message, acceptance_rate=0.0, attempts=0, expected_acceptance=None,
+                 suggested=None):
         super().__init__(message)
         self.acceptance_rate = acceptance_rate
         self.attempts = attempts
+        self.expected_acceptance = expected_acceptance
+        self.suggested = suggested

@@ -23,8 +23,16 @@ search for n_max (256, 512, ... entries) extends one table instead of
 solving it again at every length, and a table of length M holds the same
 floats as the first M entries of any longer one.
 
+Each size table is solved once per class, x, n_max and mass_tol and kept
+in the class's scalar cache (bounded like the other scalar entries); every
+size_distribution call returns a new SizeDistribution over the cached
+read-only arrays, and forest and cross-check draws read the same cache.  A
+cap lowered after a table was cached still applies to it.
+
 All randomness flows through a caller-supplied numpy Generator; a fixed seed
-fixes every sample exactly.
+fixes every sample exactly.  sample_set draws each size with one scalar
+rng.random() and a guide-table lookup, which gives the same doubles and
+sizes as rng.random(kappa) with a binary search of the CDF.
 
 sample_forest conditions on total n a block of rejection attempts at a
 time: it saves the bit generator's state, draws every uniform of the block
@@ -36,11 +44,18 @@ the state is restored and only the attempts up to the hit are drawn again,
 so forests, attempt counts and every later draw from the same Generator
 are what testing one attempt at a time gives.  Blocks start at about 256
 uniforms and double up to about 8192; they never run past max_rejects + 1
-attempts.  This needs rng to be a numpy.random.Generator.
+attempts.  This needs rng to be a numpy.random.Generator.  An accepted size
+vector is dressed with one rng.permutation(n) and one Pruefer draw
+rng.integers(0, m, m - 2) per block of m >= 3 vertices, in block order;
+blocks of one or two vertices take no sort, no draw and no call.  When the
+budget runs out, RetryBudgetError carries the exact per-attempt acceptance
+(a truncated convolution power of the size law) and the max_rejects that
+succeeds with probability 0.95.
 """
 
+import dataclasses
 import math
-import threading
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,8 +87,9 @@ class SizeDistribution:
     pmf[j] is P(size = j + 1) for j = 0..n_max-1.  normalizer is the truncated
     EGF value sum_{j <= n_max} |C_j| x^j / j!; truncated_mass estimates the
     probability mass of sizes beyond n_max under the untruncated model (nan
-    when the class has no tail model).  Tables compare and hash by identity,
-    since their array fields have no single truth value.
+    when the class has no tail model).  guide is the bucket table of cdf
+    (_guide_table).  Tables compare and hash by identity, since their array
+    fields have no single truth value.
     """
 
     x: float
@@ -82,6 +98,7 @@ class SizeDistribution:
     truncated_mass: float
     normalizer: float
     cdf: np.ndarray = field(repr=False)
+    guide: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,20 +298,47 @@ def size_distribution(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
 
     With n_max omitted, the table grows until the untruncated model keeps less
     than mass_tol of its probability beyond the table (bare coefficient lists
-    use their full length).
+    use their full length).  The table is solved once and cached on the class;
+    each call returns a new SizeDistribution over the same read-only arrays.
     """
-    if not (isinstance(x, (int, float)) and x > 0 and math.isfinite(x)):
+    return dataclasses.replace(_size_table(cls, x, n_max, mass_tol))
+
+
+def _size_table(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
+    """The cached SizeDistribution behind size_distribution, shared by every caller."""
+    # float and int first: they skip the slower abstract-class check
+    if not (isinstance(x, (float, int, numbers.Real)) and x > 0 and math.isfinite(x)):
         raise DomainError(f"boltzmann parameter x = {x} must be a positive real")
     x = float(x)
+    if n_max is not None:
+        if n_max != int(n_max) or n_max < 1:
+            raise DomainError(f"n_max = {n_max} must be a positive integer")
+        n_max = int(n_max)
+    key = (x, n_max, mass_tol)
+    table = cls._scalar_cache.get(key)
+    # a cap lowered after the table was cached still applies: solving again raises
+    if table is None or table.n_max > _table_cap(cls):
+        table = _solve_size_table(cls, x, n_max, mass_tol)
+        if len(cls._scalar_cache) >= asymptotics._SCALAR_CACHE_MAX:
+            cls._scalar_cache.clear()
+        cls._scalar_cache[key] = table
+    return table
+
+
+def _table_cap(cls):
+    if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
+        return _MAX_BLOCK_TABLE
+    return _MAX_TABLE
+
+
+def _solve_size_table(cls, x, n_max, mass_tol):
     if cls.growth is not None and x > cls.growth.rho * (1.0 + 1e-12):
         raise DivergenceError(
             f"x = {x} exceeds the radius of convergence rho = {cls.growth.rho}"
         )
     bare_list = cls.coeff_source is species.CoeffSource.EXPLICIT_LIST and cls.growth is None
     if n_max is not None:
-        if n_max != int(n_max) or n_max < 1:
-            raise DomainError(f"n_max = {n_max} must be a positive integer")
-        M = int(n_max)
+        M = n_max
         w = _weights(cls, x, M)
     elif bare_list:
         M = cls.list_length
@@ -308,7 +352,7 @@ def size_distribution(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
             s = float(np.sum(w))
             if C_full - s <= mass_tol * C_full:
                 break
-            cap = _MAX_BLOCK_TABLE if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED else _MAX_TABLE
+            cap = _table_cap(cls)
             if M >= cap:
                 raise PrecisionError(
                     f"size table reached {M} entries with truncated mass still above "
@@ -327,10 +371,11 @@ def size_distribution(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
     pmf = w / s
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0
-    pmf.setflags(write=False)
-    cdf.setflags(write=False)
+    guide = _guide_table(cdf)
+    for a in (pmf, cdf, guide):
+        a.setflags(write=False)
     return SizeDistribution(
-        x=x, n_max=M, pmf=pmf, truncated_mass=trunc, normalizer=s, cdf=cdf
+        x=x, n_max=M, pmf=pmf, truncated_mass=trunc, normalizer=s, cdf=cdf, guide=guide
     )
 
 
@@ -340,10 +385,6 @@ def size_distribution(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
 def sample_size(dist, rng):
     """One component size by inverse-CDF lookup."""
     return int(dist.cdf.searchsorted(rng.random(), side="right")) + 1
-
-
-def _draw_sizes(dist, rng, count):
-    return dist.cdf.searchsorted(rng.random(count), side="right") + 1
 
 
 def _guide_table(cdf):
@@ -370,26 +411,49 @@ def _lookup(cdf, guide, u):
     return idx
 
 
+_NO_COMPONENTS = Composition(kappa=0, sizes=())
+
+
 def sample_set(cls, x, rng, dist=None):
     """Unconditioned Boltzmann draw: kappa ~ Poisson(C(x)), then iid sizes."""
     if dist is None:
-        dist = size_distribution(cls, x)
+        dist = _size_table(cls, x)
     kappa = int(rng.poisson(dist.normalizer))
-    sizes = tuple(_draw_sizes(dist, rng, kappa).tolist()) if kappa else ()
-    return Composition(kappa=kappa, sizes=sizes)
+    if not kappa:
+        return _NO_COMPONENTS
+    cdf, guide = dist.cdf, dist.guide
+    sizes = []
+    for _ in range(kappa):
+        # one scalar uniform at a time gives the doubles of rng.random(kappa)
+        u = rng.random()
+        i = guide.item(int(u * _GUIDE_BUCKETS))
+        if i < 0:
+            i = int(cdf.searchsorted(u, side="right"))
+        sizes.append(i + 1)
+    return Composition(kappa=kappa, sizes=tuple(sizes))
 
 
 def sample_partition(sizes, rng):
-    """Uniform ordered set partition of 1..sum(sizes) with the given block sizes."""
-    sizes = list(map(int, sizes))
-    if any(s < 1 for s in sizes):
+    """Uniform ordered set partition of 1..sum(sizes) with the given block sizes.
+
+    Block i takes the next sizes[i] labels of one uniform permutation, in
+    increasing order; blocks of one or two labels are ordered without a sort.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if len(sizes) and sizes.min() < 1:
         raise DomainError("all block sizes must be positive")
-    n = sum(sizes)
-    perm = (rng.permutation(n) + 1).tolist()
+    sizes = sizes.tolist()
+    perm = (rng.permutation(sum(sizes)) + 1).tolist()
     blocks = []
     at = 0
     for s in sizes:
-        blocks.append(tuple(sorted(perm[at : at + s])))
+        if s == 1:
+            blocks.append((perm[at],))
+        elif s == 2:
+            u, v = perm[at], perm[at + 1]
+            blocks.append((u, v) if u < v else (v, u))
+        else:
+            blocks.append(tuple(sorted(perm[at : at + s])))
         at += s
     return tuple(blocks)
 
@@ -419,12 +483,8 @@ def _prufer_decode(m, seq):
 
 
 def _uniform_tree_edges(labels, rng):
-    """Uniform labeled tree on the given vertex labels, as sorted edge tuples."""
+    """Uniform labeled tree on 3 or more vertex labels, as sorted edge tuples."""
     m = len(labels)
-    if m == 1:
-        return ()
-    if m == 2:
-        return ((min(labels), max(labels)),)
     seq = rng.integers(0, m, size=m - 2).tolist()
     edges = _prufer_decode(m, seq)
     out = []
@@ -432,25 +492,6 @@ def _uniform_tree_edges(labels, rng):
         u, v = labels[a], labels[b]
         out.append((u, v) if u < v else (v, u))
     return tuple(out)
-
-
-_forest_table_cache = {}
-_forest_table_lock = threading.Lock()
-
-
-def _forest_table(n, k, x):
-    """(cdf, guide table) of the trees size law at x, truncated at n - k + 1."""
-    key = (n, k, x)
-    with _forest_table_lock:
-        table = _forest_table_cache.get(key)
-        if table is None:
-            trees = species.builtin("trees")
-            cdf = size_distribution(trees, x, n_max=n - k + 1).cdf
-            table = (cdf, _guide_table(cdf))
-            if len(_forest_table_cache) > 64:
-                _forest_table_cache.clear()
-            _forest_table_cache[key] = table
-    return table
 
 
 def _first_hit(cdf, guide, k, total, rng, max_rejects):
@@ -512,19 +553,58 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
             x = asymptotics.solve_supercritical(trees_cls, lam).x_lambda
         else:
             x = trees_cls.growth.rho
-    x = float(x)
-    cdf, guide = _forest_table(n, k, x)
+    table = _size_table(trees_cls, x, n_max=n - k + 1)
     # 0-based size indices: the sizes total n exactly when these total n - k
-    idx, attempts = _first_hit(cdf, guide, k, n - k, rng, max_rejects)
+    idx, attempts = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects)
     if idx is None:
-        raise RetryBudgetError(
-            f"no size vector with total {n} in {attempts} attempts at x = {x}",
-            acceptance_rate=0.0,
-            attempts=attempts,
-        )
-    blocks = sample_partition((idx + 1).tolist(), rng)
-    forest_trees = tuple(_uniform_tree_edges(b, rng) for b in blocks)
+        raise _budget_error(table, n, k, attempts)
+    sizes = idx + 1
+    blocks = sample_partition(sizes, rng)
+    # a 2-vertex block (u, v) with u < v is its own single edge
+    forest_trees = tuple(
+        () if m == 1 else (b,) if m == 2 else _uniform_tree_edges(b, rng)
+        for m, b in zip(sizes.tolist(), blocks)
+    )
     return LabeledForest(n=n, blocks=blocks, trees=forest_trees)
+
+
+def _sum_probability(pmf, k, total):
+    """P(k iid 0-based size indices with law pmf sum to total), for a pmf of
+    length total + 1, by binary powering with every convolution truncated there."""
+    width = total + 1
+    power, base = None, pmf
+    while True:
+        if k & 1:
+            power = base if power is None else np.convolve(power, base)[:width]
+        k >>= 1
+        if not k:
+            return float(power[total])
+        base = np.convolve(base, base)[:width]
+
+
+def _budget_error(table, n, k, attempts):
+    """RetryBudgetError naming the exact per-attempt acceptance and a budget that
+    succeeds with probability 0.95."""
+    p = _sum_probability(table.pmf, k, n - k)
+    message = f"no size vector with total {n} in {attempts} attempts at x = {table.x}"
+    budget = None
+    if p > 0.0:
+        # (1 - p)^(budget + 1) <= 0.05 for the smallest such budget
+        budget = max(0, math.ceil(math.log(0.05) / math.log1p(-p)) - 1)
+        shown = budget if budget < 10**12 else f"{budget:.3g}"
+        message += (
+            f"; each attempt succeeds with probability {p:.3g} (about {1 / p:.3g} "
+            f"attempts expected), so max_rejects = {shown} succeeds with probability 0.95"
+        )
+    else:
+        message += "; the per-attempt acceptance underflows to 0 at this x"
+    return RetryBudgetError(
+        message,
+        acceptance_rate=0.0,
+        attempts=attempts,
+        expected_acceptance=p,
+        suggested=budget,
+    )
 
 
 # --- sum-probability cross-checks -------------------------------------------------
@@ -569,14 +649,13 @@ def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):
         raise DomainError(f"trials = {trials} must be a positive integer")
     n, k, trials = int(n), int(k), int(trials)
     if dist is None:
-        dist = size_distribution(cls, float(x), n_max=n - k + 1)
-    guide = _guide_table(dist.cdf)
+        dist = _size_table(cls, x, n_max=n - k + 1)
     hits = 0
     chunk = max(1, min(trials, 10_000_000 // max(k, 1)))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        idx = _lookup(dist.cdf, guide, rng.random(m * k)).reshape(m, k)
+        idx = _lookup(dist.cdf, dist.guide, rng.random(m * k)).reshape(m, k)
         hits += int(np.count_nonzero(idx.sum(axis=1) == n - k))
         done += m
     p = hits / trials

@@ -138,6 +138,19 @@ class TestScalarEvaluation:
         with pytest.raises(DomainError):
             asy.lambda_star(species.from_coefficients("bare", [1]))
 
+    def test_numpy_and_fraction_points(self):
+        from fractions import Fraction
+
+        import numpy as np
+
+        cls = species.builtin("cacti")
+        want = asy._egf_at(cls, 0.2)
+        assert asy._egf_at(cls, np.float64(0.2)) == want
+        assert asy._egf_at(cls, Fraction(1, 5)) == want
+        assert asy._egf_at(cls, np.float32(0.2)) == asy._egf_at(cls, float(np.float32(0.2)))
+        with pytest.raises(DomainError):
+            asy._egf_at(cls, "0.2")
+
     def test_ratio_monotone_on_disk(self):
         cls = species.builtin("husimi")
         rho = cls.growth.rho

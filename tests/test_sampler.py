@@ -101,6 +101,52 @@ class TestSizeDistribution:
         assert hash(a) == hash(a)
         assert len({a, b, a}) == 2
 
+    def test_tables_share_one_cached_solve(self):
+        trees = species.builtin("trees")
+        a = sampler.size_distribution(trees, 0.1)
+        b = sampler.size_distribution(trees, 0.1)
+        assert a != b
+        assert a.pmf is b.pmf and a.cdf is b.cdf
+        assert not a.cdf.flags.writeable
+
+    def test_sample_set_solves_the_block_table_once(self, monkeypatch):
+        cacti = species.builtin("cacti")
+        monkeypatch.setattr(cacti, "_scalar_cache", {})
+        solves = []
+        solve = sampler._BlockTable._solve
+
+        def counting(table, M):
+            solves.append(M)
+            return solve(table, M)
+
+        monkeypatch.setattr(sampler._BlockTable, "_solve", counting)
+        rng = np.random.default_rng(3)
+        x = 0.5 * cacti.growth.rho
+        sampler.sample_set(cacti, x, rng)
+        first = len(solves)
+        assert first >= 1
+        for _ in range(20):
+            sampler.sample_set(cacti, x, rng)
+        assert len(solves) == first
+
+    def test_cached_table_still_respects_the_cap(self, monkeypatch):
+        cacti = species.builtin("cacti")
+        assert sampler.size_distribution(cacti, cacti.growth.rho).n_max == 8192
+        monkeypatch.setattr(sampler, "_MAX_BLOCK_TABLE", 64)
+        with pytest.raises(PrecisionError):
+            sampler.size_distribution(cacti, cacti.growth.rho)
+
+    def test_numpy_and_fraction_parameters(self):
+        trees = species.builtin("trees")
+        for x in (np.float32(0.2), Fraction(1, 5), np.float64(0.2)):
+            d = sampler.size_distribution(trees, x)
+            assert d.x == float(x)
+            assert d.normalizer == pytest.approx(asymptotics._egf_at(trees, x)[0], rel=1e-9)
+            comp = sampler.sample_set(trees, x, np.random.default_rng(1))
+            assert comp.kappa == len(comp.sizes)
+        with pytest.raises(DomainError):
+            sampler.size_distribution(trees, "0.2")
+
     def test_block_table_cap_raises_precision(self, monkeypatch):
         monkeypatch.setattr(sampler, "_MAX_BLOCK_TABLE", 64)
         cacti = species.builtin("cacti")
@@ -138,11 +184,28 @@ class TestBoltzmannDraws:
         se = totals.std(ddof=1) / math.sqrt(len(totals))
         assert abs(totals.mean() - want) < 4 * se
 
+    def test_scalar_draws_match_a_binary_search(self):
+        # w_j = 0.9^j for j <= 60: about nine components a draw, and every
+        # cdf value inside a bucket makes that bucket fall back to searchsorted
+        cls = species.from_coefficients("geometric", [math.factorial(j) for j in range(1, 61)])
+        d = sampler.size_distribution(cls, 0.9)
+        ours, ref = np.random.default_rng(12), np.random.default_rng(12)
+        fallbacks = 0
+        for _ in range(2000):
+            comp = sampler.sample_set(cls, 0.9, ours)
+            kappa = int(ref.poisson(d.normalizer))
+            u = ref.random(kappa)
+            fallbacks += int(np.count_nonzero(d.guide[(u * 4096).astype(int)] < 0))
+            assert comp.sizes == tuple((d.cdf.searchsorted(u, side="right") + 1).tolist())
+        assert fallbacks > 100
+        draws = (sampler.sample_set(cls, 1e-3, ours) for _ in range(100))
+        assert next(c for c in draws if not c.kappa) == sampler.Composition(kappa=0, sizes=())
+
     def test_size_draws_follow_pmf(self):
         d = sampler.size_distribution(species.builtin("trees"), 0.2, n_max=8)
         assert 1 <= sampler.sample_size(d, np.random.default_rng(0)) <= 8
         rng = np.random.default_rng(11)
-        draws = sampler._draw_sizes(d, rng, 30000)
+        draws = sampler._lookup(d.cdf, d.guide, rng.random(30000)) + 1
         assert draws.min() >= 1 and draws.max() <= 8
         obs = np.bincount(draws, minlength=9)[1:9]
         chi2 = float((((obs - 30000 * d.pmf) ** 2) / (30000 * d.pmf)).sum())
@@ -162,6 +225,12 @@ class TestPartition:
         rng = np.random.default_rng(0)
         assert set(sampler.sample_partition((1, 1, 1), rng)) == {(1,), (2,), (3,)}
         assert sampler.sample_partition((4,), rng) == ((1, 2, 3, 4),)
+
+    def test_matches_the_reference_dressing(self):
+        for sizes in [(3, 1, 4, 1, 5, 9, 2, 6), (1,) * 7, (2, 2, 1), (2, 1) * 40, (12,), ()]:
+            ours, ref = np.random.default_rng(len(sizes)), np.random.default_rng(len(sizes))
+            assert sampler.sample_partition(sizes, ours) == _reference_partition(sizes, ref)
+            assert ours.random() == ref.random()
 
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(DomainError):
@@ -222,6 +291,26 @@ class TestForests:
         fresh.random(11)
         assert rng.random() == fresh.random()
 
+    def test_retry_budget_reports_the_exact_acceptance(self):
+        trees = species.builtin("trees")
+        n, k, x = 12, 3, 0.08
+        with pytest.raises(RetryBudgetError) as info:
+            sampler.sample_forest(n, k, x=x, rng=np.random.default_rng(0), max_rejects=20)
+        err = info.value
+        assert err.attempts == 21 and err.acceptance_rate == 0.0
+        # (k!/n!) count(n, k) x^n / C_M(x)^k with the table truncated at M = n - k + 1
+        xq = Fraction(x)
+        counts = species.coefficients(trees, n - k + 1)
+        C_M = sum(Fraction(c, math.factorial(j + 1)) * xq ** (j + 1) for j, c in enumerate(counts))
+        want = Fraction(math.factorial(k), math.factorial(n)) * exact.count(trees, n, k) * xq**n
+        want = float(want / C_M**k)
+        assert err.expected_acceptance == pytest.approx(want, rel=1e-10)
+        # the suggested budget succeeds with probability at least 0.95, and one less does not
+        p, budget = err.expected_acceptance, err.suggested
+        assert -math.expm1((budget + 1) * math.log1p(-p)) >= 0.95
+        assert -math.expm1(budget * math.log1p(-p)) < 0.95
+        assert f"{budget}" in str(err) and f"{p:.3g}" in str(err)
+
     def test_seed_determinism(self):
         a = sampler.sample_forest(7, 3, rng=np.random.default_rng(123))
         b = sampler.sample_forest(7, 3, rng=np.random.default_rng(123))
@@ -253,7 +342,8 @@ def _probe_uniforms(cdf):
 class TestGuideTable:
     @pytest.mark.parametrize("n,k", [(2000, 1200), (2000, 1600), (8, 6), (5, 2), (4, 2)])
     def test_forest_tables(self, n, k):
-        cdf, guide = sampler._forest_table(n, k, _default_x(n, k))
+        d = sampler.size_distribution(species.builtin("trees"), _default_x(n, k), n_max=n - k + 1)
+        cdf, guide = d.cdf, d.guide
         u = _probe_uniforms(cdf)
         want = cdf.searchsorted(u, side="right")
         assert np.array_equal(sampler._lookup(cdf, guide, u.copy()), want)
@@ -283,16 +373,48 @@ class TestGuideTable:
         assert guide[2047] == 1 and guide[2048] == 2
 
 
+def _reference_partition(sizes, rng):
+    """sample_partition as it was first written: one sorted slice per block."""
+    sizes = list(map(int, sizes))
+    if any(s < 1 for s in sizes):
+        raise DomainError("all block sizes must be positive")
+    n = sum(sizes)
+    perm = (rng.permutation(n) + 1).tolist()
+    blocks = []
+    at = 0
+    for s in sizes:
+        blocks.append(tuple(sorted(perm[at : at + s])))
+        at += s
+    return tuple(blocks)
+
+
+def _reference_tree_edges(labels, rng):
+    """Uniform labeled tree on the given labels, as first written: one call per block."""
+    m = len(labels)
+    if m == 1:
+        return ()
+    if m == 2:
+        return ((min(labels), max(labels)),)
+    seq = rng.integers(0, m, size=m - 2).tolist()
+    edges = sampler._prufer_decode(m, seq)
+    out = []
+    for a, b in edges:
+        u, v = labels[a], labels[b]
+        out.append((u, v) if u < v else (v, u))
+    return tuple(out)
+
+
 def _one_attempt_forest(n, k, x, rng, max_rejects):
-    """sample_forest as it was first written: one searchsorted per rejection attempt."""
-    cdf, _guide = sampler._forest_table(n, k, x)
+    """sample_forest as it was first written: one searchsorted per rejection attempt,
+    then the frozen reference dressing."""
+    cdf = sampler.size_distribution(species.builtin("trees"), x, n_max=n - k + 1).cdf
     attempts = 0
     while attempts <= max_rejects:
         attempts += 1
         idx = cdf.searchsorted(rng.random(k), side="right")
         if idx.sum() == n - k:
-            blocks = sampler.sample_partition((idx + 1).tolist(), rng)
-            trees = tuple(sampler._uniform_tree_edges(b, rng) for b in blocks)
+            blocks = _reference_partition((idx + 1).tolist(), rng)
+            trees = tuple(_reference_tree_edges(b, rng) for b in blocks)
             return sampler.LabeledForest(n=n, blocks=blocks, trees=trees)
     raise RetryBudgetError("reference budget", acceptance_rate=0.0, attempts=attempts)
 
@@ -302,7 +424,11 @@ _BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
 
 class TestBlockRejection:
     @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
-    @pytest.mark.parametrize("n,k", [(2000, 1200), (200, 150), (8, 6), (7, 3), (4, 2), (1, 1)])
+    @pytest.mark.parametrize(
+        "n,k",
+        # (2000, 1100) draws about 140 trees of 3 or more vertices per forest
+        [(2000, 1600), (2000, 1200), (2000, 1100), (200, 150), (8, 6), (7, 3), (4, 2), (1, 1)],
+    )
     def test_generator_ends_where_one_attempt_at_a_time_does(self, bit_generator, n, k):
         x = _default_x(n, k)
         ours = np.random.Generator(bit_generator(2024))
