@@ -4,9 +4,11 @@ count(n, k) is the number of labeled objects on n vertices made of exactly k
 connected components: count(n, k) = (n!/k!) * [x^n] C(x)^k, a non-negative
 integer computed on the labeled counts |C_m| = m! [x^m] C in Python integers,
 where the EGF product is a binomial convolution.  count_log evaluates the same
-coefficient extraction in fixed-precision floating point, which reaches sizes
-where the exact route is too slow.  count_table reuses one running power of C
-to produce a whole row of counts.
+coefficient in fixed-precision floating point, which reaches sizes where the
+exact route is too slow, as [x^(n-k)] (C/x)^k: a binary power of the n - k + 1
+coefficients [x^1..x^(n-k+1)] C, truncated at n - k, whose last product forms
+only its top coefficient.  count_table reuses one running power of C to
+produce a whole row of counts.
 """
 
 import math
@@ -69,26 +71,22 @@ def _divide_exact(value, k_fact, what):
     return q
 
 
-def _c_egf_float(cls, T, precision_bits, usable=None):
-    """SeriesFloat of the EGF C(x) through order T (see _labeled_counts on usable).
+def _c_over_x_float(cls, M, precision_bits):
+    """SeriesFloat of C(x)/x through order M, from [x^1..x^(M+1)] C.
 
-    Block classes avoid huge integers entirely: [x^n] C = y_n / n where y is
+    Block classes avoid huge integers entirely: [x^m] C = y_m / m where y is
     the float solution of the block fixed point.  Other classes convert their
     exact counts.
     """
     import mpmath
 
-    U = T if usable is None else min(usable, T)
     with mpmath.workprec(precision_bits):
         if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
-            y = species.y_series(cls, U, exact=False, precision_bits=precision_bits)
-            coeffs = [mpmath.mpf(0)] + [y.coeffs[n] / n for n in range(1, U + 1)]
+            y = species.y_series(cls, M + 1, exact=False, precision_bits=precision_bits)
+            coeffs = [y.coeffs[m] / m for m in range(1, M + 2)]
         else:
-            counts = species.coefficients(cls, U)
-            coeffs = [mpmath.mpf(0)] + [
-                mpmath.mpf(counts[n - 1]) / mpmath.factorial(n) for n in range(1, U + 1)
-            ]
-        coeffs.extend(mpmath.mpf(0) for _ in range(T - U))
+            counts = species.coefficients(cls, M + 1)
+            coeffs = [mpmath.mpf(c) / mpmath.factorial(m) for m, c in enumerate(counts, 1)]
     return ps.SeriesFloat(coeffs, precision_bits)
 
 
@@ -100,14 +98,13 @@ def count(cls, n, k):
 
 
 def count_log(cls, n, k, precision_bits=ps.DEFAULT_PRECISION_BITS):
-    """log count(n, k) via float coefficient extraction at the given precision."""
+    """log count(n, k) = log((n!/k!) [x^(n-k)] (C/x)^k) at the given precision."""
     import mpmath
 
     n, k = _check_domain(n, k)
-    c = _c_egf_float(cls, n, precision_bits, usable=n - k + 1)
-    p = ps.pow(c, k, n)
+    precision_bits = ps.check_precision_bits(precision_bits)
+    coef = ps.pow_coefficient(_c_over_x_float(cls, n - k, precision_bits), k, n - k)
     with mpmath.workprec(precision_bits):
-        coef = p.coeffs[n]
         if coef <= 0:
             raise PrecisionError(
                 f"[x^{n}] C^{k} evaluated to {coef}; increase precision",

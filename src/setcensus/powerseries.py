@@ -7,6 +7,9 @@ configurable mantissa width (default 128 bits) for exact.count_log and
 species.y_series(exact=False).  exact.count, count_table and total_count use
 neither: they run on labeled integer counts.
 
+count_log and sum_size_probability_exact read [x^n] C^k as [x^(n-k)] (C/x)^k,
+on n - k + 1 coefficients, through pow_coefficient.
+
 Beyond ring arithmetic (mul, pow, exp, compose) the module solves the
 block-decomposition fixed point
 
@@ -19,10 +22,12 @@ series of the connected class C, via
 """
 
 import contextlib
+import numbers
 from fractions import Fraction
 
 from .errors import (
     ConstantTermError,
+    DomainError,
     FlavorMismatchError,
     InternalConsistencyError,
     ModelViolationError,
@@ -73,9 +78,7 @@ class SeriesFloat:
     def __init__(self, coeffs, precision_bits=DEFAULT_PRECISION_BITS):
         import mpmath
 
-        if precision_bits < 8:
-            raise ValueError("precision_bits must be at least 8")
-        self.precision_bits = int(precision_bits)
+        self.precision_bits = check_precision_bits(precision_bits)
         with mpmath.workprec(self.precision_bits):
             self.coeffs = tuple(_to_mpf(c) for c in coeffs)
         if not self.coeffs:
@@ -98,6 +101,13 @@ class SeriesFloat:
         head = ", ".join(mpmath.nstr(c, 8) for c in self.coeffs[:6])
         tail = ", ..." if self.order >= 6 else ""
         return f"SeriesFloat([{head}{tail}], order={self.order}, bits={self.precision_bits})"
+
+
+def check_precision_bits(bits):
+    """bits as an int; DomainError unless it is an integer of at least 8."""
+    if not isinstance(bits, numbers.Integral) or bits < 8:
+        raise DomainError(f"precision_bits = {bits!r} must be an integer of at least 8")
+    return int(bits)
 
 
 def _to_mpf(c):
@@ -172,22 +182,37 @@ def mul(a, b, T):
         return k.wrap(_mul_lists(k.lift(a, T), k.lift(b, T), T, k.zero))
 
 
+def _pow_factors(a, m, T, zero, one):
+    """(r, b) with a**m = r*b through order T: b = a**(2**j) for the top bit j
+    of m and r the product of the lower bits, every product truncated at T."""
+    r = [one] + [zero] * T
+    while m > 1:
+        if m & 1:
+            r = _mul_lists(r, a, T, zero)
+        m >>= 1
+        a = _mul_lists(a, a, T, zero)
+    return (r, a) if m else (r, r)
+
+
 def pow(a, m, T):  # noqa: A001 - deliberate shadow, mirrors mul/exp/compose naming
     """a**m truncated at T, by binary exponentiation with truncation after each multiply."""
     if m < 0 or m != int(m):
         raise ValueError("exponent must be a non-negative integer")
     k = _kernel_for(a)
-    m = int(m)
     with k.ctx():
-        result = [k.one] + [k.zero] * T
-        base = k.lift(a, T)
-        while m:
-            if m & 1:
-                result = _mul_lists(result, base, T, k.zero)
-            m >>= 1
-            if m:
-                base = _mul_lists(base, base, T, k.zero)
-        return k.wrap(result)
+        r, b = _pow_factors(k.lift(a, T), int(m), T, k.zero, k.one)
+        return k.wrap(_mul_lists(r, b, T, k.zero))
+
+
+def pow_coefficient(a, m, M):
+    """[x^M] a**m, equal to pow(a, m, M).coeffs[M] bit for bit: the same products,
+    but the last forms only its x^M coefficient, summed in mul's order."""
+    if min(m, M) < 0 or m != int(m) or M != int(M):
+        raise ValueError("exponent and order must be non-negative integers")
+    k, M = _kernel_for(a), int(M)
+    with k.ctx():
+        r, b = _pow_factors(k.lift(a, M), int(m), M, k.zero, k.one)
+        return sum((x * y for x, y in zip(r, reversed(b)) if x and y), k.zero)
 
 
 def _exp_lists(a, T, zero, one):

@@ -629,16 +629,15 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
         raise DomainError(f"n_max = {M} must be positive")
     counts = species.coefficients(cls, M)
     fact = 1
-    coeffs = [Fraction(0)]
+    coeffs = []  # W(x)/x: coeffs[j - 1] = [x^j] W
     for j in range(1, M + 1):
         fact *= j
         coeffs.append(Fraction(counts[j - 1], fact) * x**j)
-    wseries = ps.SeriesExact(coeffs + [Fraction(0)] * max(0, n - M))
     total = sum(coeffs, Fraction(0))
     if total == 0:
         raise DomainError("all truncated size weights vanish")
-    conv = ps.pow(wseries, k, n)
-    return conv.coeffs[n] / total**k
+    # [x^n] W^k = [x^(n-k)] (W/x)^k
+    return ps.pow_coefficient(ps.SeriesExact(coeffs), k, n - k) / total**k
 
 
 def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):

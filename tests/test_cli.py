@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -303,6 +304,65 @@ class TestSample:
         payload = json.loads(err)["error"]
         assert payload["code"] == "precision"
         assert payload["suggested"] >= 64
+
+
+class TestPrecisionBits:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("exact", "--class", "trees", "-n", "4", "-k", "2", "--mode", "float"),
+            ("compare", "--class", "trees", "--lambda", "0.75", "--n-list", "40,80"),
+        ],
+    )
+    @pytest.mark.parametrize("bits", ["0", "6"])
+    def test_below_minimum_is_a_domain_error(self, capsys, args, bits):
+        code, out, err = run_cli(capsys, *args, "--precision-bits", bits)
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "domain"
+        assert "at least 8" in payload["message"]
+
+
+# SHA-256 of the stdout of each README example, recorded before count_log
+# moved to n - k + 1 terms; README output must stay byte-identical.
+README_STDOUT_SHA256 = {
+    "constants --class trees --lambda 0.75":
+        "d6f7f894cd7f2fc9a3b1ac18366a633a54be8f0fe753ea5c9b14473398e1c9c8",
+    "exact --class cacti -n 30 -k 12":
+        "3b7a413ddfcc4770c0b2d3008a803a7726028b78bfdc9a5a6f43ce7fcc88b36d",
+    "exact --class trees -n 6 --k-range 1:3":
+        "5f5ec7e1283fa83c6162b0c35e23ac42b3d32b0989cea81d188cd5ebfb2e1bac",
+    "estimate --class husimi -n 200 --lambda 0.3":
+        "f533d77c24a863b4cb68502252b73e968c72e642d8c4d282bf557e6ee5d7f45a",
+    "compare --class trees --lambda 0.75 --n-list 40,80 --format tsv":
+        "d75f2b4cd5c6ed8879b4f008ad6308924abd8ac445cdfe3ed45531eb5a4c0a95",
+    "sample --class trees -n 6 -k 2 --seed 7":
+        "c38c31e1cc0aa773e59949ba69e84deb0fe1222f9574b0326308c12460950ae4",
+    "sample --class trees --composition --x 0.25 --trials 2 --seed 11":
+        "842051f78a6db039b995d8a13cb9de9d392261b5f26bfcc579653bae2590a62d",
+    "series --class husimi --terms 6":
+        "e49739c1f7048ceab919b036074409dcf69d86d7ad0bdca82068a38a7d9d69bf",
+    "series --class cacti --terms 5 --export cacti5.json":
+        "ec78d4d1e3ee7cc8eac8efca92bd5296dbbd38e1a98960cb9c75de961cd83218",
+}
+
+
+class TestReadmeExamples:
+    """The nine README CLI examples, with their own arguments and seeds."""
+
+    @pytest.mark.parametrize("command", README_STDOUT_SHA256)
+    def test_stdout_digest(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *command.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[command]
+
+    def test_export_digest(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "series", "--class", "cacti", "--terms", "5", "--export", "cacti5.json")
+        data = (tmp_path / "cacti5.json").read_bytes()
+        want = "be3a3b52180c307bdc13249c4bcdc35eb5a193febabca026373c7a9ef54632c6"
+        assert hashlib.sha256(data).hexdigest() == want
 
 
 class TestSeries:

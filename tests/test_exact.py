@@ -88,6 +88,15 @@ class TestCountLog:
             exact.count_log(cls, 2, 1)
         assert info.value.suggested is not None
 
+    @pytest.mark.parametrize("bits", [0, 4, 7, 8.5, "64"])
+    def test_precision_below_minimum_or_not_integer(self, bits):
+        with pytest.raises(DomainError, match="at least 8"):
+            exact.count_log(species.builtin("trees"), 4, 2, precision_bits=bits)
+
+    def test_precision_minimum_accepted(self):
+        got = exact.count_log(species.builtin("trees"), 4, 2, precision_bits=8)
+        assert got == pytest.approx(math.log(15), rel=1e-2)
+
     def test_block_class_large(self):
         cacti = species.builtin("cacti")
         want = math.log(exact.count(cacti, 60, 30))
@@ -164,6 +173,76 @@ class TestFrozenExact:
 
     def test_total_count_husimi(self):
         assert _digest(exact.total_count(species.builtin("husimi"), 120)) == "86348850fd530793"
+
+
+_LIST = [1, 2, 9, 64, 625, 7776, 117649, 2097152]
+_LOG_CLASSES = {
+    "trees": lambda: species.builtin("trees"),
+    "cacti": lambda: species.builtin("cacti"),
+    "husimi": lambda: species.builtin("husimi"),
+    "syn2": lambda: species.synthetic(1, 0.5, 2),
+    "syn25": lambda: species.synthetic(1, 0.5, 2.5),
+    "list": lambda: species.from_coefficients("list", _LIST),
+}
+
+# (class, n, k, precision_bits, float.hex of count_log), recorded from the
+# extraction that raised C to the k-th power through order n.  k = 0.3 n lies
+# below lambda* for every class here and k = 0.9 n above it; syn2 at
+# (120, 87) is at lambda*.
+_FROZEN_COUNT_LOG = [
+    ("trees", 1, 1, 128, "0x0.0p+0"),
+    ("trees", 60, 1, 128, "0x1.daf1a7f776b9cp+7"),
+    ("trees", 60, 18, 128, "0x1.83a15dcf6924ep+7"),
+    ("trees", 60, 54, 128, "0x1.324560bae679bp+5"),
+    ("trees", 60, 60, 128, "0x0.0p+0"),
+    ("trees", 120, 36, 128, "0x1.c263dbe819c4bp+8"),
+    ("trees", 120, 108, 128, "0x1.59efa01b496f0p+6"),
+    ("cacti", 1, 1, 128, "0x0.0p+0"),
+    ("cacti", 60, 1, 128, "0x1.0638ed223a867p+8"),
+    ("cacti", 60, 18, 128, "0x1.a1eeb60057273p+7"),
+    ("cacti", 60, 54, 128, "0x1.34e03844cdd94p+5"),
+    ("cacti", 60, 60, 128, "0x0.0p+0"),
+    ("cacti", 120, 36, 128, "0x1.e18439a008341p+8"),
+    ("cacti", 120, 108, 128, "0x1.5cd9217a1c2cbp+6"),
+    ("husimi", 1, 1, 128, "0x0.0p+0"),
+    ("husimi", 60, 1, 128, "0x1.00819c2c00773p+8"),
+    ("husimi", 60, 18, 128, "0x1.9b35f17d980f7p+7"),
+    ("husimi", 60, 54, 128, "0x1.34bb357fcf1bdp+5"),
+    ("husimi", 60, 60, 128, "0x0.0p+0"),
+    ("husimi", 120, 36, 128, "0x1.da765e9459173p+8"),
+    ("husimi", 120, 108, 128, "0x1.5ca58f1b1eaeep+6"),
+    ("syn2", 1, 1, 128, "0x1.62e42fefa39efp-1"),
+    ("syn2", 60, 1, 128, "0x1.b3de316400530p+7"),
+    ("syn2", 60, 18, 128, "0x1.7a52049b277aep+7"),
+    ("syn2", 60, 54, 128, "0x1.1f4df608cababp+6"),
+    ("syn2", 60, 60, 128, "0x1.4cb5ecf0a9650p+5"),
+    ("syn2", 120, 36, 128, "0x1.baaa0632486adp+8"),
+    ("syn2", 120, 108, 128, "0x1.3339e83491b8ap+7"),
+    ("syn25", 1, 1, 128, "0x1.62e42fefa39efp-1"),
+    ("syn25", 60, 1, 128, "0x1.afc60a6ce7066p+7"),
+    ("syn25", 60, 18, 128, "0x1.74f5ecf6a025bp+7"),
+    ("syn25", 60, 54, 128, "0x1.1d27dddc9ef92p+6"),
+    ("syn25", 60, 60, 128, "0x1.4cb5ecf0a9650p+5"),
+    ("syn25", 120, 36, 128, "0x1.b6f228abdbcc7p+8"),
+    ("syn25", 120, 108, 128, "0x1.30f63ab032cd1p+7"),
+    ("trees", 200, 150, 128, "0x1.5a5aa940fe7b3p+8"),
+    ("trees", 60, 30, 64, "0x1.2a270d0c7936cp+7"),
+    ("cacti", 60, 20, 200, "0x1.91b31f98ca142p+7"),
+    ("syn2", 120, 87, 128, "0x1.f2390811b8362p+7"),
+    ("list", 8, 1, 128, "0x1.d1cb7eea86c0ap+3"),
+    ("list", 8, 8, 128, "0x0.0p+0"),
+    ("list", 20, 13, 128, "0x1.fcc31c205f2cep+4"),
+    ("list", 20, 18, 128, "0x1.644295de65f56p+3"),
+]
+
+
+class TestFrozenCountLog:
+    """count_log floats frozen bit for bit from the full-order power."""
+
+    @pytest.mark.parametrize("name,n,k,bits,want", _FROZEN_COUNT_LOG)
+    def test_grid(self, name, n, k, bits, want):
+        got = exact.count_log(_LOG_CLASSES[name](), n, k, precision_bits=bits)
+        assert got.hex() == want
 
 
 class TestAgainstOracle:

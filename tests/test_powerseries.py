@@ -41,6 +41,28 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             ps.pow(frac([1, 1]), -1, 3)
 
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 1], [0, 2, 0, -3, 5], [0, 0, 1, 4], [7], [0], [3, 1, 0, 0, 0, 0, 0, 0, 0, 0]],
+    )
+    @pytest.mark.parametrize("bits", [None, 53, 128])
+    def test_pow_coefficient_is_the_top_of_pow(self, values, bits):
+        if bits is None:
+            a = frac([Fraction(v, 3) for v in values])
+        else:
+            with mpmath.workprec(bits):
+                a = ps.SeriesFloat([mpmath.mpf(v) / 3 for v in values], bits)
+        for m in range(10):
+            for M in range(8):
+                got = ps.pow_coefficient(a, m, M)
+                assert got == ps.pow(a, m, M).coeffs[M], (m, M)
+                assert type(got) is type(a.coeffs[0])
+
+    def test_pow_coefficient_rejects_bad_arguments(self):
+        for m, M in ((-1, 3), (1.5, 3), (2, -1), (2, 1.5)):
+            with pytest.raises(ValueError):
+                ps.pow_coefficient(frac([1, 1]), m, M)
+
     def test_exp_of_x(self):
         got = ps.exp(frac([0, 1]), 8)
         assert got.coeffs == tuple(Fraction(1, math.factorial(j)) for j in range(9))

@@ -485,6 +485,29 @@ class TestSumProbability:
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_exact_frozen(self):
+        # Fractions recorded from the full-order power [x^n] W^k
+        def digest(values):
+            return hashlib.sha256(str(values).encode()).hexdigest()[:16]
+
+        trees, cacti = species.builtin("trees"), species.builtin("cacti")
+        grid = [
+            sampler.sum_size_probability_exact(trees, x, k, n)
+            for n, k in ((4, 2), (5, 2), (5, 3), (6, 3))
+            for x in (Fraction(1, 10), Fraction(1, 5))
+        ]
+        assert digest(grid) == "9a24f2cca9386186"
+        edges = [
+            sampler.sum_size_probability_exact(cacti, Fraction(1, 5), 3, 9, n_max=m)
+            for m in (2, 7, 12)
+        ]
+        edges += [
+            sampler.sum_size_probability_exact(trees, 1, 1, 1),
+            sampler.sum_size_probability_exact(trees, Fraction(1, 3), 5, 5),
+        ]
+        assert edges[0] == 0 and edges[3:] == [1, 1]
+        assert digest(edges) == "f14e5da94da54412"
+
     def test_mc_matches_exact(self):
         trees = species.builtin("trees")
         want = float(sampler.sum_size_probability_exact(trees, Fraction(1, 10), 2, 4))
