@@ -423,9 +423,8 @@ def _cactus_gap(t):
 
 def _poly_gap(spec):
     """B'(t) - B(t)/t for B' = sum_d c_d t^d, as sum_d c_d d/(d+1) t^d."""
-    tail = spec.bprime_series(species._poly_degree(spec)).coeffs
-    coeffs = [float(c * d / (d + 1)) for d, c in enumerate(tail)]
-    return lambda t: sum(c * t**d for d, c in enumerate(coeffs) if c)
+    coeffs = [float(c * d / (d + 1)) for d, c in enumerate(species._poly_tail(spec), start=1)]
+    return lambda t: sum(c * t**d for d, c in enumerate(coeffs, start=1) if c)
 
 
 # g(t) = B'(t) - B(t)/t as a sum of positive terms, for the block kinds whose

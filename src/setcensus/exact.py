@@ -123,7 +123,10 @@ def count_table(cls, n, k_range=None):
     if n != int(n) or n < 1:
         raise DomainError(f"n = {n} must be a positive integer")
     n = int(n)
-    ks = sorted(set(range(1, n + 1) if k_range is None else (int(k) for k in k_range)))
+    ks = list(range(1, n + 1) if k_range is None else k_range)
+    if any(k != int(k) for k in ks):
+        raise DomainError(f"k_range = {ks} must select integers")
+    ks = sorted({int(k) for k in ks})
     if not ks or ks[0] < 1 or ks[-1] > n:
         raise DomainError(f"k_range must select integers within [1, {n}]")
     wanted = set(ks)

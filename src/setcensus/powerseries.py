@@ -10,19 +10,21 @@ neither: they run on labeled integer counts.
 count_log and sum_size_probability_exact read [x^n] C^k as [x^(n-k)] (C/x)^k,
 on n - k + 1 coefficients, through pow_coefficient.
 
-Beyond ring arithmetic (mul, pow, exp, compose) the module solves the
-block-decomposition fixed point
+Beyond ring arithmetic (mul, pow, exp, compose) the module holds the
+package's one solver of the block-decomposition fixed point
 
     y = x * exp(B'(y)),        y = x*C'(x),
 
 which turns the derivative series of a 2-connected block family B into the
-series of the connected class C, via
-
-    C(x) = y - y*B'(y) + B(y),      |C_n| = (n-1)! * [x^n] y.
+series of the connected class C, with |C_n| = (n-1)! * [x^n] y.  BlockTable
+defines the step of each block kind once and runs it on any arithmetic that
+supplies buffers and a dot product: Fraction and mpmath lists here
+(solve_fixed_point_with_composer), float64 numpy arrays in the sampler.
 """
 
 import contextlib
 import numbers
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -143,6 +145,12 @@ class _Kernel:
             return SeriesExact(coeffs)
         return SeriesFloat(coeffs, self.precision_bits)
 
+    def zeros(self, length):
+        return [self.zero] * length
+
+    def dot(self, a, b):
+        return sum(map(operator.mul, a, b), self.zero)
+
     def lift(self, series, T):
         out = [self.zero] * (T + 1)
         for k in range(min(series.order, T) + 1):
@@ -254,100 +262,110 @@ def compose(f, g, T):
 # --- block-decomposition fixed point ---------------------------------------
 
 
-class PolynomialComposer:
-    """Incremental evaluator of A = P(y) for a polynomial P with P(0) = 0.
+class BlockTable:
+    """Term-by-term solve of y = x exp(B'(y)) for one block kind, tilted by x.
 
-    step(y, n) must be called for n = 1, 2, ... in order, with y[1..n] final;
-    it returns [x^n] P(y). Internal power arrays make the total cost of T
-    steps O(deg(P) * T^2) coefficient operations.
+    The package's one block fixed-point step: Y[n] = [x^n] y times x^n, so
+    x = 1 solves y itself and the sampler's x < rho keeps the terms O(1).
+    A = B'(y) and E = exp(A); term n depends only on the terms below it, so
+    the table grows in place and terms 1..M are the same numbers whatever
+    length it reaches.  kind is "edge" (B' = u), "cactus" (u/2 + u/(2(1-u))),
+    "complete" (e^u - 1) or "poly" (B' = sum_d tail[d-1] u^d).
+
+    The buffers come from zeros(length) and every convolution is one
+    dot(a, b) of two slices: Python lists with sum(map(mul, a, b), zero) for
+    Fraction and mpmath terms, or numpy arrays with ndarray.dot for float64
+    (the sampler passes those in, so this module imports no numpy).  The
+    factor read backwards is stored reversed, term j at index cap - j: E,
+    S = y/(1-y) (cacti), exp(y) (complete blocks) and y (polynomial blocks).
+    The factor read forwards is stored as it is used: n A_n, n y_n (complete
+    blocks) and the powers y^d (polynomial blocks).  Buffers a kind does not
+    use stay unfilled.
     """
 
-    def __init__(self, tail_coeffs, zero):
-        # tail_coeffs[d-1] is the coefficient of u^d, d = 1..D
-        self.c = list(tail_coeffs)
-        while self.c and not self.c[-1]:
-            self.c.pop()
-        self.zero = zero
-        self.powers = [[zero] for _ in self.c]  # powers[d-1][m] = [x^m] y^d
+    def __init__(self, kind, tail, x, zeros, dot):
+        self.kind, self.tail, self.x = kind, list(tail), x
+        self.zeros, self.dot = zeros, dot
+        self.n = 0  # terms 1..n are solved
+        self.cap = 0
+        self.Y, self.kA, self.kY = zeros(1), zeros(1), zeros(1)
+        self.P = [zeros(1) for _ in self.tail[1:]]  # y^2, y^3, ...
+        self.Er, self.Sr, self.EYr, self.Yr = zeros(1), zeros(1), zeros(1), zeros(1)
+        self.Er[0] = self.EYr[0] = 1  # exp(0)
 
-    def step(self, y, n):
-        acc = self.zero
-        for d in range(1, len(self.c) + 1):
-            p = self.powers[d - 1]
-            if d == 1:
-                p.append(y[n])
-            elif d > n:
-                p.append(self.zero)
+    def terms(self, M):
+        """The buffer Y with terms 0..M solved (entries past M are not final)."""
+        if M > self.cap:
+            self._grow(M)
+        if M > self.n:
+            self._solve(M)
+        return self.Y
+
+    def _grow(self, cap):
+        old, zeros = self.cap, self.zeros
+
+        def forward(a):
+            b = zeros(cap + 1)
+            b[: old + 1] = a
+            return b
+
+        def backward(a):
+            b = zeros(cap + 1)
+            b[cap - old :] = a
+            return b
+
+        self.Y, self.kA, self.kY = map(forward, (self.Y, self.kA, self.kY))
+        self.P = list(map(forward, self.P))
+        self.Er, self.Sr, self.EYr, self.Yr = map(backward, (self.Er, self.Sr, self.EYr, self.Yr))
+        self.cap = cap
+
+    def _solve(self, M):
+        x, c, kind, tail, dot = self.x, self.cap, self.kind, self.tail, self.dot
+        Y, kA, kY, Er, Sr, EYr, Yr = self.Y, self.kA, self.kY, self.Er, self.Sr, self.EYr, self.Yr
+        P = [Y] + self.P  # P[d - 1] holds y^d
+        e = Er[c - self.n]
+        for n in range(self.n + 1, M + 1):
+            y = x * e
+            Y[n] = y
+            if kind == "edge":
+                a = y
+            elif kind == "cactus":
+                s = y + dot(Y[1:n], Sr[c - n + 1 : c])
+                Sr[c - n] = s
+                a = (y + s) / 2
+            elif kind == "complete":
+                kY[n] = n * y
+                a = dot(kY[1 : n + 1], EYr[c - n + 1 : c + 1]) / n
+                EYr[c - n] = a
             else:
-                prev = self.powers[d - 2]
-                s = self.zero
-                for j in range(d - 1, n):
-                    pj = prev[j]
-                    if pj:
-                        s += pj * y[n - j]
-                p.append(s)
-            if self.c[d - 1]:
-                acc += self.c[d - 1] * p[n]
-        return acc
+                Yr[c - n] = y
+                for d in range(2, min(len(tail), n) + 1):
+                    P[d - 1][n] = dot(P[d - 2][d - 1 : n], Yr[c - n + d - 1 : c])
+                a = sum(t * P[d][n] for d, t in enumerate(tail) if t)
+            kA[n] = n * a
+            e = dot(kA[1 : n + 1], Er[c - n + 1 : c + 1]) / n
+            Er[c - n] = e
+        self.n = M
 
 
-def _run_fixed_point(T, make_composer, zero, one, expected=None):
-    """One full pass of y <- x*exp(A(y)) organized coefficient-by-coefficient.
+# The name predates BlockTable: the benchmark's layer trace reports the
+# exact and mpmath block solves under it.
+def solve_fixed_point_with_composer(T, make_table, kernel):
+    """y = x exp(B'(y)) through order T, as a series of the kernel's flavor.
 
-    Each loop iteration fixes exactly one further coefficient of y (the
-    classical contraction argument: pass n of the naive whole-series sweep
-    freezes [x^n] y, and that coefficient depends only on already-frozen
-    ones).  With expected set, verifies the pass reproduces it.
+    make_table() -> a fresh untilted BlockTable on the kernel's zeros and dot.
+    The stabilization pass solves a second table and raises
+    InternalConsistencyError unless it reproduces every coefficient exactly.
     """
-    comp = make_composer()
-    y = [zero] * (T + 1)
-    A = [zero] * (T + 1)
-    E = [one] + [zero] * T  # exp(A)
-    for n in range(1, T + 1):
-        y[n] = E[n - 1]
-        if expected is not None:
-            if y[n] != expected[n]:
+    with kernel.ctx():
+        y = make_table().terms(T)
+        again = make_table().terms(T)
+        for n in range(T + 1):
+            if again[n] != y[n]:
                 raise InternalConsistencyError(
                     f"fixed-point coefficient {n} changed in the stabilization pass"
                 )
-            y[n] = expected[n]
-        A[n] = comp.step(y, n)
-        s = zero
-        for j in range(1, n + 1):
-            aj = A[j]
-            if aj:
-                s += j * aj * E[n - j]
-        E[n] = s / n
-    return y
-
-
-def solve_fixed_point_with_composer(T, make_composer, kernel):
-    """Solve y = x*exp(A(y)) where A is evaluated by a caller-supplied composer.
-
-    make_composer() -> object with step(y, n) as in PolynomialComposer.  Runs
-    the T coefficient-fixing passes and then one stabilization pass that must
-    reproduce every coefficient exactly.
-    """
-    with kernel.ctx():
-        y = _run_fixed_point(T, make_composer, kernel.zero, kernel.one)
-        _run_fixed_point(T, make_composer, kernel.zero, kernel.one, expected=y)
         return kernel.wrap(y)
-
-
-def solve_block_fixed_point(bprime, T):
-    """Solve y = x*exp(B'(y)) through order T for a truncated B' series.
-
-    The returned y has y_0 = 0, y_1 = 1 and satisfies
-    y = x*exp(compose(bprime, y)) through order T.  Cost is
-    O(bprime.order * T^2) coefficient operations.
-    """
-    k = _kernel_for(bprime)
-    if bprime.coeffs[0] != 0:
-        raise ConstantTermError("B' must have zero constant term (B starts at x^2)")
-    tail = list(bprime.coeffs[1:])
-    return solve_fixed_point_with_composer(
-        T, lambda: PolynomialComposer(tail, k.zero), k
-    )
 
 
 def connected_coeffs_from_y(y, n_max):
@@ -369,28 +387,3 @@ def connected_coeffs_from_y(y, n_max):
         out.append(int(c))
         fact *= n
     return out
-
-
-def c_series_from_blocks(y, b, bprime, T):
-    """EGF of the connected class: C = y - y*B'(y) + B(y), truncated at T.
-
-    Exact flavor only; the result is cross-checked coefficientwise against
-    connected_coeffs_from_y so the two derivations of |C_n| agree.
-    """
-    if not all(isinstance(s, SeriesExact) for s in (y, b, bprime)):
-        raise FlavorMismatchError("c_series_from_blocks requires the exact flavor")
-    bp_y = compose(bprime, y, T)
-    b_y = compose(b, y, T)
-    prod = mul(y, bp_y, T)
-    coeffs = [y[k] - prod[k] + b_y[k] for k in range(T + 1)]
-    cs = SeriesExact(coeffs)
-    counts = connected_coeffs_from_y(y, T)
-    fact = 1
-    for n in range(1, T + 1):
-        fact *= n
-        if cs.coeffs[n] * fact != counts[n - 1]:
-            raise InternalConsistencyError(
-                f"block routes disagree at n = {n}: "
-                f"{cs.coeffs[n] * fact} vs {counts[n - 1]}"
-            )
-    return cs

@@ -17,7 +17,8 @@ with C(x) the truncated normalizer.  sum_size_probability_exact evaluates the
 right-hand P as an exact rational; mc_sum_probability estimates it by
 simulation.
 
-Block classes get their size table from a float64 fixed-point recurrence
+Block classes get their size table from powerseries.BlockTable, the same
+fixed-point step as their exact counts, run on float64 numpy arrays and
 tilted by x^n.  Entry n depends only on the entries below it, so the
 search for n_max (256, 512, ... entries) extends one table instead of
 solving it again at every length, and a table of length M holds the same
@@ -150,7 +151,7 @@ def _weight_table(cls, x):
     it, so a search over growing M solves each entry once.
     """
     if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
-        return _BlockTable(cls.block_spec, x).weights
+        return _block_weights(cls.block_spec, x)
     return lambda M: _formula_weights(cls, x, M)
 
 
@@ -195,93 +196,25 @@ def _formula_weights(cls, x, M):
     return w
 
 
-class _BlockTable:
-    """Tilted fixed-point solve in float64: w_n = y_n x^n / n stays O(1).
+def _dot(a, b):
+    return float(a.dot(b))
 
-    y = x exp(B'(y)) is solved term by term, with A = B'(y) and E = exp(A).
-    Term n depends only on the terms below it, so the table grows in place
-    and terms 1..M are the same floats whatever length it reaches.  Every
-    convolution is one dot product of two contiguous slices.  The factor read
-    backwards is stored reversed, term j at index cap - j: E, S = y/(1-y)
-    (cacti), exp(y) (complete blocks) and y (polynomial blocks).  The factor
-    read forwards is stored as it is used: n A_n, n y_n (complete blocks) and
-    the powers y^d (polynomial blocks).  Buffers a kind does not use stay
-    unfilled.
-    """
 
-    def __init__(self, spec, x):
-        self.x = x
-        self.kind = spec.kind
-        tail = []
-        if spec.kind == "poly":
-            tail = [float(c) for c in spec.bprime_series(species._poly_degree(spec)).coeffs[1:]]
-            while tail and tail[-1] == 0.0:
-                tail.pop()
-        self.tail = tail  # B'(u) = sum_d tail[d-1] u^d
-        self.n = 0  # terms 1..n are solved
-        self.cap = 0
-        self.Y, self.kA, self.kY = np.zeros(1), np.zeros(1), np.zeros(1)
-        self.P = [np.zeros(1) for _ in tail[1:]]  # y^2, y^3, ...
-        self.Er, self.Sr, self.EYr, self.Yr = np.ones(1), np.zeros(1), np.ones(1), np.zeros(1)
+def _block_weights(spec, x):
+    """M -> _weights for a block class at x, from one growing float64 BlockTable."""
+    tail = [float(c) for c in species._poly_tail(spec)] if spec.kind == "poly" else ()
+    table = ps.BlockTable(spec.kind, tail, x, np.zeros, _dot)
 
-    def weights(self, M):
+    def weights(M):
         if M > _MAX_BLOCK_TABLE:
             raise PrecisionError(
                 f"block-derived size table of length {M} exceeds the supported "
                 f"maximum {_MAX_BLOCK_TABLE}; pass a smaller n_max",
                 suggested=_MAX_BLOCK_TABLE,
             )
-        if M > self.cap:
-            self._grow(M)
-        if M > self.n:
-            self._solve(M)
-        return self.Y[1 : M + 1] / np.arange(1, M + 1, dtype=float)
+        return table.terms(M)[1 : M + 1] / np.arange(1, M + 1, dtype=float)
 
-    def _grow(self, cap):
-        old = self.cap
-
-        def forward(a):
-            b = np.zeros(cap + 1)
-            b[: old + 1] = a
-            return b
-
-        def backward(a):
-            b = np.zeros(cap + 1)
-            b[cap - old :] = a
-            return b
-
-        self.Y, self.kA, self.kY = map(forward, (self.Y, self.kA, self.kY))
-        self.P = list(map(forward, self.P))
-        self.Er, self.Sr, self.EYr, self.Yr = map(backward, (self.Er, self.Sr, self.EYr, self.Yr))
-        self.cap = cap
-
-    def _solve(self, M):
-        x, c, kind, tail = self.x, self.cap, self.kind, self.tail
-        Y, kA, kY, Er, Sr, EYr, Yr = self.Y, self.kA, self.kY, self.Er, self.Sr, self.EYr, self.Yr
-        P = [Y] + self.P  # P[d - 1] holds y^d
-        e = float(Er[c - self.n])
-        for n in range(self.n + 1, M + 1):
-            y = x * e
-            Y[n] = y
-            if kind == "edge":
-                a = y
-            elif kind == "cactus":
-                s = y + float(Y[1:n].dot(Sr[c - n + 1 : c]))
-                Sr[c - n] = s
-                a = 0.5 * (y + s)
-            elif kind == "complete":
-                kY[n] = n * y
-                a = float(kY[1 : n + 1].dot(EYr[c - n + 1 : c + 1])) / n
-                EYr[c - n] = a
-            else:
-                Yr[c - n] = y
-                for d in range(2, min(len(tail), n) + 1):
-                    P[d - 1][n] = float(P[d - 2][d - 1 : n].dot(Yr[c - n + d - 1 : c]))
-                a = sum(t * P[d][n] for d, t in enumerate(tail) if t)
-            kA[n] = n * a
-            e = float(kA[1 : n + 1].dot(Er[c - n + 1 : c + 1])) / n
-            Er[c - n] = e
-        self.n = M
+    return weights
 
 
 def _full_value(cls, x):
@@ -537,6 +470,8 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
         raise DomainError(f"n = {n} must be a positive integer")
     if k != int(k) or not (1 <= k <= n):
         raise DomainError(f"k = {k} must be an integer in [1, n = {n}]")
+    if not isinstance(max_rejects, numbers.Integral) or max_rejects < 0:
+        raise DomainError(f"max_rejects = {max_rejects!r} must be an integer of at least 0")
     n, k = int(n), int(k)
     if rng is None:
         rng = np.random.default_rng()

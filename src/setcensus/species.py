@@ -13,8 +13,10 @@ four ways:
   polynomial block specifications.
 
 Block-specified classes get their coefficients from the fixed point
-y = x*exp(B'(y)) and their growth parameters from the subcritical recipe in
-the asymptotics module; every block class of this kind has alpha = 3/2.
+y = x*exp(B'(y)), solved by powerseries.BlockTable in exact rationals (or
+mpmath floats for y_series(exact=False)), and their growth parameters from
+the subcritical recipe in the asymptotics module; every block class of this
+kind has alpha = 3/2.
 """
 
 import json
@@ -64,10 +66,10 @@ class GrowthParams:
 class BlockSpec:
     """Scalar evaluators and series coefficients of a 2-connected block family B.
 
-    kind selects the incremental composer used by the fixed-point solver:
-    "edge" (B = u^2/2), "cactus" (B = u^2/4 - u/2 - log(1-u)/2), "complete"
-    (B = e^u - u - 1) or "poly" (B' a finite polynomial).  R is the radius of
-    convergence of B, possibly infinite.
+    kind selects the step of powerseries.BlockTable, the fixed-point solver of
+    every flavor: "edge" (B = u^2/2), "cactus" (B = u^2/4 - u/2 - log(1-u)/2),
+    "complete" (B = e^u - u - 1) or "poly" (B' a finite polynomial).  R is
+    the radius of convergence of B, possibly infinite.
     """
 
     kind: str
@@ -200,83 +202,32 @@ def _validate_block_spec(spec, order=40, tol=1e-9):
         )
 
 
-# --- incremental composers for the fixed-point solver -----------------------
-
-
-class _CactusDerivativeComposer:
-    """[x^n] B'(y) with B'(u) = u/2 + u/(2(1-u)); S tracks y/(1-y) = y + y*S."""
-
-    def __init__(self, zero, half):
-        self.S = [zero]
-        self.half = half
-
-    def step(self, y, n):
-        s = y[n]
-        S = self.S
-        for j in range(1, n):
-            yj = y[j]
-            if yj:
-                s += yj * S[n - j]
-        S.append(s)
-        return self.half * (y[n] + s)
-
-
-class _ExpDerivativeComposer:
-    """[x^n] B'(y) with B'(u) = e^u - 1, via the exp recurrence on y."""
-
-    def __init__(self, zero, one):
-        self.zero = zero
-        self.E = [one]
-
-    def step(self, y, n):
-        s = self.zero
-        E = self.E
-        for j in range(1, n + 1):
-            yj = y[j]
-            if yj:
-                s += j * yj * E[n - j]
-        val = s / n
-        E.append(val)
-        return val
-
-
-def _composer_factory(spec, kernel):
-    if spec.kind == "cactus":
-        half = kernel.one / 2  # Fraction(1, 2) or mpf(0.5), both exact
-        return lambda: _CactusDerivativeComposer(kernel.zero, half)
-    if spec.kind == "complete":
-        return lambda: _ExpDerivativeComposer(kernel.zero, kernel.one)
-    # edge and poly kinds share the generic polynomial composer
-    tail = [kernel.one] if spec.kind == "edge" else None
-    if tail is None:
-        exact_tail = spec.bprime_series(max(2, _poly_degree(spec))).coeffs[1:]
-        if kernel.exact:
-            tail = list(exact_tail)
-        else:
-            tail = [ps._to_mpf(c) for c in exact_tail]
-    return lambda: ps.PolynomialComposer(tail, kernel.zero)
-
-
-def _poly_degree(spec):
+def _poly_tail(spec):
+    """Exact c_1..c_D of a poly block's B'(u) = sum_d c_d u^d, with c_D != 0."""
     T = 64
     while True:
-        probe = spec.bprime_series(T)
-        deg = 0
-        for k, c in enumerate(probe.coeffs):
-            if c:
-                deg = k
+        probe = spec.bprime_series(T).coeffs
+        deg = max((k for k, c in enumerate(probe) if c), default=0)
         if deg < T:
-            return deg
+            return probe[1 : deg + 1]
         T *= 2
 
 
 def y_series(cls, T, exact=True, precision_bits=ps.DEFAULT_PRECISION_BITS):
     """Series y = x*C'(x) of a block-specified class through order T."""
-    if cls.block_spec is None:
+    spec = cls.block_spec
+    if spec is None:
         raise DomainError(f"class {cls.name} carries no block specification")
     kernel = ps._Kernel(exact=exact, precision_bits=precision_bits)
-    factory = _composer_factory(cls.block_spec, kernel)
-    return ps.solve_fixed_point_with_composer(T, factory, kernel)
+    tail = _poly_tail(spec) if spec.kind == "poly" else ()
+    if not exact:
+        with kernel.ctx():
+            tail = [ps._to_mpf(c) for c in tail]
+
+    def make_table():
+        return ps.BlockTable(spec.kind, tail, kernel.one, kernel.zeros, kernel.dot)
+
+    return ps.solve_fixed_point_with_composer(T, make_table, kernel)
 
 
 # --- coefficient computation --------------------------------------------------
@@ -284,8 +235,9 @@ def y_series(cls, T, exact=True, precision_bits=ps.DEFAULT_PRECISION_BITS):
 
 def coefficients(cls, n_max):
     """|C_1..n_max| as exact integers, memoized monotonically."""
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+    if n_max != int(n_max) or n_max < 1:
+        raise DomainError(f"n_max = {n_max} must be a positive integer")
+    n_max = int(n_max)
     with cls._lock:
         if len(cls._memo) < n_max:
             cls._memo = _compute_coefficients(cls, n_max)

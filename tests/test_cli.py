@@ -286,6 +286,13 @@ class TestSample:
         assert payload["code"] == "retry-budget"
         assert payload["attempts"] == 6
 
+    def test_negative_max_rejects_is_a_domain_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sample", "-n", "8", "-k", "1", "--seed", "1", "--max-rejects", "-3"
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "domain"
+
     def test_precision_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sampler, "_MAX_BLOCK_TABLE", 64)
         rho = species.builtin("cacti").growth.rho

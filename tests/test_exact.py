@@ -128,6 +128,9 @@ class TestCountTable:
             exact.count_table(species.builtin("trees"), 5, [0, 1])
         with pytest.raises(DomainError):
             exact.count_table(species.builtin("trees"), 5, [5, 6])
+        # a non-integer k is an error, not the row of its integer part
+        with pytest.raises(DomainError):
+            exact.count_table(species.builtin("trees"), 6, [2.5])
 
     def test_row_sum_equals_total(self):
         for name in ("trees", "cacti", "husimi"):

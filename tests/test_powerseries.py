@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,9 +6,11 @@ import mpmath
 import pytest
 
 import setcensus.powerseries as ps
+from setcensus import species
 from setcensus.errors import (
     ConstantTermError,
     FlavorMismatchError,
+    InternalConsistencyError,
     ModelViolationError,
 )
 
@@ -106,32 +109,49 @@ class TestArithmetic:
             assert abs(float(e_float.coeffs[n]) - want) <= 1e-25 + 1e-30 * abs(want)
 
 
+def _tree_y(T):
+    """y = x e^y through order T: the exact edge-block solve, stabilization pass included."""
+    k = ps._Kernel(exact=True)
+
+    def make_table():
+        return ps.BlockTable("edge", (), k.one, k.zeros, k.dot)
+
+    return ps.solve_fixed_point_with_composer(T, make_table, k)
+
+
+def _block_class(kind, tmp_path):
+    if kind != "poly":
+        return species.builtin({"edge": "trees", "cactus": "cacti", "complete": "husimi"}[kind])
+    # B'(u) = u + u^3/3: a coefficient that is not dyadic
+    path = tmp_path / "p3.json"
+    doc = {"name": "p3", "block": {"kind": "poly", "bprime": ["0", "1", "0", "1/3"]}}
+    path.write_text(json.dumps(doc))
+    return species.from_file(path)
+
+
 class TestFixedPoint:
     def test_tree_series(self):
         # y = x e^y has y_n = n^{n-1}/n!
         T = 30
-        y = ps.solve_block_fixed_point(frac([0, 1]), T)
+        y = _tree_y(T)
         for n in range(1, T + 1):
             assert y.coeffs[n] == Fraction(n ** (n - 1), math.factorial(n))
 
-    def test_bprime_constant_term_rejected(self):
-        with pytest.raises(ConstantTermError):
-            ps.solve_block_fixed_point(frac([1, 1]), 5)
-
-    def test_polynomial_composer_matches_compose(self):
+    def test_poly_step_matches_compose(self):
         # A = P(y) for P(u) = u + u^2/2 + u^3/6 against direct composition
         T = 16
-        y = ps.solve_block_fixed_point(frac([0, 1]), T)
+        k = ps._Kernel(exact=True)
         tail = [Fraction(1), Fraction(1, 2), Fraction(1, 6)]
-        comp = ps.PolynomialComposer(tail, Fraction(0))
-        stepped = [comp.step(y.coeffs, n) for n in range(1, T + 1)]
+        table = ps.BlockTable("poly", tail, k.one, k.zeros, k.dot)
+        y = ps.SeriesExact(table.terms(T))
+        stepped = [table.kA[n] / n for n in range(1, T + 1)]
         p = ps.SeriesExact([Fraction(0)] + tail)
         direct = ps.compose(p, y, T)
         assert stepped == list(direct.coeffs[1:])
 
     def test_connected_counts_cayley(self):
         T = 12
-        y = ps.solve_block_fixed_point(frac([0, 1]), T)
+        y = _tree_y(T)
         counts = ps.connected_coeffs_from_y(y, T)
         assert counts[0] == 1
         assert counts[1] == 1
@@ -144,25 +164,43 @@ class TestFixedPoint:
             ps.connected_coeffs_from_y(y, 2)
 
     def test_c_series_from_blocks_trees(self):
-        # B = u^2/2: C = y - y^2/2 and c_n = n^{n-2}/n!
+        # B = u^2/2: C = y - y*B'(y) + B(y) = y - y^2/2 and c_n = n^{n-2}/n!
         T = 14
         bprime = frac([0, 1])
-        y = ps.solve_block_fixed_point(bprime, T)
+        y = _tree_y(T)
         b = frac([0, 0, Fraction(1, 2)])
-        c = ps.c_series_from_blocks(y, b, bprime, T)
+        prod = ps.mul(y, ps.compose(bprime, y, T), T)
+        b_y = ps.compose(b, y, T)
+        c = [y[k] - prod[k] + b_y[k] for k in range(T + 1)]
+        counts = ps.connected_coeffs_from_y(y, T)
         for n in range(1, T + 1):
             cayley = 1 if n <= 2 else n ** (n - 2)
-            assert c.coeffs[n] == Fraction(cayley, math.factorial(n))
+            assert c[n] == Fraction(cayley, math.factorial(n))
+            assert c[n] * math.factorial(n) == counts[n - 1]
 
-    def test_float_fixed_point_close_to_exact(self):
+    @pytest.mark.parametrize("kind", ["edge", "cactus", "complete", "poly"])
+    def test_float_fixed_point_close_to_exact(self, tmp_path, kind):
+        # the mpmath route at 160 bits stays within 2^-120 of the exact route,
+        # relative, through order 40
         T = 40
-        y_exact = ps.solve_block_fixed_point(frac([0, 1]), T)
-        kernel = ps._Kernel(exact=False, precision_bits=160)
-        y_float = ps.solve_fixed_point_with_composer(
-            T, lambda: ps.PolynomialComposer([kernel.one], kernel.zero), kernel
-        )
+        cls = _block_class(kind, tmp_path)
+        y_exact = species.y_series(cls, T)
+        y_float = species.y_series(cls, T, exact=False, precision_bits=160)
+        assert y_float.precision_bits == 160
         with mpmath.workprec(160):
             for n in range(1, T + 1):
                 want = mpmath.mpf(y_exact.coeffs[n].numerator) / y_exact.coeffs[n].denominator
                 rel = abs(y_float.coeffs[n] - want) / want
                 assert rel < mpmath.mpf(2) ** -120
+
+    def test_stabilization_pass_must_agree(self):
+        # a second pass that disagrees with the first is an internal fault
+        k = ps._Kernel(exact=True)
+        tilts = iter([k.one, 2 * k.one])
+
+        def make_table():
+            return ps.BlockTable("edge", (), next(tilts), k.zeros, k.dot)
+
+        with pytest.raises(InternalConsistencyError, match="coefficient 1 changed"):
+            ps.solve_fixed_point_with_composer(5, make_table, k)
+

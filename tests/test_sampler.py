@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from setcensus import asymptotics, exact, sampler, species
+from setcensus import powerseries as ps
 from setcensus.errors import (
     DivergenceError,
     DomainError,
@@ -113,13 +114,13 @@ class TestSizeDistribution:
         cacti = species.builtin("cacti")
         monkeypatch.setattr(cacti, "_scalar_cache", {})
         solves = []
-        solve = sampler._BlockTable._solve
+        solve = ps.BlockTable._solve
 
         def counting(table, M):
             solves.append(M)
             return solve(table, M)
 
-        monkeypatch.setattr(sampler._BlockTable, "_solve", counting)
+        monkeypatch.setattr(ps.BlockTable, "_solve", counting)
         rng = np.random.default_rng(3)
         x = 0.5 * cacti.growth.rho
         sampler.sample_set(cacti, x, rng)
@@ -453,6 +454,11 @@ class TestBlockRejection:
                 else:
                     assert sampler.sample_forest(8, 6, rng=ours, max_rejects=max_rejects) == want
                 assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("max_rejects", [-3, 2.5, "10"])
+    def test_max_rejects_must_be_a_non_negative_integer(self, max_rejects):
+        with pytest.raises(DomainError, match="max_rejects"):
+            sampler.sample_forest(8, 1, rng=np.random.default_rng(0), max_rejects=max_rejects)
 
     @pytest.mark.parametrize("rng", [np.random.RandomState(0), 7, "seed"])
     def test_rng_must_be_a_generator(self, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -63,6 +64,9 @@ class TestBuiltins:
     def test_coefficients_domain(self):
         with pytest.raises(DomainError):
             species.coefficients(species.builtin("trees"), 0)
+        for name in ("trees", "cacti"):
+            with pytest.raises(DomainError):
+                species.coefficients(species.builtin(name), 2.5)
 
     def test_y_series_needs_blocks(self):
         with pytest.raises(DomainError):
@@ -222,3 +226,37 @@ class TestFiles:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             species.from_file(path)
+
+
+# The block files of tests/test_sampler.py::_BLOCK_FILES: B' = u (edge),
+# u + u^2/2 + u^3/2 (c4) and u + u^3/3 (p3).
+_BLOCK_FILES = {
+    "edge": {"name": "edge-trees", "block": {"kind": "edge"}},
+    "poly": {"name": "c4", "block": {"kind": "poly", "bprime": ["0", "1", "1/2", "1/2"]}},
+    "poly-gap": {"name": "p3", "block": {"kind": "poly", "bprime": ["0", "1", "0", "1/3"]}},
+}
+
+# SHA-256 prefixes of the decimal counts |C_1..100|, comma-joined, as the
+# composer-based fixed point gave them
+_FROZEN_COEFFICIENTS = {
+    "cacti": "7d1be9c41bd22c95",
+    "husimi": "9340d571c7878713",
+    "edge": "b84ba8bd57137378",
+    "poly": "3f834eb58afddc4a",
+    "poly-gap": "76c6dd19ea692493",
+}
+
+
+class TestFrozenCoefficients:
+    """Exact block-derived counts frozen before the fixed point was rewritten."""
+
+    @pytest.mark.parametrize("name", sorted(_FROZEN_COEFFICIENTS))
+    def test_first_hundred(self, tmp_path, name):
+        if name in _BLOCK_FILES:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(_BLOCK_FILES[name]))
+            cls = species.from_file(path)
+        else:
+            cls = species.builtin(name)
+        data = ",".join(map(str, species.coefficients(cls, 100))).encode()
+        assert hashlib.sha256(data).hexdigest()[:16] == _FROZEN_COEFFICIENTS[name]
