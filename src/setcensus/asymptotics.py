@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     NotSubcriticalError,
+    check_int,
 )
 
 _CRITICAL_WINDOW = 1e-9  # |lambda - lambda*| below this counts as critical
@@ -247,6 +248,7 @@ def _egf_at(cls, x):
     if cls.block_spec is not None:
         vals = _egf_block(cls, x)
     elif cls.coeff_source is species.CoeffSource.SYNTHETIC:
+        species.check_synthetic_rho(cls.growth)
         # head long enough that the coefficient-rounding tail 0.5*x^n/n! is dwarfed
         head = max(_HEAD_TERMS, int(3 * cls.growth.rho) + 48)
         vals = _egf_head_tail(cls, x, species.coefficients(cls, head))
@@ -575,9 +577,7 @@ def classify(cls, lam):
 
 def estimate(cls, n, lam):
     """First-order estimate of log count(n, floor(lambda*n)) with its factors."""
-    if n != int(n) or n < 2:
-        raise DomainError(f"n = {n} must be an integer with n >= 2")
-    n = int(n)
+    n = check_int("n", n, 2)
     lam = float(lam)
     if not (0.0 < lam < 1.0):
         raise DomainError(f"lambda = {lam} must lie strictly between 0 and 1")

@@ -356,7 +356,8 @@ def _build_parser():
         "--precision-bits",
         type=int,
         default=ps.DEFAULT_PRECISION_BITS,
-        help="working precision for float-mode coefficient extraction",
+        help="exact --mode float and compare: bits of precision (at least 8) for the "
+        "decimal log of an exact count; counts beyond the exact tier use float64",
     )
     common.add_argument(
         "--trunc-order",

@@ -13,6 +13,27 @@ class DomainError(SetCensusError):
     """A parameter lies outside the mathematically valid range."""
 
 
+def check_int(name, value, lo, hi=None):
+    """value as an int in [lo, hi] (hi None: no upper bound), else DomainError.
+
+    Integral values of other types (3.0, numpy integers, Fraction(3)) count;
+    nan, infinities, 2.5 and strings do not.  A bool counts as 0 or 1, as it
+    does everywhere in Python.
+    """
+    if type(value) is not int:
+        try:
+            as_int = int(value)
+        except (TypeError, ValueError, OverflowError):
+            as_int = None
+        if as_int is None or as_int != value:
+            raise DomainError(f"{name} = {value!r} must be an integer")
+        value = as_int
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} = {value} must be an integer {bounds}")
+    return value
+
+
 class ValidationError(SetCensusError):
     """A class definition violates a structural requirement."""
 

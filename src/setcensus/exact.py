@@ -1,23 +1,60 @@
-"""Exact and high-precision counting of forests of connected structures.
+"""Exact counting of forests of connected structures, and its logarithm.
 
 count(n, k) is the number of labeled objects on n vertices made of exactly k
 connected components: count(n, k) = (n!/k!) * [x^n] C(x)^k, a non-negative
 integer computed on the labeled counts |C_m| = m! [x^m] C in Python integers,
-where the EGF product is a binomial convolution.  count_log evaluates the same
-coefficient in fixed-precision floating point, which reaches sizes where the
-exact route is too slow, as [x^(n-k)] (C/x)^k: a binary power of the n - k + 1
-coefficients [x^1..x^(n-k+1)] C, truncated at n - k, whose last product forms
-only its top coefficient.  count_table reuses one running power of C to
-produce a whole row of counts.
+where the EGF product is a binomial convolution.  count_table reuses one
+running power of C to produce a whole row of counts.
+
+count_log(n, k) returns log count(n, k) as a float, by one of two tiers
+chosen from (n, k) alone:
+
+* the exact tier, when n <= 200 and n (n - k + 1) <= 12 000: the natural
+  log of the integer count(n, k), correctly rounded by the decimal module
+  to max(45, ceil(precision_bits log10 2) + 6) significant digits and then
+  rounded to the nearest float.  Each of the ~2 log2 k binomial convolutions
+  behind count makes about n (n - k + 1) big-integer products and n^2 / 2
+  additions for its Pascal rows, so these two bounds keep the tier near
+  0.1 s once the class's coefficients are known;
+* the float tier beyond: the Boltzmann identity of the weights module,
+
+      count(n, k) = (n!/k!) W^k x^(-n) P(S_k = n - k),
+
+  on the n - k + 1 float64 weights w_j = |C_j| x^j / j! with sum W, where S_k
+  is the sum of k iid 0-based size indices with law w / W.  x is the saddle
+  x_lambda of lambda = k/n above lambda*, and rho at or below it; a class
+  without growth parameters is tilted where the truncated size law has mean
+  n/k.  With w_1 = |C_1| x, the tier evaluates
+
+      log count = log Q + k log |C_1| - (n - k) log x + sum_{j=k+1..n} log j,
+      Q = [t^(n-k)] (sum_j (w_j / w_1) t^(j-1))^k = P(S_k = n - k) (W / w_1)^k,
+
+  in which no two large terms cancel when k is close to n, and the leading
+  coefficient 1 of the powered series has exact powers.  Every term of the
+  truncated convolutions behind Q is non-negative; each of the at most
+  2 log2 k convolutions of length n - k + 1 adds a relative error of at most
+  (n - k + 1) 2^-53 per entry (Higham, Accuracy and Stability of Numerical
+  Algorithms, ch. 3).  Squaring doubles the error its operand carries, so
+  the worst case grows like k (n - k + 1) 2^-53, but the roundings do not
+  line up: against the exact tier, on trees, cacti, Husimi graphs, three
+  synthetic classes and two lists, the log stayed within a fifth of
+  (n - k + 1) max(1, log2 k) 2^-53 max(1, |log count|), and the tests hold
+  it to that bound.  This tier runs in float64 whatever precision_bits
+  says; the argument is still checked.
 """
 
 import math
 from dataclasses import dataclass
 from operator import add
 
+from . import asymptotics
 from . import powerseries as ps
 from . import species
-from .errors import DomainError, InternalConsistencyError, PrecisionError
+from .errors import DomainError, InternalConsistencyError, PrecisionError, check_int
+
+_EXACT_TIER_MAX_N = 200  # bounds the n^2 / 2 Pascal-row additions per convolution
+_EXACT_TIER_MAX_WORK = 12_000  # bounds the n (n - k + 1) products per convolution
+_LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm
 
 
 @dataclass(frozen=True)
@@ -29,11 +66,8 @@ class CountTable:
 
 
 def _check_domain(n, k):
-    if n != int(n) or n < 1:
-        raise DomainError(f"n = {n} must be a positive integer")
-    if k != int(k) or not (1 <= k <= n):
-        raise DomainError(f"k = {k} must be an integer in [1, n = {n}]")
-    return int(n), int(k)
+    n = check_int("n", n, 1)
+    return n, check_int("k", k, 1, n)
 
 
 def _labeled_counts(cls, n, usable):
@@ -71,25 +105,6 @@ def _divide_exact(value, k_fact, what):
     return q
 
 
-def _c_over_x_float(cls, M, precision_bits):
-    """SeriesFloat of C(x)/x through order M, from [x^1..x^(M+1)] C.
-
-    Block classes avoid huge integers entirely: [x^m] C = y_m / m where y is
-    the float solution of the block fixed point.  Other classes convert their
-    exact counts.
-    """
-    import mpmath
-
-    with mpmath.workprec(precision_bits):
-        if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
-            y = species.y_series(cls, M + 1, exact=False, precision_bits=precision_bits)
-            coeffs = [y.coeffs[m] / m for m in range(1, M + 2)]
-        else:
-            counts = species.coefficients(cls, M + 1)
-            coeffs = [mpmath.mpf(c) / mpmath.factorial(m) for m, c in enumerate(counts, 1)]
-    return ps.SeriesFloat(coeffs, precision_bits)
-
-
 def count(cls, n, k):
     """Number of objects with n vertices and exactly k components, exactly."""
     n, k = _check_domain(n, k)
@@ -97,21 +112,68 @@ def count(cls, n, k):
     return _divide_exact(power[n], math.factorial(k), f"count({n}, {k})")
 
 
-def count_log(cls, n, k, precision_bits=ps.DEFAULT_PRECISION_BITS):
-    """log count(n, k) = log((n!/k!) [x^(n-k)] (C/x)^k) at the given precision."""
-    import mpmath
+def _in_exact_tier(n, k):
+    """Whether count_log takes the log of the exact count at this (n, k)."""
+    return n <= _EXACT_TIER_MAX_N and n * (n - k + 1) <= _EXACT_TIER_MAX_WORK
 
+
+def count_log(cls, n, k, precision_bits=ps.DEFAULT_PRECISION_BITS):
+    """log count(n, k) as a float, from the exact count or from float64 weights.
+
+    The module docstring states the rule that picks the tier, the error bound
+    of the float tier and what precision_bits means in each.
+    """
     n, k = _check_domain(n, k)
     precision_bits = ps.check_precision_bits(precision_bits)
-    coef = ps.pow_coefficient(_c_over_x_float(cls, n - k, precision_bits), k, n - k)
-    with mpmath.workprec(precision_bits):
-        if coef <= 0:
-            raise PrecisionError(
-                f"[x^{n}] C^{k} evaluated to {coef}; increase precision",
-                suggested=2 * precision_bits,
-            )
-        val = mpmath.log(coef) + mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
-        return float(val)
+    if _in_exact_tier(n, k):
+        from decimal import Context, Decimal  # on first use: importing exact stays cheap
+
+        value = count(cls, n, k)
+        if value > 0:
+            digits = max(_LN_DIGITS, math.ceil(precision_bits * math.log10(2)) + 6)
+            return float(Context(prec=digits).ln(Decimal(value)))
+    else:
+        value = _tilted_count_log(cls, n, k)
+        if value is not None:
+            return value
+    raise PrecisionError(
+        f"count({n}, {k}) evaluated to 0, which has no logarithm", suggested=2 * precision_bits
+    )
+
+
+def _tilted_count_log(cls, n, k):
+    """The float tier of count_log, or None when Q comes out 0."""
+    from . import weights  # numpy: loaded only when this tier runs
+
+    M = n - k + 1
+    if cls.coeff_source is species.CoeffSource.EXPLICIT_LIST:
+        species.coefficients(cls, M)  # DomainError beyond the list, as count raises
+    x = _tilt(cls, n, k)
+    w = weights._weights(cls, x, M)
+    # weights relative to size 1's: the size-1 entry is 1 exactly, so the many
+    # size-1 components of a composition near k = n add no rounding
+    log_q = weights._log_power_coefficient(w / w[0], k, n - k)
+    if not log_q > -math.inf:
+        return None
+    log_falling = math.fsum(map(math.log, range(k + 1, n + 1)))  # log(n!/k!)
+    c1 = species.coefficients(cls, 1)[0]
+    return log_q + k * math.log(c1) - (n - k) * math.log(x) + log_falling
+
+
+def _tilt(cls, n, k):
+    """Boltzmann parameter of the float tier: x_lambda above lambda* (beyond the
+    critical window of asymptotics.classify), else rho, and for a class
+    without growth parameters the x where the size law truncated to n - k + 1
+    sizes has mean n/k.  Any x gives the same count; this one keeps the
+    weights near the sizes a composition of n into k parts uses."""
+    from . import weights
+
+    if cls.growth is None:
+        return weights._mean_tilt(cls, n - k + 1, n / k)
+    lam = k / n
+    if asymptotics.lambda_star(cls) + asymptotics._CRITICAL_WINDOW < lam < 1.0:
+        return asymptotics.solve_supercritical(cls, lam).x_lambda
+    return cls.growth.rho
 
 
 def count_table(cls, n, k_range=None):
@@ -120,14 +182,10 @@ def count_table(cls, n, k_range=None):
     k_range is an iterable of component counts within [1, n]; default all.
     log_count is the natural log of the exact integer (-inf for zero counts).
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"n = {n} must be a positive integer")
-    n = int(n)
+    n = check_int("n", n, 1)
     ks = list(range(1, n + 1) if k_range is None else k_range)
-    if any(k != int(k) for k in ks):
-        raise DomainError(f"k_range = {ks} must select integers")
-    ks = sorted({int(k) for k in ks})
-    if not ks or ks[0] < 1 or ks[-1] > n:
+    ks = sorted({check_int("k", k, 1, n) for k in ks})
+    if not ks:
         raise DomainError(f"k_range must select integers within [1, {n}]")
     wanted = set(ks)
     c = _labeled_counts(cls, n, n - ks[0] + 1)
@@ -150,9 +208,7 @@ def total_count(cls, n):
     Equals n! [x^n] exp(C(x)), by G_m = sum_j C(m-1, j-1) |C_j| G_{m-j};
     used as a row-sum cross-check on count_table.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"n = {n} must be a positive integer")
-    n = int(n)
+    n = check_int("n", n, 1)
     c = species.coefficients(cls, n)
     g, row = [1], [1]
     for m in range(1, n + 1):

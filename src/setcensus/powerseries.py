@@ -3,12 +3,13 @@
 Two coefficient flavors: SeriesExact holds arbitrary-precision rationals (no
 rounding anywhere) for the block fixed point of species.coefficients and for
 sampler.sum_size_probability_exact; SeriesFloat holds mpmath floats at a
-configurable mantissa width (default 128 bits) for exact.count_log and
-species.y_series(exact=False).  exact.count, count_table and total_count use
-neither: they run on labeled integer counts.
+configurable mantissa width (default 128 bits) for
+species.y_series(exact=False).  exact.count, count_table, total_count and
+count_log use neither: they run on labeled integer counts, and count_log
+beyond its exact tier on the float64 weights of the weights module.
 
-count_log and sum_size_probability_exact read [x^n] C^k as [x^(n-k)] (C/x)^k,
-on n - k + 1 coefficients, through pow_coefficient.
+sum_size_probability_exact reads [x^n] W^k as [x^(n-k)] (W/x)^k, on
+n - k + 1 coefficients, through pow_coefficient.
 
 Beyond ring arithmetic (mul, pow, exp, compose) the module holds the
 package's one solver of the block-decomposition fixed point
@@ -19,7 +20,8 @@ which turns the derivative series of a 2-connected block family B into the
 series of the connected class C, with |C_n| = (n-1)! * [x^n] y.  BlockTable
 defines the step of each block kind once and runs it on any arithmetic that
 supplies buffers and a dot product: Fraction and mpmath lists here
-(solve_fixed_point_with_composer), float64 numpy arrays in the sampler.
+(solve_fixed_point_with_composer), float64 numpy arrays in the weights
+module.
 """
 
 import contextlib

@@ -17,12 +17,13 @@ with C(x) the truncated normalizer.  sum_size_probability_exact evaluates the
 right-hand P as an exact rational; mc_sum_probability estimates it by
 simulation.
 
-Block classes get their size table from powerseries.BlockTable, the same
-fixed-point step as their exact counts, run on float64 numpy arrays and
-tilted by x^n.  Entry n depends only on the entries below it, so the
-search for n_max (256, 512, ... entries) extends one table instead of
-solving it again at every length, and a table of length M holds the same
-floats as the first M entries of any longer one.
+The weights come from the weights module, which exact.count_log shares:
+block classes get theirs from powerseries.BlockTable, the same fixed-point
+step as their exact counts, run on float64 numpy arrays and tilted by x^n.
+Entry n depends only on the entries below it, so the search for n_max
+(256, 512, ... entries) extends one table instead of solving it again at
+every length, and a table of length M holds the same floats as the first M
+entries of any longer one.
 
 Each size table is solved once per class, x, n_max and mass_tol and kept
 in the class's scalar cache (bounded like the other scalar entries); every
@@ -70,12 +71,17 @@ from .errors import (
     DomainError,
     PrecisionError,
     RetryBudgetError,
+    check_int,
+)
+from .weights import (
+    _MAX_BLOCK_TABLE,
+    _MAX_TABLE,
+    _log_power_coefficient,
+    _weight_table,
+    _weights,
 )
 
 DEFAULT_MASS_TOL = 1e-6
-_MAX_TABLE = 5_000_000  # cap for direct-formula weight tables
-_MAX_BLOCK_TABLE = 200_000  # cap for O(n_max^2) block fixed-point tables
-_FORMULA_HEAD = 64  # synthetic classes: exact integers this far, formula beyond
 _GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact
 _BLOCK_START = 256  # uniforms in the first block of forest rejection attempts
 _BLOCK_MAX = 8192  # blocks double up to this many uniforms
@@ -131,90 +137,7 @@ class MCEstimate:
     hits: int
 
 
-# --- weight tables --------------------------------------------------------------
-
-
-def _log_factorials(M):
-    # lgamma(n+1) for n = 1..M via cumulative sum
-    return np.cumsum(np.log(np.arange(1, M + 1, dtype=float)))
-
-
-def _weights(cls, x, M):
-    """w[j] = |C_{j+1}| x^{j+1} / (j+1)! as float64, j = 0..M-1."""
-    return _weight_table(cls, x)(M)
-
-
-def _weight_table(cls, x):
-    """The function M -> _weights(cls, x, M) for one class at one x.
-
-    A block class keeps its fixed-point table between calls and only extends
-    it, so a search over growing M solves each entry once.
-    """
-    if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
-        return _block_weights(cls.block_spec, x)
-    return lambda M: _formula_weights(cls, x, M)
-
-
-def _formula_weights(cls, x, M):
-    if M > _MAX_TABLE:
-        raise PrecisionError(
-            f"size table of length {M} exceeds the supported maximum {_MAX_TABLE}; "
-            "pass a smaller n_max",
-            suggested=_MAX_TABLE,
-        )
-    ns = np.arange(1, M + 1, dtype=float)
-    logfact = _log_factorials(M)
-    if cls.coeff_source is species.CoeffSource.CLOSED_FORM:
-        # the only closed form is Cayley's n^{n-2}
-        logw = (ns - 2.0) * np.log(ns) + ns * math.log(x) - logfact
-        return np.exp(logw)
-    if cls.coeff_source is species.CoeffSource.SYNTHETIC:
-        g = cls.growth
-        head = species.coefficients(cls, min(M, _FORMULA_HEAD))
-        logw = math.log(g.b) - (1.0 + g.alpha) * np.log(ns) + ns * math.log(x / g.rho)
-        w = np.exp(logw)
-        for j, c in enumerate(head):
-            w[j] = 0.0 if c == 0 else math.exp(math.log(c) + (j + 1) * math.log(x) - logfact[j])
-        return w
-    # explicit list: exact integers, growth formula beyond the list if declared
-    stored = species.coefficients(cls, min(M, cls.list_length))
-    if M > cls.list_length and cls.growth is None:
-        raise DomainError(
-            f"class {cls.name} defines coefficients only up to n = {cls.list_length} "
-            "and declares no growth parameters"
-        )
-    w = np.zeros(M)
-    for j, c in enumerate(stored):
-        if c:
-            w[j] = math.exp(math.log(c) + (j + 1) * math.log(x) - logfact[j])
-    if M > cls.list_length:
-        g = cls.growth
-        tail_ns = ns[cls.list_length:]
-        w[cls.list_length:] = np.exp(
-            math.log(g.b) - (1.0 + g.alpha) * np.log(tail_ns) + tail_ns * math.log(x / g.rho)
-        )
-    return w
-
-
-def _dot(a, b):
-    return float(a.dot(b))
-
-
-def _block_weights(spec, x):
-    """M -> _weights for a block class at x, from one growing float64 BlockTable."""
-    tail = [float(c) for c in species._poly_tail(spec)] if spec.kind == "poly" else ()
-    table = ps.BlockTable(spec.kind, tail, x, np.zeros, _dot)
-
-    def weights(M):
-        if M > _MAX_BLOCK_TABLE:
-            raise PrecisionError(
-                f"block-derived size table of length {M} exceeds the supported "
-                f"maximum {_MAX_BLOCK_TABLE}; pass a smaller n_max",
-                suggested=_MAX_BLOCK_TABLE,
-            )
-        return table.terms(M)[1 : M + 1] / np.arange(1, M + 1, dtype=float)
-
-    return weights
+# --- size tables ----------------------------------------------------------------
 
 
 def _full_value(cls, x):
@@ -244,9 +167,7 @@ def _size_table(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
         raise DomainError(f"boltzmann parameter x = {x} must be a positive real")
     x = float(x)
     if n_max is not None:
-        if n_max != int(n_max) or n_max < 1:
-            raise DomainError(f"n_max = {n_max} must be a positive integer")
-        n_max = int(n_max)
+        n_max = check_int("n_max", n_max, 1)
     key = (x, n_max, mass_tol)
     table = cls._scalar_cache.get(key)
     # a cap lowered after the table was cached still applies: solving again raises
@@ -466,13 +387,10 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     uniform labeled tree via a Pruefer draw.  rng must be a
     numpy.random.Generator (default: a fresh unseeded one).
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"n = {n} must be a positive integer")
-    if k != int(k) or not (1 <= k <= n):
-        raise DomainError(f"k = {k} must be an integer in [1, n = {n}]")
+    n = check_int("n", n, 1)
+    k = check_int("k", k, 1, n)
     if not isinstance(max_rejects, numbers.Integral) or max_rejects < 0:
         raise DomainError(f"max_rejects = {max_rejects!r} must be an integer of at least 0")
-    n, k = int(n), int(k)
     if rng is None:
         rng = np.random.default_rng()
     elif not isinstance(rng, np.random.Generator):
@@ -503,24 +421,10 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     return LabeledForest(n=n, blocks=blocks, trees=forest_trees)
 
 
-def _sum_probability(pmf, k, total):
-    """P(k iid 0-based size indices with law pmf sum to total), for a pmf of
-    length total + 1, by binary powering with every convolution truncated there."""
-    width = total + 1
-    power, base = None, pmf
-    while True:
-        if k & 1:
-            power = base if power is None else np.convolve(power, base)[:width]
-        k >>= 1
-        if not k:
-            return float(power[total])
-        base = np.convolve(base, base)[:width]
-
-
 def _budget_error(table, n, k, attempts):
     """RetryBudgetError naming the exact per-attempt acceptance and a budget that
     succeeds with probability 0.95."""
-    p = _sum_probability(table.pmf, k, n - k)
+    p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
     message = f"no size vector with total {n} in {attempts} attempts at x = {table.x}"
     budget = None
     if p > 0.0:
@@ -556,12 +460,9 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"boltzmann parameter x = {x} must be positive")
-    if k != int(k) or n != int(n) or not (1 <= k <= n):
-        raise DomainError(f"need integers 1 <= k = {k} <= n = {n}")
-    n, k = int(n), int(k)
-    M = n - k + 1 if n_max is None else int(n_max)
-    if M < 1:
-        raise DomainError(f"n_max = {M} must be positive")
+    n = check_int("n", n, 1)
+    k = check_int("k", k, 1, n)
+    M = n - k + 1 if n_max is None else check_int("n_max", n_max, 1)
     counts = species.coefficients(cls, M)
     fact = 1
     coeffs = []  # W(x)/x: coeffs[j - 1] = [x^j] W
@@ -577,11 +478,9 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
 
 def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):
     """Monte Carlo estimate of P(size_1 + ... + size_k = n) with its stderr."""
-    if k != int(k) or n != int(n) or not (1 <= k <= n):
-        raise DomainError(f"need integers 1 <= k = {k} <= n = {n}")
-    if trials != int(trials) or trials < 1:
-        raise DomainError(f"trials = {trials} must be a positive integer")
-    n, k, trials = int(n), int(k), int(trials)
+    n = check_int("n", n, 1)
+    k = check_int("k", k, 1, n)
+    trials = check_int("trials", trials, 1)
     if dist is None:
         dist = _size_table(cls, x, n_max=n - k + 1)
     hits = 0

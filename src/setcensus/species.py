@@ -21,6 +21,7 @@ kind has alpha = 3/2.
 
 import json
 import math
+import numbers
 import re
 import threading
 from dataclasses import dataclass
@@ -28,12 +29,16 @@ from enum import Enum
 from fractions import Fraction
 
 from . import powerseries as ps
-from .errors import DomainError, UnknownClassError, ValidationError
+from .errors import DomainError, UnknownClassError, ValidationError, check_int
 
 SCHEMA_VERSION = "1"
 
 # tail exponent forced by subcriticality for every block-specified class
 SUBCRITICAL_ALPHA = 1.5
+
+# largest rho of a synthetic class whose EGF and tilted weights can be
+# evaluated: both take exact counts up to a size that grows with rho
+MAX_SYNTHETIC_RHO = 256.0
 
 _BUILTIN_NAMES = ("trees", "cacti", "husimi")
 
@@ -235,9 +240,7 @@ def y_series(cls, T, exact=True, precision_bits=ps.DEFAULT_PRECISION_BITS):
 
 def coefficients(cls, n_max):
     """|C_1..n_max| as exact integers, memoized monotonically."""
-    if n_max != int(n_max) or n_max < 1:
-        raise DomainError(f"n_max = {n_max} must be a positive integer")
-    n_max = int(n_max)
+    n_max = check_int("n_max", n_max, 1)
     with cls._lock:
         if len(cls._memo) < n_max:
             cls._memo = _compute_coefficients(cls, n_max)
@@ -311,6 +314,15 @@ def _synthetic_vector(growth, n_max):
     return [_synthetic_coeff(growth, n) for n in range(1, n_max + 1)]
 
 
+def check_synthetic_rho(growth):
+    """DomainError unless rho is within MAX_SYNTHETIC_RHO, before any exact head is built."""
+    if growth.rho > MAX_SYNTHETIC_RHO:
+        raise DomainError(
+            f"rho = {growth.rho} exceeds {MAX_SYNTHETIC_RHO:g}, the largest rho of a "
+            "synthetic class whose EGF and size weights can be evaluated"
+        )
+
+
 # --- class factories ----------------------------------------------------------
 
 _builtin_cache = {}
@@ -375,10 +387,16 @@ def synthetic(b, rho, alpha):
 
 
 def from_coefficients(name, values, growth=None):
-    """Class defined by an explicit list of counts |C_1..len(values)|."""
+    """Class defined by an explicit list of counts |C_1..len(values)|.
+
+    Each count must be an integer (a Python or numpy integer); 1.5, nan, inf
+    and "3" raise ValidationError rather than being truncated.
+    """
     _validate_name(name)
     counts = []
     for i, v in enumerate(values, start=1):
+        if not isinstance(v, numbers.Integral):
+            raise ValidationError(f"coefficient |C_{i}| = {v!r} is not an integer")
         c = int(v)
         if c < 0:
             raise ValidationError(f"coefficient |C_{i}| = {c} is negative")

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import mpmath
 import pytest
@@ -137,6 +138,19 @@ class TestScalarEvaluation:
         # a bare list has no radius of convergence to work with
         with pytest.raises(DomainError):
             asy.lambda_star(species.from_coefficients("bare", [1]))
+
+    def test_huge_rho_fails_fast(self):
+        def out_of_time(_signum, _frame):
+            raise TimeoutError("lambda_star did not fail fast")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(5)
+        try:
+            with pytest.raises(DomainError, match="256"):
+                asy.lambda_star(species.synthetic(1, 1e300, 2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_numpy_and_fraction_points(self):
         from fractions import Fraction

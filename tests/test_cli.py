@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,22 @@ class TestConstants:
         assert code == 0
         assert rec["results"]["alpha"] == 2.0
         assert rec["results"]["lambda_star"] == pytest.approx(0.7273334675, abs=1e-8)
+
+    def test_huge_synthetic_rho_fails_fast(self, capsys):
+        def out_of_time(_signum, _frame):
+            raise TimeoutError("constants did not fail fast")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(5)
+        try:
+            code, out, err = run_cli(capsys, "constants", "--synthetic", "1", "1e300", "2")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "domain"
+        assert "256" in payload["message"]
 
 
 class TestExact:

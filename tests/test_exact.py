@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import time
+from decimal import Context, Decimal
 from functools import lru_cache
 
 import pytest
 
-from setcensus import exact, species
+from setcensus import asymptotics, exact, species
 from setcensus.errors import DomainError, InternalConsistencyError, PrecisionError
 
 
@@ -298,3 +300,95 @@ class TestAgainstOracle:
             exact.count(trees, 6, 3)
         with pytest.raises(InternalConsistencyError):
             exact.count_table(trees, 6, [3])
+
+
+U = 2.0**-53
+
+
+def _exact_log(cls, n, k):
+    return float(Context(prec=50).ln(Decimal(exact.count(cls, n, k))))
+
+
+def _tier_classes():
+    trees = species.builtin("trees")
+    return {
+        "trees": trees,
+        "cacti": species.builtin("cacti"),
+        "husimi": species.builtin("husimi"),
+        "syn2": species.synthetic(1, 0.5, 2),
+        "syn25": species.synthetic(1, 0.5, 2.5),
+        "list-growth": species.from_coefficients(
+            "trees-list", species.coefficients(trees, 240), growth=trees.growth
+        ),
+        "bare-list": species.from_coefficients("list", _LIST),
+    }
+
+
+def _straddling_grid(name):
+    """(n, k) on both sides of the tier switch: n <= 200 and n (n - k + 1) <= 12 000."""
+    if name == "bare-list":  # 8 coefficients reach n - k = 7
+        return [(n, k) for n in (120, 200, 201) for k in (n - 7, n - 3, n - 1)]
+    return [(120, 30), (120, 66), (120, 108), (120, 21), (120, 20),
+            (200, 141), (200, 140), (200, 199), (201, 150), (201, 200)]
+
+
+class TestCountLogTiers:
+    def test_tier_boundary(self):
+        assert all(exact._in_exact_tier(n, k) for _c, n, k, _b, _w in _FROZEN_COUNT_LOG)
+        # README: exact --class cacti -n 30 -k 12, compare --lambda 0.75 --n-list 40,80
+        assert all(exact._in_exact_tier(n, k) for n, k in ((30, 12), (40, 30), (80, 60)))
+        # acceptance 05 at n = 400 (n = 100 and 200 fall in the exact tier), 06, and
+        # the log-scale trees sizes below lambda* and at it
+        floats = [(400, 300), (200, 50), (400, 100), (800, 200), (200, 100)]
+        syn2 = species.synthetic(1, 0.5, 2)
+        lam_star = asymptotics.lambda_star(syn2)
+        floats += [(n, asymptotics.estimate(syn2, n, lam_star).N) for n in (500, 1000, 2000)]
+        assert not any(exact._in_exact_tier(n, k) for n, k in floats)
+        # the two sides of the switch
+        assert exact._in_exact_tier(200, 141) and not exact._in_exact_tier(200, 140)
+        assert exact._in_exact_tier(200, 200) and not exact._in_exact_tier(201, 201)
+
+    @pytest.mark.parametrize("name", list(_tier_classes()))
+    def test_float_tier_within_its_bound(self, name):
+        # the bound stated in the exact module docstring; on these classes the
+        # tier stayed below a fifth of it for n <= 300
+        cls = _tier_classes()[name]
+        for n, k in _straddling_grid(name):
+            want = _exact_log(cls, n, k)
+            got = exact._tilted_count_log(cls, n, k)
+            bound = (n - k + 1) * max(1.0, math.log2(k)) * U * max(1.0, abs(want))
+            assert abs(got - want) <= bound, (name, n, k, got, want)
+            tier = want if exact._in_exact_tier(n, k) else got
+            assert exact.count_log(cls, n, k) == tier, (name, n, k)
+
+    def test_float_tier_on_a_synthetic_class_with_small_counts(self):
+        # at rho = 20 the count at size 65 is about 7, so the weights must take
+        # exact counts until they pass 2^54 (size 91) before the formula
+        cls = species.synthetic(1, 20, 2)
+        for n, k in ((120, 20), (230, 30), (300, 10)):
+            want = _exact_log(cls, n, k)
+            bound = (n - k + 1) * math.log2(k) * U * abs(want)
+            assert abs(exact.count_log(cls, n, k) - want) <= bound, (n, k)
+
+    def test_float_tier_zero_count_raises_precision_error(self):
+        cls = species.from_coefficients("gap", [1, 0])
+        assert not exact._in_exact_tier(300, 299)
+        with pytest.raises(PrecisionError) as info:
+            exact.count_log(cls, 300, 299)
+        assert info.value.suggested is not None
+
+    def test_float_tier_keeps_the_list_reach(self):
+        trees = species.builtin("trees")
+        cls = species.from_coefficients("short", species.coefficients(trees, 8), trees.growth)
+        assert exact.count_log(cls, 300, 293) == pytest.approx(
+            exact.count_log(trees, 300, 293), rel=1e-14
+        )
+        with pytest.raises(DomainError):
+            exact.count_log(cls, 300, 292)
+
+    def test_acceptance_sizes_run_fast(self):
+        # acceptance 07's largest size is this big; the float tier takes milliseconds
+        t0 = time.perf_counter()
+        got = exact.count_log(species.builtin("trees"), 2000, 1000)
+        assert time.perf_counter() - t0 < 1.0
+        assert got == pytest.approx(8594.82836866037, rel=1e-13)

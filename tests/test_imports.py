@@ -48,11 +48,23 @@ def test_import_loads_neither_numpy_nor_mpmath():
     [
         pytest.param(["constants", "--class", "trees", "--lambda", "0.75"], [], id="constants"),
         pytest.param(["exact", "--class", "cacti", "-n", "30", "-k", "12"], [], id="exact"),
+        # count_log's exact tier: the decimal log of the integer count
+        pytest.param(
+            ["exact", "--class", "cacti", "-n", "30", "-k", "12", "--mode", "float"],
+            [],
+            id="exact-float",
+        ),
         pytest.param(
             ["exact", "--class", "trees", "-n", "6", "--k-range", "1:3"], [], id="exact-range"
         ),
         pytest.param(
             ["estimate", "--class", "husimi", "-n", "200", "--lambda", "0.3"], [], id="estimate"
+        ),
+        pytest.param(
+            ["compare", "--class", "trees", "--lambda", "0.75", "--n-list", "40,80",
+             "--format", "tsv"],
+            [],
+            id="compare",
         ),
         pytest.param(["series", "--class", "husimi", "--terms", "6"], [], id="series"),
         pytest.param(

@@ -132,6 +132,17 @@ class TestExplicitList:
         with pytest.raises(ValidationError):
             species.from_coefficients("nosingle", [0, 5])
 
+    @pytest.mark.parametrize("bad", [1.5, 2.25, math.nan, math.inf, "3", 3.0], ids=repr)
+    def test_non_integer_counts_are_not_truncated(self, bad):
+        with pytest.raises(ValidationError, match=r"\|C_2\|"):
+            species.from_coefficients("frac", [1, bad, 7])
+
+    def test_numpy_integer_counts(self):
+        import numpy as np
+
+        cls = species.from_coefficients("np", [np.int64(1), np.int32(2), 7])
+        assert species.coefficients(cls, 3) == [1, 2, 7]
+
     def test_name_validation(self):
         with pytest.raises(ValidationError):
             species.from_coefficients("has space", [1])
