@@ -1,30 +1,33 @@
 """Truncated power-series arithmetic for exponential generating functions.
 
 Two coefficient flavors: SeriesExact holds arbitrary-precision rationals (no
-rounding anywhere) for the block fixed point of species.coefficients and for
-sampler.sum_size_probability_exact; SeriesFloat holds mpmath floats at a
-configurable mantissa width (default 128 bits) for
-species.y_series(exact=False).  exact.count, count_table, total_count and
-count_log use neither: they run on labeled integer counts, and count_log
-beyond its exact tier on the float64 weights of the weights module.
+rounding anywhere); SeriesFloat holds mpmath floats at a configurable
+mantissa width (default 128 bits) for species.y_series(exact=False).  mul,
+pow, pow_coefficient, exp and compose are their ring arithmetic.  The exact
+routes of the package run on Python integers instead, and count_log beyond
+its exact tier on the float64 weights of the weights module.
 
-sum_size_probability_exact reads [x^n] W^k as [x^(n-k)] (W/x)^k, on
-n - k + 1 coefficients, through pow_coefficient.
-
-Beyond ring arithmetic (mul, pow, exp, compose) the module holds the
-package's one solver of the block-decomposition fixed point
+The module holds the package's one solver of the block-decomposition fixed
+point
 
     y = x * exp(B'(y)),        y = x*C'(x),
 
 which turns the derivative series of a 2-connected block family B into the
 series of the connected class C, with |C_n| = (n-1)! * [x^n] y.  BlockTable
 defines the step of each block kind once and runs it on any arithmetic that
-supplies buffers and a dot product: Fraction and mpmath lists here
-(solve_fixed_point_with_composer), float64 numpy arrays in the weights
-module.
+supplies buffers, a dot product, a unit and a division: Python integers
+(_IntKernel) for species.coefficients and y_series(exact=True), mpmath
+lists for y_series(exact=False), float64 numpy arrays in the weights module.
+
+Through order T each integer is D = T! times the coefficient it stands for:
+[x^n] of y, B'(y), exp(B'(y)), y/(1-y), exp(y) and y^d/d! is a labeled count
+over n! when the block counts are integers.  A remainder in a division, or
+a poly tail term that takes an integer to a non-integer, raises
+ModelViolationError.
 """
 
 import contextlib
+import math
 import numbers
 import operator
 from fractions import Fraction
@@ -153,11 +156,54 @@ class _Kernel:
     def dot(self, a, b):
         return sum(map(operator.mul, a, b), self.zero)
 
+    div = staticmethod(operator.truediv)
+
+    def factor(self, t):
+        return t if self.exact else _to_mpf(t)
+
     def lift(self, series, T):
         out = [self.zero] * (T + 1)
         for k in range(min(series.order, T) + 1):
             out[k] = series.coeffs[k]
         return out
+
+
+def _divide_scaled(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ModelViolationError(
+            "a fixed-point coefficient times T! is not an integer; block spec is inconsistent"
+        )
+    return q
+
+
+class _IntFactor(Fraction):
+    """A block coefficient whose product with an integer must be an integer."""
+
+    def __mul__(self, v):
+        return _divide_scaled(self.numerator * v, self.denominator)
+
+    __rmul__ = __mul__
+
+
+class _IntKernel:
+    """Python integers, each D = T! times the coefficient it stands for."""
+
+    ctx = contextlib.nullcontext
+    div = staticmethod(_divide_scaled)
+    factor = _IntFactor
+
+    def __init__(self, T):
+        self.one = math.factorial(T)  # D
+
+    def wrap(self, coeffs):
+        return SeriesExact([Fraction(c, self.one) for c in coeffs])
+
+    def zeros(self, length):
+        return [0] * length
+
+    def dot(self, a, b):
+        return _divide_scaled(sum(map(operator.mul, a, b)), self.one)
 
 
 def _kernel_for(*series_args):
@@ -275,9 +321,12 @@ class BlockTable:
     "complete" (e^u - 1) or "poly" (B' = sum_d tail[d-1] u^d).
 
     The buffers come from zeros(length) and every convolution is one
-    dot(a, b) of two slices: Python lists with sum(map(mul, a, b), zero) for
-    Fraction and mpmath terms, or numpy arrays with ndarray.dot for float64
-    (the sampler passes those in, so this module imports no numpy).  The
+    dot(a, b) of two slices: Python lists with sum(map(mul, a, b)) for
+    integer, Fraction and mpmath terms, or numpy arrays with ndarray.dot for
+    float64 (the sampler passes those in, so this module imports no numpy).
+    one is the entry of exp(0) and div(a, n) divides by a small integer:
+    true division by default, and for _IntKernel's integers over D = T!
+    one = D and exact division, with dot dividing its sum by D.  The
     factor read backwards is stored reversed, term j at index cap - j: E,
     S = y/(1-y) (cacti), exp(y) (complete blocks) and y (polynomial blocks).
     The factor read forwards is stored as it is used: n A_n, n y_n (complete
@@ -285,15 +334,15 @@ class BlockTable:
     use stay unfilled.
     """
 
-    def __init__(self, kind, tail, x, zeros, dot):
+    def __init__(self, kind, tail, x, zeros, dot, one=1, div=operator.truediv):
         self.kind, self.tail, self.x = kind, list(tail), x
-        self.zeros, self.dot = zeros, dot
+        self.zeros, self.dot, self.div = zeros, dot, div
         self.n = 0  # terms 1..n are solved
         self.cap = 0
         self.Y, self.kA, self.kY = zeros(1), zeros(1), zeros(1)
         self.P = [zeros(1) for _ in self.tail[1:]]  # y^2, y^3, ...
         self.Er, self.Sr, self.EYr, self.Yr = zeros(1), zeros(1), zeros(1), zeros(1)
-        self.Er[0] = self.EYr[0] = 1  # exp(0)
+        self.Er[0] = self.EYr[0] = one  # exp(0)
 
     def terms(self, M):
         """The buffer Y with terms 0..M solved (entries past M are not final)."""
@@ -322,7 +371,7 @@ class BlockTable:
         self.cap = cap
 
     def _solve(self, M):
-        x, c, kind, tail, dot = self.x, self.cap, self.kind, self.tail, self.dot
+        x, c, kind, tail, dot, div = self.x, self.cap, self.kind, self.tail, self.dot, self.div
         Y, kA, kY, Er, Sr, EYr, Yr = self.Y, self.kA, self.kY, self.Er, self.Sr, self.EYr, self.Yr
         P = [Y] + self.P  # P[d - 1] holds y^d
         e = Er[c - self.n]
@@ -334,10 +383,10 @@ class BlockTable:
             elif kind == "cactus":
                 s = y + dot(Y[1:n], Sr[c - n + 1 : c])
                 Sr[c - n] = s
-                a = (y + s) / 2
+                a = div(y + s, 2)
             elif kind == "complete":
                 kY[n] = n * y
-                a = dot(kY[1 : n + 1], EYr[c - n + 1 : c + 1]) / n
+                a = div(dot(kY[1 : n + 1], EYr[c - n + 1 : c + 1]), n)
                 EYr[c - n] = a
             else:
                 Yr[c - n] = y
@@ -345,7 +394,7 @@ class BlockTable:
                     P[d - 1][n] = dot(P[d - 2][d - 1 : n], Yr[c - n + d - 1 : c])
                 a = sum(t * P[d][n] for d, t in enumerate(tail) if t)
             kA[n] = n * a
-            e = dot(kA[1 : n + 1], Er[c - n + 1 : c + 1]) / n
+            e = div(dot(kA[1 : n + 1], Er[c - n + 1 : c + 1]), n)
             Er[c - n] = e
         self.n = M
 

@@ -63,9 +63,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import asymptotics
-from . import powerseries as ps
-from . import species
+from . import asymptotics, exact, species
 from .errors import (
     DivergenceError,
     DomainError,
@@ -464,16 +462,12 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
     k = check_int("k", k, 1, n)
     M = n - k + 1 if n_max is None else check_int("n_max", n_max, 1)
     counts = species.coefficients(cls, M)
-    fact = 1
-    coeffs = []  # W(x)/x: coeffs[j - 1] = [x^j] W
-    for j in range(1, M + 1):
-        fact *= j
-        coeffs.append(Fraction(counts[j - 1], fact) * x**j)
-    total = sum(coeffs, Fraction(0))
+    total = sum(Fraction(c, math.factorial(j)) * x**j for j, c in enumerate(counts, start=1))
     if total == 0:
         raise DomainError("all truncated size weights vanish")
-    # [x^n] W^k = [x^(n-k)] (W/x)^k
-    return ps.pow_coefficient(ps.SeriesExact(coeffs), k, n - k) / total**k
+    # x^n k! count_M(n, k) / (n! W^k), count_M on sizes up to min(M, n - k + 1)
+    power = exact._labeled_power(exact._labeled_counts(cls, n, min(M, n - k + 1)), k, n)
+    return power[n] * x**n / (math.factorial(n) * total**k)
 
 
 def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):

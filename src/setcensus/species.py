@@ -13,10 +13,10 @@ four ways:
   polynomial block specifications.
 
 Block-specified classes get their coefficients from the fixed point
-y = x*exp(B'(y)), solved by powerseries.BlockTable in exact rationals (or
-mpmath floats for y_series(exact=False)), and their growth parameters from
-the subcritical recipe in the asymptotics module; every block class of this
-kind has alpha = 3/2.
+y = x*exp(B'(y)), solved by powerseries.BlockTable on Python integers over
+the common denominator T! (or on mpmath floats for y_series(exact=False)),
+and their growth parameters from the subcritical recipe in the asymptotics
+module; every block class of this kind has alpha = 3/2.
 """
 
 import json
@@ -223,14 +223,13 @@ def y_series(cls, T, exact=True, precision_bits=ps.DEFAULT_PRECISION_BITS):
     spec = cls.block_spec
     if spec is None:
         raise DomainError(f"class {cls.name} carries no block specification")
-    kernel = ps._Kernel(exact=exact, precision_bits=precision_bits)
+    kernel = ps._IntKernel(T) if exact else ps._Kernel(False, precision_bits)
     tail = _poly_tail(spec) if spec.kind == "poly" else ()
-    if not exact:
-        with kernel.ctx():
-            tail = [ps._to_mpf(c) for c in tail]
+    with kernel.ctx():
+        tail = [kernel.factor(c) for c in tail]
 
     def make_table():
-        return ps.BlockTable(spec.kind, tail, kernel.one, kernel.zeros, kernel.dot)
+        return ps.BlockTable(spec.kind, tail, 1, kernel.zeros, kernel.dot, kernel.one, kernel.div)
 
     return ps.solve_fixed_point_with_composer(T, make_table, kernel)
 

@@ -193,6 +193,26 @@ class TestFixedPoint:
                 rel = abs(y_float.coeffs[n] - want) / want
                 assert rel < mpmath.mpf(2) ** -120
 
+    @pytest.mark.parametrize("kind", ["edge", "cactus", "complete", "poly"])
+    def test_integer_table_matches_fraction_table(self, kind):
+        # every buffer of the table on integers over T! is T! times the Fraction one
+        T = 60
+        tail = [Fraction(1), Fraction(1, 2), Fraction(1, 6)] if kind == "poly" else []
+        k = ps._Kernel(exact=True)
+        exact = ps.BlockTable(kind, tail, k.one, k.zeros, k.dot)
+        ik = ps._IntKernel(T)
+        scaled = ps.BlockTable(kind, [ik.factor(t) for t in tail], 1, ik.zeros, ik.dot, ik.one, ik.div)
+        exact.terms(T)
+        scaled.terms(T)
+        for name in ("Y", "kA", "kY", "Er", "Sr", "EYr", "Yr", "P"):
+            want, got = getattr(exact, name), getattr(scaled, name)
+            if name != "P":
+                want, got = [want], [got]
+            for w, g in zip(want, got, strict=True):
+                assert all(type(v) is int for v in g)
+                assert [Fraction(v, ik.one) for v in g] == w, name
+        assert ps.SeriesExact(exact.Y) == ik.wrap(scaled.Y)
+
     def test_stabilization_pass_must_agree(self):
         # a second pass that disagrees with the first is an internal fault
         k = ps._Kernel(exact=True)

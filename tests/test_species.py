@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
+import recurrences
 
 from setcensus import species
 from setcensus.errors import (
     DomainError,
+    ModelViolationError,
     UnknownClassError,
     ValidationError,
 )
@@ -271,3 +274,39 @@ class TestFrozenCoefficients:
             cls = species.builtin(name)
         data = ",".join(map(str, species.coefficients(cls, 100))).encode()
         assert hashlib.sha256(data).hexdigest()[:16] == _FROZEN_COEFFICIENTS[name]
+
+
+def _block_file_class(tmp_path, doc):
+    path = tmp_path / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc))
+    return species.from_file(path)
+
+
+# (kind, B' tail) of each block file for the recurrence oracle
+_ORACLE_SPECS = {
+    "cacti": ("cactus", ()),
+    "husimi": ("complete", ()),
+    "edge": ("edge", ()),
+    "poly": ("poly", tuple(map(Fraction, ("1", "1/2", "1/2")))),
+    "poly-gap": ("poly", tuple(map(Fraction, ("1", "0", "1/3")))),
+}
+
+
+class TestIntegerFixedPoint:
+    """The integer fixed point against labeled binomial recurrences."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+    def test_matches_recurrences(self, tmp_path, name):
+        if name in _BLOCK_FILES:
+            cls = _block_file_class(tmp_path, _BLOCK_FILES[name])
+        else:
+            cls = species.builtin(name)
+        kind, tail = _ORACLE_SPECS[name]
+        assert species.coefficients(cls, 200) == recurrences.connected_counts(kind, 200, tail)
+
+    @pytest.mark.parametrize("bprime", [["0", "1", "1/5"], ["0", "1", "0", "1/7"]])
+    def test_non_integral_block_counts_raise(self, tmp_path, bprime):
+        # B'(u) = u + u^2/5 has 2/5 blocks on 3 vertices: |C_3| = 17/5
+        cls = _block_file_class(tmp_path, {"name": "bad", "block": {"kind": "poly", "bprime": bprime}})
+        with pytest.raises(ModelViolationError):
+            species.coefficients(cls, 10)
