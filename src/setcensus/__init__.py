@@ -8,18 +8,17 @@ component density lambda, and draws uniform objects through a Boltzmann
 sampler; the three routes cross-validate each other.
 
 numpy and mpmath load on first use: `sampler` and `cli` are imported when
-first reached as attributes of the package, and the float series flavor, the
-Lerch and Hurwitz tails and the chi-square tail import mpmath when called.
+first reached as attributes of the package, and the Lerch and Hurwitz tails,
+synthetic coefficients at fractional alpha and the chi-square tail import
+mpmath when called.
 """
 
 import importlib
 
 from . import asymptotics, exact, powerseries, species
 from .errors import (
-    ConstantTermError,
     DivergenceError,
     DomainError,
-    FlavorMismatchError,
     InternalConsistencyError,
     ModelViolationError,
     NotSubcriticalError,
@@ -45,8 +44,6 @@ __all__ = [
     "UnknownClassError",
     "NotSubcriticalError",
     "DivergenceError",
-    "FlavorMismatchError",
-    "ConstantTermError",
     "ModelViolationError",
     "InternalConsistencyError",
     "PrecisionError",

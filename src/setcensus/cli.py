@@ -19,7 +19,6 @@ import math
 import sys
 
 from . import asymptotics, exact, species
-from . import powerseries as ps
 from .errors import (
     DomainError,
     PrecisionError,
@@ -35,8 +34,6 @@ _ERROR_CODES = {
     "DivergenceError": "divergence",
     "DomainError": "domain",
     "ValidationError": "validation",
-    "FlavorMismatchError": "flavor-mismatch",
-    "ConstantTermError": "constant-term",
     "ModelViolationError": "model-violation",
     "InternalConsistencyError": "internal-consistency",
     "PrecisionError": "precision",
@@ -355,7 +352,7 @@ def _build_parser():
     common.add_argument(
         "--precision-bits",
         type=int,
-        default=ps.DEFAULT_PRECISION_BITS,
+        default=exact.DEFAULT_PRECISION_BITS,
         help="exact --mode float and compare: bits of precision (at least 8) for the "
         "decimal log of an exact count; counts beyond the exact tier use float64",
     )

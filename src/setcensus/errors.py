@@ -50,14 +50,6 @@ class DivergenceError(DomainError):
     """Evaluation requested at x beyond the radius of convergence."""
 
 
-class FlavorMismatchError(SetCensusError):
-    """Exact-rational and floating series were mixed in one operation."""
-
-
-class ConstantTermError(SetCensusError):
-    """A series argument has a nonzero constant term where zero is required."""
-
-
 class ModelViolationError(SetCensusError):
     """A block specification produced non-integer connected counts."""
 

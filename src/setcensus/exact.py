@@ -2,9 +2,11 @@
 
 count(n, k) is the number of labeled objects on n vertices made of exactly k
 connected components: count(n, k) = (n!/k!) * [x^n] C(x)^k, a non-negative
-integer computed on the labeled counts |C_m| = m! [x^m] C in Python integers,
-where the EGF product is a binomial convolution.  count_table reuses one
-running power of C to produce a whole row of counts.
+integer computed on the labeled counts |C_m| = m! [x^m] C in Python integers
+by powerseries.pow, where the EGF product is a binomial convolution.
+count_table reuses one running power of C to produce a whole row of counts,
+and total_count takes powerseries.exp.  precision_bits (DEFAULT_PRECISION_BITS
+unless given) sets the digits of count_log's exact tier.
 
 count_log(n, k) returns log count(n, k) as a float, by one of two tiers
 chosen from (n, k) alone:
@@ -44,8 +46,8 @@ chosen from (n, k) alone:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-from operator import add
 
 from . import asymptotics
 from . import powerseries as ps
@@ -55,6 +57,14 @@ from .errors import DomainError, InternalConsistencyError, PrecisionError, check
 _EXACT_TIER_MAX_N = 200  # bounds the n^2 / 2 Pascal-row additions per convolution
 _EXACT_TIER_MAX_WORK = 12_000  # bounds the n (n - k + 1) products per convolution
 _LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm
+DEFAULT_PRECISION_BITS = 128
+
+
+def check_precision_bits(bits):
+    """bits as an int; DomainError unless it is an integer of at least 8."""
+    if not isinstance(bits, numbers.Integral) or bits < 8:
+        raise DomainError(f"precision_bits = {bits!r} must be an integer of at least 8")
+    return int(bits)
 
 
 @dataclass(frozen=True)
@@ -76,28 +86,6 @@ def _labeled_counts(cls, n, usable):
     return [0, *species.coefficients(cls, usable), *[0] * (n - usable)]
 
 
-def _labeled_product(f, g, n):
-    """h_m = sum_j C(m, j) f_j g_{m-j} for m = 0..n, so h_m = m! [x^m] F*G
-    when f_m = m! [x^m] F and g_m = m! [x^m] G.  One Pascal row is alive at a
-    time; the leading zeros of f are skipped."""
-    a = next((j for j, v in enumerate(f) if v), n + 1)
-    h, row = [], [1]
-    for m in range(n + 1):
-        terms = zip(row[a:], f[a:], reversed(g[: m - a + 1]))
-        h.append(sum(r * x * y for r, x, y in terms) if m >= a else 0)
-        row = [1, *map(add, row, row[1:]), 1]
-    return h
-
-
-def _labeled_power(c, k, n):
-    """Labeled k-th power of c through size n, by binary exponentiation."""
-    if k == 1:
-        return c
-    half = _labeled_power(c, k // 2, n)
-    square = _labeled_product(half, half, n)
-    return _labeled_product(square, c, n) if k & 1 else square
-
-
 def _divide_exact(value, k_fact, what):
     q, r = divmod(value, k_fact)
     if r or q < 0:
@@ -108,7 +96,7 @@ def _divide_exact(value, k_fact, what):
 def count(cls, n, k):
     """Number of objects with n vertices and exactly k components, exactly."""
     n, k = _check_domain(n, k)
-    power = _labeled_power(_labeled_counts(cls, n, n - k + 1), k, n)
+    power = ps.pow(_labeled_counts(cls, n, n - k + 1), k, n)
     return _divide_exact(power[n], math.factorial(k), f"count({n}, {k})")
 
 
@@ -117,14 +105,14 @@ def _in_exact_tier(n, k):
     return n <= _EXACT_TIER_MAX_N and n * (n - k + 1) <= _EXACT_TIER_MAX_WORK
 
 
-def count_log(cls, n, k, precision_bits=ps.DEFAULT_PRECISION_BITS):
+def count_log(cls, n, k, precision_bits=DEFAULT_PRECISION_BITS):
     """log count(n, k) as a float, from the exact count or from float64 weights.
 
     The module docstring states the rule that picks the tier, the error bound
     of the float tier and what precision_bits means in each.
     """
     n, k = _check_domain(n, k)
-    precision_bits = ps.check_precision_bits(precision_bits)
+    precision_bits = check_precision_bits(precision_bits)
     if _in_exact_tier(n, k):
         from decimal import Context, Decimal  # on first use: importing exact stays cheap
 
@@ -194,7 +182,7 @@ def count_table(cls, n, k_range=None):
     k_fact = 1
     for k in range(1, ks[-1] + 1):
         if k > 1:
-            power = _labeled_product(power, c, n)
+            power = ps.mul(power, c, n)
             k_fact *= k
         if k in wanted:
             cnt = _divide_exact(power[n], k_fact, f"count({n}, {k})")
@@ -209,9 +197,5 @@ def total_count(cls, n):
     used as a row-sum cross-check on count_table.
     """
     n = check_int("n", n, 1)
-    c = species.coefficients(cls, n)
-    g, row = [1], [1]
-    for m in range(1, n + 1):
-        g.append(sum(r * x * y for r, x, y in zip(row, c, reversed(g))))
-        row = [1, *map(add, row, row[1:]), 1]
+    g = ps.exp(species.coefficients(cls, n), n)
     return _divide_exact(g[n], 1, f"total count at n = {n}")

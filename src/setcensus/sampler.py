@@ -64,6 +64,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import asymptotics, exact, species
+from . import powerseries as ps
 from .errors import (
     DivergenceError,
     DomainError,
@@ -466,7 +467,7 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
     if total == 0:
         raise DomainError("all truncated size weights vanish")
     # x^n k! count_M(n, k) / (n! W^k), count_M on sizes up to min(M, n - k + 1)
-    power = exact._labeled_power(exact._labeled_counts(cls, n, min(M, n - k + 1)), k, n)
+    power = ps.pow(exact._labeled_counts(cls, n, min(M, n - k + 1)), k, n)
     return power[n] * x**n / (math.factorial(n) * total**k)
 
 

@@ -14,9 +14,10 @@ four ways:
 
 Block-specified classes get their coefficients from the fixed point
 y = x*exp(B'(y)), solved by powerseries.BlockTable on Python integers over
-the common denominator T! (or on mpmath floats for y_series(exact=False)),
-and their growth parameters from the subcritical recipe in the asymptotics
-module; every block class of this kind has alpha = 3/2.
+the common denominator T!, and their growth parameters from the subcritical
+recipe in the asymptotics module; every block class of this kind has
+alpha = 3/2.  A poly block file must give integer block counts d! [u^d] B'
+(the blocks on d + 1 vertices), or it does not load.
 """
 
 import json
@@ -29,7 +30,13 @@ from enum import Enum
 from fractions import Fraction
 
 from . import powerseries as ps
-from .errors import DomainError, UnknownClassError, ValidationError, check_int
+from .errors import (
+    DomainError,
+    ModelViolationError,
+    UnknownClassError,
+    ValidationError,
+    check_int,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -72,7 +79,7 @@ class BlockSpec:
     """Scalar evaluators and series coefficients of a 2-connected block family B.
 
     kind selects the step of powerseries.BlockTable, the fixed-point solver of
-    every flavor: "edge" (B = u^2/2), "cactus" (B = u^2/4 - u/2 - log(1-u)/2),
+    every arithmetic: "edge" (B = u^2/2), "cactus" (B = u^2/4 - u/2 - log(1-u)/2),
     "complete" (B = e^u - u - 1) or "poly" (B' a finite polynomial).  R is
     the radius of convergence of B, possibly infinite.
     """
@@ -86,7 +93,7 @@ class BlockSpec:
     bprime_series_provider: object
 
     def bprime_series(self, T):
-        """Truncated SeriesExact of B' through order T."""
+        """[u^0..u^T] B' as a list of T + 1 Fractions."""
         return self.bprime_series_provider(T)
 
 
@@ -118,8 +125,7 @@ class ConnectedClass:
 def _edge_spec():
     def provider(T):
         coeffs = [Fraction(0), Fraction(1)][: T + 1]
-        coeffs += [Fraction(0)] * (T + 1 - len(coeffs))
-        return ps.SeriesExact(coeffs)
+        return coeffs + [Fraction(0)] * (T + 1 - len(coeffs))
 
     return BlockSpec(
         kind="edge",
@@ -135,7 +141,7 @@ def _edge_spec():
 def _cactus_spec():
     def provider(T):
         coeffs = [Fraction(0), Fraction(1)] + [Fraction(1, 2)] * (T - 1)
-        return ps.SeriesExact(coeffs[: T + 1])
+        return coeffs[: T + 1]
 
     return BlockSpec(
         kind="cactus",
@@ -150,8 +156,7 @@ def _cactus_spec():
 
 def _complete_spec():
     def provider(T):
-        coeffs = [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, T + 1)]
-        return ps.SeriesExact(coeffs[: T + 1])
+        return [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, T + 1)]
 
     return BlockSpec(
         kind="complete",
@@ -170,8 +175,7 @@ def _poly_spec(tail):
 
     def provider(T):
         coeffs = [Fraction(0)] + list(tail)
-        coeffs = coeffs[: T + 1] + [Fraction(0)] * max(0, T + 1 - len(tail) - 1)
-        return ps.SeriesExact(coeffs)
+        return coeffs[: T + 1] + [Fraction(0)] * max(0, T + 1 - len(tail) - 1)
 
     def B(t):
         return sum(float(c) * t ** (d + 1) / (d + 1) for d, c in enumerate(tail, start=1))
@@ -198,7 +202,7 @@ def _validate_block_spec(spec, order=40, tol=1e-9):
     bp = spec.bprime_series(order)
     approx = 0.0
     for k in range(order, 0, -1):
-        approx = approx * t + float(bp.coeffs[k])
+        approx = approx * t + float(bp[k])
     approx *= t
     target = spec.Bp(t)
     if abs(approx - target) > tol * max(1.0, abs(target)):
@@ -211,27 +215,43 @@ def _poly_tail(spec):
     """Exact c_1..c_D of a poly block's B'(u) = sum_d c_d u^d, with c_D != 0."""
     T = 64
     while True:
-        probe = spec.bprime_series(T).coeffs
+        probe = spec.bprime_series(T)
         deg = max((k for k, c in enumerate(probe) if c), default=0)
         if deg < T:
             return probe[1 : deg + 1]
         T *= 2
 
 
-def y_series(cls, T, exact=True, precision_bits=ps.DEFAULT_PRECISION_BITS):
-    """Series y = x*C'(x) of a block-specified class through order T."""
+def y_series(cls, T):
+    """Labeled counts n! [x^n] y = n |C_n| for n = 0..T of a block-specified
+    class, y = x*C'(x), as Python integers.
+
+    ModelViolationError unless every |C_n| = (n-1)! [x^n] y is a
+    non-negative integer.
+    """
     spec = cls.block_spec
     if spec is None:
         raise DomainError(f"class {cls.name} carries no block specification")
-    kernel = ps._IntKernel(T) if exact else ps._Kernel(False, precision_bits)
-    tail = _poly_tail(spec) if spec.kind == "poly" else ()
-    with kernel.ctx():
-        tail = [kernel.factor(c) for c in tail]
+    kernel = ps._IntKernel(T)
+    tail = [kernel.factor(c) for c in _poly_tail(spec)] if spec.kind == "poly" else ()
 
     def make_table():
         return ps.BlockTable(spec.kind, tail, 1, kernel.zeros, kernel.dot, kernel.one, kernel.div)
 
-    return ps.solve_fixed_point_with_composer(T, make_table, kernel)
+    scaled = ps.solve_fixed_point_with_composer(T, make_table)  # D [x^n] y, D = T!
+    out, fact = [0], 1  # fact = (n-1)!
+    for n in range(1, T + 1):
+        c, r = divmod(fact * scaled[n], kernel.one)
+        if r:
+            raise ModelViolationError(
+                f"(n-1)! * [x^{n}] y = {Fraction(fact * scaled[n], kernel.one)} is not an "
+                "integer; block spec is inconsistent"
+            )
+        if c < 0:
+            raise ModelViolationError(f"negative connected count at n = {n}")
+        out.append(n * c)
+        fact *= n
+    return out
 
 
 # --- coefficient computation --------------------------------------------------
@@ -248,8 +268,8 @@ def coefficients(cls, n_max):
 
 def _compute_coefficients(cls, n_max):
     if cls.coeff_source is CoeffSource.BLOCK_DERIVED:
-        y = y_series(cls, n_max, exact=True)
-        return ps.connected_coeffs_from_y(y, n_max)
+        y = y_series(cls, n_max)
+        return [y[n] // n for n in range(1, n_max + 1)]
     if cls.coeff_source is CoeffSource.SYNTHETIC:
         return _synthetic_vector(cls.growth, n_max)
     return [cls.coeff_provider(n) for n in range(1, n_max + 1)]
@@ -487,6 +507,13 @@ def from_file(path):
             raise ValidationError("bprime must have zero constant term")
         if any(c < 0 for c in coeffs):
             raise ValidationError("bprime coefficients must be non-negative")
+        for d, c in enumerate(coeffs):
+            # d! [u^d] B' blocks on d + 1 vertices: |C_{d+1}| is not an integer otherwise
+            if (c * math.factorial(d)).denominator != 1:
+                raise ValidationError(
+                    f"bprime[{d}] = {c} gives {c * math.factorial(d)} blocks on {d + 1} "
+                    "vertices; d! * bprime[d] must be an integer"
+                )
         spec = _poly_spec(coeffs[1:])
     else:
         raise ValidationError(

@@ -11,12 +11,11 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 import bruteforce
 from setcensus import asymptotics as asy
-from setcensus import exact, sampler, species
+from setcensus import exact, sampler, species, weights
 
 BUILTINS = ("trees", "cacti", "husimi")
 
@@ -234,15 +233,11 @@ def test_criterion_10_growth_consistency():
         cls = species.builtin(name)
         g = cls.growth
         if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
-            y = species.y_series(cls, 600, exact=False, precision_bits=128)
+            w = weights._weights(cls, g.rho, 600)
 
-            def ratio(n, _y=y, _g=g):
-                # |C_n|/n! = y_n/n
-                return float(
-                    _y.coeffs[n] / n
-                    * mpmath.power(n, 1 + _g.alpha)
-                    * mpmath.power(_g.rho, n)
-                )
+            def ratio(n, _w=w, _g=g):
+                # w[n-1] = |C_n| rho^n / n!
+                return _w[n - 1] * n ** (1 + _g.alpha)
 
         else:
 

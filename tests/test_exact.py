@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 
 from setcensus import asymptotics, exact, species
+from setcensus import powerseries as ps
 from setcensus.errors import DomainError, InternalConsistencyError, PrecisionError
 
 
@@ -288,14 +289,14 @@ class TestAgainstOracle:
     def test_bad_product_raises(self, monkeypatch, corrupt):
         trees = species.builtin("trees")
         assert exact.count(trees, 6, 3) == forest_counts_oracle(species.coefficients(trees, 6))(6, 3)
-        product = exact._labeled_product
+        product = ps.mul
 
         def corrupted(f, g, n):
             h = product(f, g, n)
             h[n] = corrupt(h[n])
             return h
 
-        monkeypatch.setattr(exact, "_labeled_product", corrupted)
+        monkeypatch.setattr(ps, "mul", corrupted)
         with pytest.raises(InternalConsistencyError):
             exact.count(trees, 6, 3)
         with pytest.raises(InternalConsistencyError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import recurrences
 
+from setcensus import powerseries as ps
 from setcensus import species
 from setcensus.errors import (
     DomainError,
@@ -307,6 +308,14 @@ class TestIntegerFixedPoint:
     @pytest.mark.parametrize("bprime", [["0", "1", "1/5"], ["0", "1", "0", "1/7"]])
     def test_non_integral_block_counts_raise(self, tmp_path, bprime):
         # B'(u) = u + u^2/5 has 2/5 blocks on 3 vertices: |C_3| = 17/5
-        cls = _block_file_class(tmp_path, {"name": "bad", "block": {"kind": "poly", "bprime": bprime}})
+        with pytest.raises(ValidationError, match="blocks on"):
+            _block_file_class(tmp_path, {"name": "bad", "block": {"kind": "poly", "bprime": bprime}})
+
+    def test_int_kernel_remainder_raises(self):
+        # B'(u) = u + u^2/5 at T = 4: the y^2/5 term of 4! A_2 leaves a remainder
+        ik = ps._IntKernel(4)
+        table = ps.BlockTable(
+            "poly", [ps._IntFactor(1), ps._IntFactor(1, 5)], 1, ik.zeros, ik.dot, ik.one, ik.div
+        )
         with pytest.raises(ModelViolationError):
-            species.coefficients(cls, 10)
+            table.terms(4)
