@@ -425,7 +425,7 @@ def _cactus_gap(t):
 
 def _poly_gap(spec):
     """B'(t) - B(t)/t for B' = sum_d c_d t^d, as sum_d c_d d/(d+1) t^d."""
-    coeffs = [float(c * d / (d + 1)) for d, c in enumerate(species._poly_tail(spec), start=1)]
+    coeffs = [float(c * d / (d + 1)) for d, c in enumerate(spec.tail, start=1)]
     return lambda t: sum(c * t**d for d, c in enumerate(coeffs, start=1) if c)
 
 

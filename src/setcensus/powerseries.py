@@ -14,21 +14,17 @@ fixed point
 
 which turns the derivative series of a 2-connected block family B into the
 series of the connected class C, with |C_n| = (n-1)! * [x^n] y.  BlockTable
-defines the step of each block kind once and runs it on any arithmetic that
-supplies buffers, a dot product, a unit and a division: Python integers
-(_IntKernel) for species.y_series, float64 numpy arrays in the weights
-module.
-
-Through order T each integer is D = T! times the coefficient it stands for:
-[x^n] of y, B'(y), exp(B'(y)), y/(1-y), exp(y) and y^d/d! is a labeled count
-over n! when the block counts are integers.  A remainder in a division, or
-a poly tail term that takes an integer to a non-integer, raises
-ModelViolationError.
+defines the step of each block kind once and takes its arithmetic from a
+kernel: Labeled runs it on labeled counts in Python integers (n! times each
+coefficient, binomial-weighted like mul and exp) for species.y_series, and
+Tilted on coefficients tilted by x^n in the caller's buffers, float64 numpy
+arrays in the weights module.  A poly block whose labeled B'(y) is not an
+integer raises ModelViolationError naming the size.
 """
 
-import math
+import numbers
 import operator
-from fractions import Fraction
+from itertools import islice
 
 from .errors import InternalConsistencyError, ModelViolationError
 
@@ -56,10 +52,10 @@ def pow(c, k, n):  # noqa: A001 - deliberate shadow, mirrors mul/exp naming
 
     The first power is c itself, not a copy.
     """
-    if k < 1:
-        if k == 0:
-            return [1] + [0] * n
-        raise ValueError("exponent must be a non-negative integer")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
+    if k == 0:
+        return [1] + [0] * n
     if k == 1:
         return c
     half = pow(c, k // 2, n)
@@ -83,72 +79,97 @@ def exp(c, n):
 # --- block-decomposition fixed point ---------------------------------------
 
 
-def _divide_scaled(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ModelViolationError(
-            "a fixed-point coefficient times T! is not an integer; block spec is inconsistent"
-        )
-    return q
+class Labeled:
+    """Python integers, each n! times the coefficient of size n it stands for.
+
+    conv and exp_conv weigh their terms by one Pascal row per n, which lift
+    advances, so a kernel serves one table; mark keeps an integer as it is
+    and raises ModelViolationError for any other value.
+    """
+
+    zeros = staticmethod(lambda length: [0] * length)
+    half = staticmethod(lambda v: v // 2)  # y + y/(1-y): y^j counts ordered j-tuples
+
+    def __init__(self):
+        self.row = [1]  # C(n, .) of the last step opened
+
+    def lift(self, n, e):
+        """n! [x^n] y = n e_{n-1}; opens step n."""
+        row = self.prev = self.row
+        self.row = [1, *map(operator.add, row, row[1:]), 1]
+        return n * e
+
+    @staticmethod
+    def mark(n, v):
+        if v.denominator != 1:
+            raise ModelViolationError(
+                f"B'(y) at size n = {n} has labeled count {v}, not an integer; "
+                "block spec is inconsistent"
+            )
+        return v.numerator
+
+    def conv(self, lo, a, b):
+        """sum_i C(n, lo + i) a_i b_i, the size-n term of an EGF product."""
+        return sum(map(operator.mul, map(operator.mul, islice(self.row, lo, None), a), b))
+
+    def exp_conv(self, n, a, b):
+        """sum_j C(n-1, j-1) a_j b_{n-j}, with a = a_1..a_n and b = b_{n-1}..b_0."""
+        return sum(map(operator.mul, map(operator.mul, self.prev, a), b))
 
 
-class _IntFactor(Fraction):
-    """A block coefficient whose product with an integer must be an integer."""
+class Tilted:
+    """Coefficients tilted by x^n, Y[n] = x^n [x^n] y, in the caller's buffers:
+    float64 numpy arrays for the sampler (this module imports no numpy) or
+    lists of Fractions, with dot(a, b) their plain dot product.  exp(A)
+    follows E_n = (1/n) sum_j j A_j E_{n-j}, so mark stores n A_n."""
 
-    def __mul__(self, v):
-        return _divide_scaled(self.numerator * v, self.denominator)
+    mark = staticmethod(operator.mul)
+    half = staticmethod(lambda v: v / 2)
 
-    __rmul__ = __mul__
+    def __init__(self, x, zeros, dot):
+        self.x, self.zeros, self.dot = x, zeros, dot
 
+    def lift(self, n, e):
+        return self.x * e
 
-class _IntKernel:
-    """Python integers, each D = T! times the coefficient it stands for."""
+    def conv(self, lo, a, b):
+        return self.dot(a, b)
 
-    div = staticmethod(_divide_scaled)
-    factor = _IntFactor
-
-    def __init__(self, T):
-        self.one = math.factorial(T)  # D
-
-    def zeros(self, length):
-        return [0] * length
-
-    def dot(self, a, b):
-        return _divide_scaled(sum(map(operator.mul, a, b)), self.one)
+    def exp_conv(self, n, a, b):
+        return self.dot(a, b) / n
 
 
 class BlockTable:
-    """Term-by-term solve of y = x exp(B'(y)) for one block kind, tilted by x.
+    """Term-by-term solve of y = x exp(B'(y)) for one block kind.
 
-    The package's one block fixed-point step: Y[n] = [x^n] y times x^n, so
-    x = 1 solves y itself and the sampler's x < rho keeps the terms O(1).
-    A = B'(y) and E = exp(A); term n depends only on the terms below it, so
-    the table grows in place and terms 1..M are the same numbers whatever
-    length it reaches.  kind is "edge" (B' = u), "cactus" (u/2 + u/(2(1-u))),
-    "complete" (e^u - 1) or "poly" (B' = sum_d tail[d-1] u^d).
+    The package's one block fixed-point step.  A = B'(y) and E = exp(A);
+    term n depends only on the terms below it, so the table grows in place
+    and terms 1..M are the same numbers whatever length it reaches.  kind is
+    "edge" (B' = u), "cactus" (u/2 + u/(2(1-u))), "complete" (e^u - 1) or
+    "poly" (B' = sum_d tail[d-1] u^d).
 
-    The buffers come from zeros(length) and every convolution is one
-    dot(a, b) of two slices: Python lists with sum(map(mul, a, b)) for
-    integer terms, or numpy arrays with ndarray.dot for float64 (the sampler
-    passes those in, so this module imports no numpy).  one is the entry of
-    exp(0) and div(a, n) divides by a small integer: true division by
-    default, and for _IntKernel's integers over D = T! one = D and exact
-    division, with dot dividing its sum by D.  The factor read backwards is
-    stored reversed, term j at index cap - j: E, S = y/(1-y) (cacti), exp(y)
-    (complete blocks) and y (polynomial blocks).  The factor read forwards
-    is stored as it is used: n A_n, n y_n (complete blocks) and the powers
-    y^d (polynomial blocks).  Buffers a kind does not use stay unfilled.
+    The kernel (Labeled or Tilted) supplies the arithmetic: zeros(length)
+    for the buffers, lift(n, e) for y_n from e_{n-1}, conv(lo, a, b) for an
+    EGF product whose first term has size lo, exp_conv(n, a, b) for the
+    recurrence e_n of an exponential (e_n = sum_j C(n-1, j-1) a_j e_{n-j}
+    labeled), whose forward factor is stored as mark(n, v), and half(v).
+    Every convolution is one call on two slices.
+    The factor read backwards is stored reversed, term j at index cap - j:
+    E, S = y/(1-y) (cacti), exp(y) (complete blocks) and y (polynomial
+    blocks).  The factor read forwards is stored marked: A and y (complete
+    blocks); the powers y^d (polynomial blocks) are stored as they are.
+    Buffers a kind does not use stay unfilled.
     """
 
-    def __init__(self, kind, tail, x, zeros, dot, one=1, div=operator.truediv):
-        self.kind, self.tail, self.x = kind, list(tail), x
-        self.zeros, self.dot, self.div = zeros, dot, div
+    def __init__(self, kind, tail, kernel):
+        self.kind, self.tail, self.kernel = kind, list(tail), kernel
+        zeros = kernel.zeros
         self.n = 0  # terms 1..n are solved
         self.cap = 0
         self.Y, self.kA, self.kY = zeros(1), zeros(1), zeros(1)
         self.P = [zeros(1) for _ in self.tail[1:]]  # y^2, y^3, ...
         self.Er, self.Sr, self.EYr, self.Yr = zeros(1), zeros(1), zeros(1), zeros(1)
-        self.Er[0] = self.EYr[0] = one  # exp(0)
+        self.Er[0] = self.EYr[0] = 1  # exp(0)
 
     def terms(self, M):
         """The buffer Y with terms 0..M solved (entries past M are not final)."""
@@ -159,48 +180,46 @@ class BlockTable:
         return self.Y
 
     def _grow(self, cap):
-        old, zeros = self.cap, self.zeros
+        old, zeros = self.cap, self.kernel.zeros
 
-        def forward(a):
+        def moved(a, at):  # a copied to index at of a buffer of length cap + 1
             b = zeros(cap + 1)
-            b[: old + 1] = a
+            b[at : at + old + 1] = a
             return b
 
-        def backward(a):
-            b = zeros(cap + 1)
-            b[cap - old :] = a
-            return b
-
-        self.Y, self.kA, self.kY = map(forward, (self.Y, self.kA, self.kY))
-        self.P = list(map(forward, self.P))
-        self.Er, self.Sr, self.EYr, self.Yr = map(backward, (self.Er, self.Sr, self.EYr, self.Yr))
+        self.Y, self.kA, self.kY = (moved(a, 0) for a in (self.Y, self.kA, self.kY))
+        self.P = [moved(a, 0) for a in self.P]
+        self.Er, self.Sr, self.EYr, self.Yr = (
+            moved(a, cap - old) for a in (self.Er, self.Sr, self.EYr, self.Yr)
+        )
         self.cap = cap
 
     def _solve(self, M):
-        x, c, kind, tail, dot, div = self.x, self.cap, self.kind, self.tail, self.dot, self.div
+        k, c, kind, tail = self.kernel, self.cap, self.kind, self.tail
+        lift, mark, conv, exp_conv = k.lift, k.mark, k.conv, k.exp_conv
         Y, kA, kY, Er, Sr, EYr, Yr = self.Y, self.kA, self.kY, self.Er, self.Sr, self.EYr, self.Yr
         P = [Y] + self.P  # P[d - 1] holds y^d
         e = Er[c - self.n]
         for n in range(self.n + 1, M + 1):
-            y = x * e
+            y = lift(n, e)
             Y[n] = y
             if kind == "edge":
                 a = y
             elif kind == "cactus":
-                s = y + dot(Y[1:n], Sr[c - n + 1 : c])
+                s = y + conv(1, Y[1:n], Sr[c - n + 1 : c])
                 Sr[c - n] = s
-                a = div(y + s, 2)
+                a = k.half(y + s)
             elif kind == "complete":
-                kY[n] = n * y
-                a = div(dot(kY[1 : n + 1], EYr[c - n + 1 : c + 1]), n)
+                kY[n] = mark(n, y)
+                a = exp_conv(n, kY[1 : n + 1], EYr[c - n + 1 : c + 1])
                 EYr[c - n] = a
             else:
                 Yr[c - n] = y
                 for d in range(2, min(len(tail), n) + 1):
-                    P[d - 1][n] = dot(P[d - 2][d - 1 : n], Yr[c - n + d - 1 : c])
+                    P[d - 1][n] = conv(d - 1, P[d - 2][d - 1 : n], Yr[c - n + d - 1 : c])
                 a = sum(t * P[d][n] for d, t in enumerate(tail) if t)
-            kA[n] = n * a
-            e = div(dot(kA[1 : n + 1], Er[c - n + 1 : c + 1]), n)
+            kA[n] = mark(n, a)
+            e = exp_conv(n, kA[1 : n + 1], Er[c - n + 1 : c + 1])
             Er[c - n] = e
         self.n = M
 
@@ -210,9 +229,9 @@ class BlockTable:
 def solve_fixed_point_with_composer(T, make_table):
     """The buffer Y of y = x exp(B'(y)) with terms 0..T solved.
 
-    make_table() -> a fresh untilted BlockTable.  The stabilization pass
-    solves a second table and raises InternalConsistencyError unless it
-    reproduces every coefficient exactly.
+    make_table() -> a fresh BlockTable with a kernel of its own.  The
+    stabilization pass solves a second table and raises
+    InternalConsistencyError unless it reproduces every coefficient exactly.
     """
     y = make_table().terms(T)
     again = make_table().terms(T)

@@ -13,11 +13,12 @@ four ways:
   polynomial block specifications.
 
 Block-specified classes get their coefficients from the fixed point
-y = x*exp(B'(y)), solved by powerseries.BlockTable on Python integers over
-the common denominator T!, and their growth parameters from the subcritical
-recipe in the asymptotics module; every block class of this kind has
-alpha = 3/2.  A poly block file must give integer block counts d! [u^d] B'
-(the blocks on d + 1 vertices), or it does not load.
+y = x*exp(B'(y)), solved by powerseries.BlockTable on labeled counts in
+Python integers (n! times each coefficient, so no common denominator), and
+their growth parameters from the subcritical recipe in the asymptotics
+module; every block class of this kind has alpha = 3/2.  A poly block file
+must give integer block counts d! [u^d] B' (the blocks on d + 1 vertices),
+or it does not load.
 """
 
 import json
@@ -80,7 +81,8 @@ class BlockSpec:
 
     kind selects the step of powerseries.BlockTable, the fixed-point solver of
     every arithmetic: "edge" (B = u^2/2), "cactus" (B = u^2/4 - u/2 - log(1-u)/2),
-    "complete" (B = e^u - u - 1) or "poly" (B' a finite polynomial).  R is
+    "complete" (B = e^u - u - 1) or "poly" (B' a finite polynomial, with
+    tail its exact c_1..c_D of B'(u) = sum_d c_d u^d and c_D != 0).  R is
     the radius of convergence of B, possibly infinite.
     """
 
@@ -91,6 +93,7 @@ class BlockSpec:
     Bppp: object
     R: float
     bprime_series_provider: object
+    tail: tuple = ()
 
     def bprime_series(self, T):
         """[u^0..u^T] B' as a list of T + 1 Fractions."""
@@ -189,8 +192,9 @@ def _poly_spec(tail):
     def Bppp(t):
         return sum(float(c) * d * (d - 1) * t ** (d - 2) for d, c in enumerate(tail, start=1) if d >= 2)
 
+    degree = max((d for d, c in enumerate(tail, start=1) if c), default=0)
     return BlockSpec(kind="poly", B=B, Bp=Bp, Bpp=Bpp, Bppp=Bppp, R=math.inf,
-                     bprime_series_provider=provider)
+                     bprime_series_provider=provider, tail=tail[:degree])
 
 
 _NAMED_SPECS = {"edge": _edge_spec, "cactus": _cactus_spec, "complete": _complete_spec}
@@ -211,47 +215,23 @@ def _validate_block_spec(spec, order=40, tol=1e-9):
         )
 
 
-def _poly_tail(spec):
-    """Exact c_1..c_D of a poly block's B'(u) = sum_d c_d u^d, with c_D != 0."""
-    T = 64
-    while True:
-        probe = spec.bprime_series(T)
-        deg = max((k for k, c in enumerate(probe) if c), default=0)
-        if deg < T:
-            return probe[1 : deg + 1]
-        T *= 2
-
-
 def y_series(cls, T):
     """Labeled counts n! [x^n] y = n |C_n| for n = 0..T of a block-specified
     class, y = x*C'(x), as Python integers.
 
-    ModelViolationError unless every |C_n| = (n-1)! [x^n] y is a
-    non-negative integer.
+    ModelViolationError if a count is negative, or if a poly spec takes a
+    labeled count to a non-integer (the message names the size).
     """
     spec = cls.block_spec
     if spec is None:
         raise DomainError(f"class {cls.name} carries no block specification")
-    kernel = ps._IntKernel(T)
-    tail = [kernel.factor(c) for c in _poly_tail(spec)] if spec.kind == "poly" else ()
-
-    def make_table():
-        return ps.BlockTable(spec.kind, tail, 1, kernel.zeros, kernel.dot, kernel.one, kernel.div)
-
-    scaled = ps.solve_fixed_point_with_composer(T, make_table)  # D [x^n] y, D = T!
-    out, fact = [0], 1  # fact = (n-1)!
-    for n in range(1, T + 1):
-        c, r = divmod(fact * scaled[n], kernel.one)
-        if r:
-            raise ModelViolationError(
-                f"(n-1)! * [x^{n}] y = {Fraction(fact * scaled[n], kernel.one)} is not an "
-                "integer; block spec is inconsistent"
-            )
-        if c < 0:
-            raise ModelViolationError(f"negative connected count at n = {n}")
-        out.append(n * c)
-        fact *= n
-    return out
+    y = ps.solve_fixed_point_with_composer(
+        T, lambda: ps.BlockTable(spec.kind, spec.tail, ps.Labeled())
+    )
+    negative = next((n for n, v in enumerate(y) if v < 0), None)
+    if negative is not None:
+        raise ModelViolationError(f"negative connected count at n = {negative}")
+    return y
 
 
 # --- coefficient computation --------------------------------------------------

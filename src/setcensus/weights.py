@@ -114,8 +114,8 @@ def _dot(a, b):
 
 def _block_weights(spec, x):
     """M -> _weights for a block class at x, from one growing float64 BlockTable."""
-    tail = [float(c) for c in species._poly_tail(spec)] if spec.kind == "poly" else ()
-    table = ps.BlockTable(spec.kind, tail, x, np.zeros, _dot)
+    tail = [float(c) for c in spec.tail]
+    table = ps.BlockTable(spec.kind, tail, ps.Tilted(x, np.zeros, _dot))
 
     def weights(M):
         if M > _MAX_BLOCK_TABLE:

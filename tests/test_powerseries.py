@@ -41,6 +41,11 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             ps.pow([1, 1, 0, 0], -1, 3)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_pow_rejects_non_integer(self, k):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ps.pow([1, 1, 0, 0], k, 3)
+
     def test_exp_of_x(self):
         # m! [x^m] e^x = 1; C = x has one structure of size 1
         got = ps.exp([1], 8)
@@ -63,11 +68,16 @@ def _block_class(kind, tmp_path):
     return species.from_file(path)
 
 
-def _int_table(kind, tail, T):
-    ik = ps._IntKernel(T)
-    table = ps.BlockTable(kind, [ik.factor(t) for t in tail], 1, ik.zeros, ik.dot, ik.one, ik.div)
+def _labeled_table(kind, tail, T):
+    table = ps.BlockTable(kind, tail, ps.Labeled())
     table.terms(T)
-    return table, ik
+    return table
+
+
+def _fraction_kernel(x):
+    return ps.Tilted(
+        x, lambda n: [Fraction(0)] * n, lambda a, b: sum(map(operator.mul, a, b), Fraction(0))
+    )
 
 
 class TestFixedPoint:
@@ -83,10 +93,10 @@ class TestFixedPoint:
         # on the y of the labeled recurrences
         T = 16
         tail = [Fraction(1), Fraction(1, 2), Fraction(1, 6)]
-        table, ik = _int_table("poly", tail, T)
+        table = _labeled_table("poly", tail, T)
         y = [0] + [n * c for n, c in enumerate(recurrences.connected_counts("poly", T, tail), 1)]
-        assert [Fraction(v * math.factorial(n), ik.one) for n, v in enumerate(table.Y)] == y
-        stepped = [Fraction(table.kA[n] * math.factorial(n - 1), ik.one) for n in range(1, T + 1)]
+        assert table.Y == y
+        stepped = table.kA[1:]  # n! A_n
         direct = [sum(t * ps.pow(y, d, T)[n] for d, t in enumerate(tail, 1)) for n in range(1, T + 1)]
         assert stepped == direct
 
@@ -143,33 +153,51 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("kind", ["edge", "cactus", "complete", "poly"])
     def test_integer_table_matches_fraction_table(self, kind):
-        # every buffer of the table on integers over T! is T! times the Fraction one
+        # every buffer of the labeled table holds m! times the Fraction entry
+        # of size m; the marked factors kA and kY hold m! A_m and m! y_m where
+        # the Fraction table holds m A_m and m y_m
         T = 60
         tail = [Fraction(1), Fraction(1, 2), Fraction(1, 6)] if kind == "poly" else []
-        exact = ps.BlockTable(
-            kind,
-            tail,
-            Fraction(1),
-            lambda n: [Fraction(0)] * n,
-            lambda a, b: sum(map(operator.mul, a, b), Fraction(0)),
-        )
+        exact = ps.BlockTable(kind, tail, _fraction_kernel(Fraction(1)))
         exact.terms(T)
-        scaled, ik = _int_table(kind, tail, T)
-        for name in ("Y", "kA", "kY", "Er", "Sr", "EYr", "Yr", "P"):
-            want, got = getattr(exact, name), getattr(scaled, name)
+        labeled = _labeled_table(kind, tail, T)
+        fact = [math.factorial(m) for m in range(T + 1)]
+        sizes = {name: range(T + 1) for name in ("Y", "kA", "kY", "P")}
+        sizes.update({name: range(T, -1, -1) for name in ("Er", "Sr", "EYr", "Yr")})
+        for name, size in sizes.items():
+            want, got = getattr(exact, name), getattr(labeled, name)
             if name != "P":
                 want, got = [want], [got]
             for w, g in zip(want, got, strict=True):
                 assert all(type(v) is int for v in g)
-                assert [Fraction(v, ik.one) for v in g] == w, name
+                scaled = [
+                    w[i] * fact[m] / m if name in ("kA", "kY") and m else w[i] * fact[m]
+                    for i, m in enumerate(size)
+                ]
+                assert g == scaled, name
 
     def test_stabilization_pass_must_agree(self):
         # a second pass that disagrees with the first is an internal fault
-        ik = ps._IntKernel(5)
         tilts = iter([1, 2])
 
         def make_table():
-            return ps.BlockTable("edge", (), next(tilts), ik.zeros, ik.dot, ik.one, ik.div)
+            return ps.BlockTable("edge", (), _fraction_kernel(Fraction(next(tilts))))
 
         with pytest.raises(InternalConsistencyError, match="coefficient 1 changed"):
             ps.solve_fixed_point_with_composer(5, make_table)
+
+    @pytest.mark.parametrize("kind", ["edge", "cactus", "complete", "poly"])
+    def test_stabilization_pass_runs_labeled(self, monkeypatch, tmp_path, kind):
+        # both passes of y_series solve a labeled table with a kernel of its own
+        cls = _block_class(kind, tmp_path)
+        kernels = []
+        table = ps.BlockTable
+
+        def recording(kind, tail, kernel):
+            kernels.append(kernel)
+            return table(kind, tail, kernel)
+
+        monkeypatch.setattr(ps, "BlockTable", recording)
+        species.y_series(cls, 12)
+        assert len(kernels) == 2 and kernels[0] is not kernels[1]
+        assert all(type(k) is ps.Labeled for k in kernels)

@@ -312,10 +312,13 @@ class TestIntegerFixedPoint:
             _block_file_class(tmp_path, {"name": "bad", "block": {"kind": "poly", "bprime": bprime}})
 
     def test_int_kernel_remainder_raises(self):
-        # B'(u) = u + u^2/5 at T = 4: the y^2/5 term of 4! A_2 leaves a remainder
-        ik = ps._IntKernel(4)
-        table = ps.BlockTable(
-            "poly", [ps._IntFactor(1), ps._IntFactor(1, 5)], 1, ik.zeros, ik.dot, ik.one, ik.div
-        )
-        with pytest.raises(ModelViolationError):
+        # B'(u) = u + u^2/5 at T = 4: 2! A_2 = y_2 + (2! [x^2] y^2)/5 = 2 + 2/5
+        table = ps.BlockTable("poly", [Fraction(1), Fraction(1, 5)], ps.Labeled())
+        with pytest.raises(ModelViolationError, match="size n = 2 has labeled count 12/5"):
             table.terms(4)
+
+    @pytest.mark.parametrize("name", ["cacti", "husimi"])
+    def test_matches_recurrences_to_300(self, name):
+        kind = _ORACLE_SPECS[name][0]
+        cls = species.builtin(name)
+        assert species.coefficients(cls, 300) == recurrences.connected_counts(kind, 300)
