@@ -38,21 +38,27 @@ sizes as rng.random(kappa) with a binary search of the CDF.
 
 sample_forest conditions on total n a block of rejection attempts at a
 time: it saves the bit generator's state, draws every uniform of the block
-in one call and maps them to sizes through a 4096-bucket guide table (Chen
-and Asau, 1974).  A bucket whose index is constant holds it; the others
-fall back to searchsorted.  u * 4096 is exact, so the sizes equal the
-inverse-CDF search bit for bit.  On a hit before the block's last attempt
-the state is restored and only the attempts up to the hit are drawn again,
-so forests, attempt counts and every later draw from the same Generator
-are what testing one attempt at a time gives.  Blocks start at about 256
-uniforms and double up to about 8192; they never run past max_rejects + 1
-attempts.  This needs rng to be a numpy.random.Generator.  An accepted size
-vector is dressed with one rng.permutation(n) and one Pruefer draw
-rng.integers(0, m, m - 2) per block of m >= 3 vertices, in block order;
-blocks of one or two vertices take no sort, no draw and no call.  When the
-budget runs out, RetryBudgetError carries the exact per-attempt acceptance
-(a truncated convolution power of the size law) and the max_rejects that
-succeeds with probability 0.95.
+in one call and maps them to sizes.  A block of at most 512 uniforms is
+looked up with one cdf.searchsorted call; a longer one goes through a
+4096-bucket guide table (Chen and Asau, 1974), where a bucket whose index
+is constant holds it and the others fall back to searchsorted.  u * 4096
+is exact, so both give the sizes of the inverse-CDF search bit for bit.
+On a hit before the block's last attempt the state is restored and only
+the attempts up to the hit are drawn again, so forests, attempt counts
+and every later draw from the same Generator are what testing one attempt
+at a time gives.  Blocks start at about 256 uniforms and double up to
+about 8192; they never run past max_rejects + 1 attempts, and a block of
+one attempt saves no state.  This needs rng to be a
+numpy.random.Generator.  An accepted size vector is dressed with one
+shuffle of the labels 1..n, which makes the swaps and draws of
+rng.permutation(n), and one Pruefer draw per forest: the sequences of all
+blocks of m >= 3 vertices come from one rng.integers call with bound m
+repeated m - 2 times, in block order, which gives the integers of one
+rng.integers(0, m, m - 2) call per block.  Blocks of one or two vertices
+take no sort, no draw and no call.  When the budget runs out,
+RetryBudgetError carries the exact per-attempt acceptance (a truncated
+convolution power of the size law) and the max_rejects that succeeds with
+probability 0.95.
 """
 
 import dataclasses
@@ -84,6 +90,23 @@ DEFAULT_MASS_TOL = 1e-6
 _GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact
 _BLOCK_START = 256  # uniforms in the first block of forest rejection attempts
 _BLOCK_MAX = 8192  # blocks double up to this many uniforms
+# (Timings below: numpy 2.4 on a 2-vCPU x86-64 VM.)
+# Up to this many uniforms one searchsorted call (about 1.5 us plus 6-18 ns a
+# uniform, more for longer tables) beats the guide table's 4-7 calls (about
+# 4 us plus 3 ns a uniform).  It did so at 512 uniforms on every table
+# measured, of 3 to 8192 sizes; the crossover falls from about 2048 uniforms
+# on tables of 16 sizes to about 768 on 801, so the block's length decides
+# more than the table's.
+_SEARCH_MAX = 512
+# Rows of at most this many sizes are summed by a product with a vector of
+# ones, which beats np.add.reduce along short rows (2.2 against 3.9 us for
+# 128 rows of 2); the reduction wins from 64 on.
+_MATMUL_MAX_K = 32
+_ONES = np.ones(_MATMUL_MAX_K, dtype=np.intp)
+_ONES.setflags(write=False)
+# Pruefer sequences of at most this many integers in all take one scalar call
+# per integer (about 1.5 us each); one call with a size costs about 4.6 us.
+_SCALAR_DRAWS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,10 +281,19 @@ def _lookup(cdf, guide, u):
     """
     u *= _GUIDE_BUCKETS
     idx = guide.take(u.astype(np.intp))
-    if np.minimum.reduce(idx) < 0:
-        amb = idx < 0
-        idx[amb] = cdf.searchsorted(u[amb] / _GUIDE_BUCKETS, side="right")
+    # positions rather than a mask: the few ambiguous uniforms are gathered and
+    # written back without two more passes over the whole block
+    amb = (idx < 0).nonzero()[0]
+    if len(amb):
+        idx[amb] = cdf.searchsorted(u[amb] / _GUIDE_BUCKETS, "right")
     return idx
+
+
+def _size_indices(cdf, guide, u):
+    """cdf.searchsorted(u, side="right"), by the cheaper route for len(u); may scale u."""
+    if len(u) <= _SEARCH_MAX:
+        return cdf.searchsorted(u, "right")
+    return _lookup(cdf, guide, u)
 
 
 _NO_COMPONENTS = Composition(kappa=0, sizes=())
@@ -295,8 +327,14 @@ def sample_partition(sizes, rng):
     sizes = np.asarray(sizes, dtype=np.intp)
     if len(sizes) and sizes.min() < 1:
         raise DomainError("all block sizes must be positive")
-    sizes = sizes.tolist()
-    perm = (rng.permutation(sum(sizes)) + 1).tolist()
+    return _partition(sizes.tolist(), rng)
+
+
+def _partition(sizes, rng):
+    """sample_partition for a list of positive Python ints, unchecked."""
+    perm = list(range(1, sum(sizes) + 1))
+    # shuffling a list makes the swaps and draws of rng.permutation on an array
+    rng.shuffle(perm)
     blocks = []
     at = 0
     for s in sizes:
@@ -335,42 +373,76 @@ def _prufer_decode(m, seq):
     return edges
 
 
-def _uniform_tree_edges(labels, rng):
-    """Uniform labeled tree on 3 or more vertex labels, as sorted edge tuples."""
-    m = len(labels)
-    seq = rng.integers(0, m, size=m - 2).tolist()
-    edges = _prufer_decode(m, seq)
-    out = []
-    for a, b in edges:
-        u, v = labels[a], labels[b]
-        out.append((u, v) if u < v else (v, u))
-    return tuple(out)
+def _forest_trees(sizes, blocks, rng):
+    """A uniform labeled tree on each block, as sorted edge tuples.
+
+    The Pruefer sequences of all blocks of m >= 3 vertices come from one
+    draw with bound m repeated m - 2 times, in block order.  numpy draws
+    every element of a bounded integer array the same way, whatever the
+    form of the call, so the integers are those of one rng.integers(0, m,
+    m - 2) per block, and so is the generator's state after them.  A single
+    such block keeps that scalar-bound call, which costs less than the
+    broadcast one, and a forest whose sequences hold at most _SCALAR_DRAWS
+    integers draws them one scalar call each.  A block of 2 vertices (u, v)
+    with u < v is its own single edge.
+    """
+    big = [m for m in sizes if m > 2]
+    if sum(big) - 2 * len(big) <= _SCALAR_DRAWS:
+        seq = [int(rng.integers(0, m)) for m in big for _ in range(m - 2)]
+    elif len(big) == 1:
+        seq = rng.integers(0, big[0], big[0] - 2).tolist()
+    else:
+        big = np.array(big)
+        seq = rng.integers(0, np.repeat(big, big - 2)).tolist()
+    trees = []
+    at = 0
+    for m, labels in zip(sizes, blocks):
+        if m == 1:
+            trees.append(())
+        elif m == 2:
+            trees.append((labels,))
+        else:
+            edges = []
+            for a, b in _prufer_decode(m, seq[at : at + m - 2]):
+                u, v = labels[a], labels[b]
+                edges.append((u, v) if u < v else (v, u))
+            trees.append(tuple(edges))
+            at += m - 2
+    return tuple(trees)
 
 
 def _first_hit(cdf, guide, k, total, rng, max_rejects):
     """Rejection for k 0-based size indices that sum to total, a block of attempts
     at a time.
 
-    Returns (indices, attempts); indices is None when all max_rejects + 1
-    attempts miss.  A block draws its uniforms in one call, and on a hit
-    before its last attempt the generator is rewound and moved past the hit
-    only, so it stands where testing one attempt at a time would leave it.
+    Returns (indices, attempts), indices a list of ints, or None when all
+    max_rejects + 1 attempts miss.  A block draws its uniforms in one call,
+    and on a hit before its last attempt the generator is rewound and moved
+    past the hit only, so it stands where testing one attempt at a time
+    would leave it.
     """
     bits = rng.bit_generator
+    ones = _ONES[:k] if 1 < k <= _MATMUL_MAX_K else None
     per_block = max(1, _BLOCK_START // k)
     attempts = 0
     while attempts <= max_rejects:
         b = min(per_block, max_rejects + 1 - attempts)
-        state = bits.state
-        idx = _lookup(cdf, guide, rng.random(b * k)).reshape(b, k)
-        # np.add.reduce is idx.sum() without its Python wrapper
-        hit = np.add.reduce(idx, axis=1) == total
+        # a hit on a block's last attempt needs no rewind, so one attempt saves nothing
+        state = bits.state if b > 1 else None
+        idx = _size_indices(cdf, guide, rng.random(b * k))
+        if k == 1:
+            sums = idx
+        elif ones is not None:
+            sums = idx.reshape(b, k) @ ones
+        else:
+            sums = np.add.reduce(idx.reshape(b, k), axis=1)
+        hit = sums == total
         j = int(hit.argmax())
         if hit[j]:
             if j < b - 1:
                 bits.state = state
                 rng.random((j + 1) * k)
-            return idx[j], attempts + j + 1
+            return idx[j * k : (j + 1) * k].tolist(), attempts + j + 1
         attempts += b
         per_block = min(2 * per_block, max(1, _BLOCK_MAX // k))
     return None, attempts
@@ -410,14 +482,9 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     idx, attempts = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects)
     if idx is None:
         raise _budget_error(table, n, k, attempts)
-    sizes = idx + 1
-    blocks = sample_partition(sizes, rng)
-    # a 2-vertex block (u, v) with u < v is its own single edge
-    forest_trees = tuple(
-        () if m == 1 else (b,) if m == 2 else _uniform_tree_edges(b, rng)
-        for m, b in zip(sizes.tolist(), blocks)
-    )
-    return LabeledForest(n=n, blocks=blocks, trees=forest_trees)
+    sizes = [i + 1 for i in idx]
+    blocks = _partition(sizes, rng)
+    return LabeledForest(n=n, blocks=blocks, trees=_forest_trees(sizes, blocks, rng))
 
 
 def _budget_error(table, n, k, attempts):
@@ -483,7 +550,7 @@ def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        idx = _lookup(dist.cdf, dist.guide, rng.random(m * k)).reshape(m, k)
+        idx = _size_indices(dist.cdf, dist.guide, rng.random(m * k)).reshape(m, k)
         hits += int(np.count_nonzero(idx.sum(axis=1) == n - k))
         done += m
     p = hits / trials

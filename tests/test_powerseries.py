@@ -113,7 +113,7 @@ class TestFixedPoint:
     def test_connected_counts_require_integers(self):
         # from_file refuses both specs, so they are built directly
         cases = [
-            # |C_3| = 17/5: a remainder in the division by T!
+            # B'(u) = u + u^2/5: the labeled B'(y) at size 2 is 12/5, not an integer
             ([Fraction(1), Fraction(1, 5)], "not an integer"),
             # B'(u) = u - 2u^2: |C_3| = -1
             ([Fraction(1), Fraction(-2)], "negative connected count at n = 3"),

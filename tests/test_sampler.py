@@ -374,6 +374,30 @@ class TestGuideTable:
         assert guide[2047] == 1 and guide[2048] == 2
 
 
+class TestSmallBlockSearch:
+    @pytest.mark.parametrize("n_max", range(1, 21))
+    @pytest.mark.parametrize("scale", [0.3, 1.0])
+    def test_direct_search_matches_the_guide_table(self, n_max, scale):
+        trees = species.builtin("trees")
+        d = sampler.size_distribution(trees, scale * trees.growth.rho, n_max=n_max)
+        cdf, guide = d.cdf, d.guide
+        u = _probe_uniforms(cdf)
+        step = sampler._SEARCH_MAX
+        direct = np.concatenate(
+            [sampler._size_indices(cdf, guide, u[i : i + step].copy()) for i in range(0, len(u), step)]
+        )
+        assert np.array_equal(direct, sampler._lookup(cdf, guide, u.copy()))
+        assert np.array_equal(sampler._size_indices(cdf, guide, u.copy()), direct)
+
+    def test_zero_weight_sizes(self):
+        gap = species.from_coefficients("gap", [1, 0, 6])
+        d = sampler.size_distribution(gap, 0.5)
+        u = _probe_uniforms(d.cdf)[: sampler._SEARCH_MAX]
+        got = sampler._size_indices(d.cdf, d.guide, u.copy())
+        assert np.array_equal(got, sampler._lookup(d.cdf, d.guide, u.copy()))
+        assert 1 not in got
+
+
 def _reference_partition(sizes, rng):
     """sample_partition as it was first written: one sorted slice per block."""
     sizes = list(map(int, sizes))
@@ -439,6 +463,26 @@ class TestBlockRejection:
                 n, k, x, ref, 10_000
             )
             assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+    def test_one_and_many_pruefer_blocks_match_the_reference(self, bit_generator):
+        # (7, 3) and (9, 2) give forests with one and with two trees of 3 or more
+        # vertices, (2000, 1100) about 140; every way of drawing their sequences
+        # must leave the generator where one call per tree does
+        ours = np.random.Generator(bit_generator(15))
+        ref = np.random.Generator(bit_generator(15))
+        big_trees = Counter()
+        for n, k, draws in ((7, 3, 40), (9, 2, 40), (2000, 1100, 2)):
+            x = _default_x(n, k)
+            for _ in range(draws):
+                f = sampler.sample_forest(n, k, rng=ours)
+                assert f == _one_attempt_forest(n, k, x, ref, 10_000)
+                assert ours.random() == ref.random()
+                big = sum(len(b) >= 3 for b in f.blocks)
+                big_trees[(n, "many" if big > 1 else big)] += 1
+        assert big_trees[(7, 1)] and big_trees[(7, "many")]
+        assert big_trees[(9, 1)] and big_trees[(9, "many")]
+        assert big_trees[(2000, "many")] == 2
 
     def test_small_budgets_match_the_reference(self):
         # budgets that end inside the first block, on its last attempt and past it
