@@ -47,18 +47,18 @@ On a hit before the block's last attempt the state is restored and only
 the attempts up to the hit are drawn again, so forests, attempt counts
 and every later draw from the same Generator are what testing one attempt
 at a time gives.  Blocks start at about 256 uniforms and double up to
-about 8192; they never run past max_rejects + 1 attempts, and a block of
-one attempt saves no state.  This needs rng to be a
-numpy.random.Generator.  An accepted size vector is dressed with one
-shuffle of the labels 1..n, which makes the swaps and draws of
+about 8192; they never run past max_rejects + 1 attempts.  This needs rng
+to be a numpy.random.Generator.  An accepted size vector is dressed with
+one shuffle of the labels 1..n, which makes the swaps and draws of
 rng.permutation(n), and one Pruefer draw per forest: the sequences of all
 blocks of m >= 3 vertices come from one rng.integers call with bound m
 repeated m - 2 times, in block order, which gives the integers of one
-rng.integers(0, m, m - 2) call per block.  Blocks of one or two vertices
-take no sort, no draw and no call.  When the budget runs out,
-RetryBudgetError carries the exact per-attempt acceptance (a truncated
-convolution power of the size law) and the max_rejects that succeeds with
-probability 0.95.
+rng.integers(0, m, m - 2) call per block.  Sequences of at most three
+integers in all are drawn one scalar call each, which is cheaper and gives
+the same integers.  Blocks of one or two vertices take no sort, no draw and
+no call.  When the budget runs out, RetryBudgetError carries the exact
+per-attempt acceptance (a truncated convolution power of the size law) and
+the max_rejects that succeeds with probability 0.95.
 """
 
 import dataclasses
@@ -380,17 +380,14 @@ def _forest_trees(sizes, blocks, rng):
     draw with bound m repeated m - 2 times, in block order.  numpy draws
     every element of a bounded integer array the same way, whatever the
     form of the call, so the integers are those of one rng.integers(0, m,
-    m - 2) per block, and so is the generator's state after them.  A single
-    such block keeps that scalar-bound call, which costs less than the
-    broadcast one, and a forest whose sequences hold at most _SCALAR_DRAWS
-    integers draws them one scalar call each.  A block of 2 vertices (u, v)
-    with u < v is its own single edge.
+    m - 2) per block, and so is the generator's state after them.  A forest
+    whose sequences hold at most _SCALAR_DRAWS integers draws them one
+    scalar call each.  A block of 2 vertices (u, v) with u < v is its own
+    single edge.
     """
     big = [m for m in sizes if m > 2]
     if sum(big) - 2 * len(big) <= _SCALAR_DRAWS:
         seq = [int(rng.integers(0, m)) for m in big for _ in range(m - 2)]
-    elif len(big) == 1:
-        seq = rng.integers(0, big[0], big[0] - 2).tolist()
     else:
         big = np.array(big)
         seq = rng.integers(0, np.repeat(big, big - 2)).tolist()
@@ -422,17 +419,14 @@ def _first_hit(cdf, guide, k, total, rng, max_rejects):
     would leave it.
     """
     bits = rng.bit_generator
-    ones = _ONES[:k] if 1 < k <= _MATMUL_MAX_K else None
+    ones = _ONES[:k] if k <= _MATMUL_MAX_K else None
     per_block = max(1, _BLOCK_START // k)
     attempts = 0
     while attempts <= max_rejects:
         b = min(per_block, max_rejects + 1 - attempts)
-        # a hit on a block's last attempt needs no rewind, so one attempt saves nothing
-        state = bits.state if b > 1 else None
+        state = bits.state
         idx = _size_indices(cdf, guide, rng.random(b * k))
-        if k == 1:
-            sums = idx
-        elif ones is not None:
+        if ones is not None:
             sums = idx.reshape(b, k) @ ones
         else:
             sums = np.add.reduce(idx.reshape(b, k), axis=1)

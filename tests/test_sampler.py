@@ -340,14 +340,25 @@ def _probe_uniforms(cdf):
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+# tables of 1 to 20 sizes at the radius (k = 1) and below it (k = 40)
+_TINY_TABLES = [(m, 1) for m in range(1, 21)] + [(m + 39, 40) for m in range(2, 21)]
+
+
 class TestGuideTable:
-    @pytest.mark.parametrize("n,k", [(2000, 1200), (2000, 1600), (8, 6), (5, 2), (4, 2)])
+    @pytest.mark.parametrize("n,k", [(2000, 1200), (2000, 1600), (8, 6), (5, 2), (4, 2)] + _TINY_TABLES)
     def test_forest_tables(self, n, k):
         d = sampler.size_distribution(species.builtin("trees"), _default_x(n, k), n_max=n - k + 1)
         cdf, guide = d.cdf, d.guide
         u = _probe_uniforms(cdf)
         want = cdf.searchsorted(u, side="right")
         assert np.array_equal(sampler._lookup(cdf, guide, u.copy()), want)
+        # blocks of _SEARCH_MAX uniforms take one searchsorted call, longer ones the guide
+        for step in (sampler._SEARCH_MAX, sampler._SEARCH_MAX + 1):
+            got = [
+                sampler._size_indices(cdf, guide, u[i : i + step].copy())
+                for i in range(0, len(u), step)
+            ]
+            assert np.array_equal(np.concatenate(got), want)
 
     def test_long_table_at_radius(self):
         cacti = species.builtin("cacti")
@@ -372,30 +383,6 @@ class TestGuideTable:
         # 0.5 is a bucket edge, 0.3 is not: only the bucket holding 0.3 is ambiguous
         assert list(np.flatnonzero(guide < 0)) == [int(0.3 * 4096)]
         assert guide[2047] == 1 and guide[2048] == 2
-
-
-class TestSmallBlockSearch:
-    @pytest.mark.parametrize("n_max", range(1, 21))
-    @pytest.mark.parametrize("scale", [0.3, 1.0])
-    def test_direct_search_matches_the_guide_table(self, n_max, scale):
-        trees = species.builtin("trees")
-        d = sampler.size_distribution(trees, scale * trees.growth.rho, n_max=n_max)
-        cdf, guide = d.cdf, d.guide
-        u = _probe_uniforms(cdf)
-        step = sampler._SEARCH_MAX
-        direct = np.concatenate(
-            [sampler._size_indices(cdf, guide, u[i : i + step].copy()) for i in range(0, len(u), step)]
-        )
-        assert np.array_equal(direct, sampler._lookup(cdf, guide, u.copy()))
-        assert np.array_equal(sampler._size_indices(cdf, guide, u.copy()), direct)
-
-    def test_zero_weight_sizes(self):
-        gap = species.from_coefficients("gap", [1, 0, 6])
-        d = sampler.size_distribution(gap, 0.5)
-        u = _probe_uniforms(d.cdf)[: sampler._SEARCH_MAX]
-        got = sampler._size_indices(d.cdf, d.guide, u.copy())
-        assert np.array_equal(got, sampler._lookup(d.cdf, d.guide, u.copy()))
-        assert 1 not in got
 
 
 def _reference_partition(sizes, rng):
