@@ -15,9 +15,9 @@ chosen from (n, k) alone:
   log of the integer count(n, k), correctly rounded by the decimal module
   to max(45, ceil(precision_bits log10 2) + 6) significant digits and then
   rounded to the nearest float.  Each of the ~2 log2 k binomial convolutions
-  behind count makes about n (n - k + 1) big-integer products and n^2 / 2
-  additions for its Pascal rows, so these two bounds keep the tier near
-  0.1 s once the class's coefficients are known;
+  behind count makes about (n - k + 1)^2 / 2 big-integer products and at
+  most n^2 / 2 additions for its Pascal rows.  The bounds stay where they
+  were set for n (n - k + 1) products, so that no count_log output moves;
 * the float tier beyond: the Boltzmann identity of the weights module,
 
       count(n, k) = (n!/k!) W^k x^(-n) P(S_k = n - k),
@@ -55,7 +55,7 @@ from . import species
 from .errors import DomainError, InternalConsistencyError, PrecisionError, check_int
 
 _EXACT_TIER_MAX_N = 200  # bounds the n^2 / 2 Pascal-row additions per convolution
-_EXACT_TIER_MAX_WORK = 12_000  # bounds the n (n - k + 1) products per convolution
+_EXACT_TIER_MAX_WORK = 12_000  # bounds n (n - k + 1); the module docstring says why
 _LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm
 DEFAULT_PRECISION_BITS = 128
 

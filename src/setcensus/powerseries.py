@@ -4,7 +4,10 @@ A labeled list f holds f_m = m! [x^m] F, the number of labeled structures of
 size m when F is the EGF of a class.  mul, pow and exp are the product,
 power and exponential of EGFs on such lists: the EGF product is the
 binomial convolution h_m = sum_j C(m, j) f_j g_{m-j}, so every entry stays
-an integer.  The exact routes of the package (exact.count, count_table,
+an integer.  mul skips the leading zeros of both factors, and pow forms each
+power of its binary chain only through the sizes that can still reach n, so
+C^k through n, with C from size 1, costs about (n - k + 1)^2 / 2 products per
+convolution.  The exact routes of the package (exact.count, count_table,
 total_count and sampler.sum_size_probability_exact) run on them.
 
 The module also holds the package's one solver of the block-decomposition
@@ -34,15 +37,18 @@ from .errors import InternalConsistencyError, ModelViolationError
 def mul(f, g, n):
     """h_m = sum_j C(m, j) f_j g_{m-j} for m = 0..n, so h_m = m! [x^m] F*G
     when f_m = m! [x^m] F and g_m = m! [x^m] G; entries past the end of a
-    list are 0.  One Pascal row is alive at a time; the leading zeros of f
-    are skipped."""
+    list are 0.  One Pascal row is alive at a time.  With f_a and g_b the
+    first non-zero entries, h_m sums over j in [a, m - b] only, and h_m = 0
+    for m < a + b."""
     if len(g) <= n:  # g is read backwards from index m
         g = [*g, *[0] * (n + 1 - len(g))]
     a = next((j for j, v in enumerate(f) if v), n + 1)
+    b = next((j for j, v in enumerate(g) if v), n + 1)
     h, row = [], [1]
     for m in range(n + 1):
-        terms = zip(row[a:], f[a:], reversed(g[: m - a + 1]))
-        h.append(sum(r * x * y for r, x, y in terms) if m >= a else 0)
+        top = m - b + 1  # the terms j = a .. m - b
+        terms = zip(row[a:top], f[a:top], reversed(g[b : m - a + 1])) if top > a else ()
+        h.append(sum(r * x * y for r, x, y in terms))
         row = [1, *map(operator.add, row, row[1:]), 1]
     return h
 
@@ -50,7 +56,10 @@ def mul(f, g, n):
 def pow(c, k, n):  # noqa: A001 - deliberate shadow, mirrors mul/exp naming
     """Labeled k-th power of c through size n, by binary exponentiation.
 
-    The first power is c itself, not a copy.
+    The first power is c itself, not a copy.  With c_v the first non-zero
+    entry, C^(k-h) starts at size (k-h) v, so C^h = C^(k//2) is formed only
+    through n - (k-h) v and its square through n - (k mod 2) v; every entry
+    0..n is the same integer as that of the full chain.
     """
     if not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
@@ -58,8 +67,12 @@ def pow(c, k, n):  # noqa: A001 - deliberate shadow, mirrors mul/exp naming
         return [1] + [0] * n
     if k == 1:
         return c
-    half = pow(c, k // 2, n)
-    square = mul(half, half, n)
+    v = next((j for j, x in enumerate(c) if x), n + 1)
+    h = k // 2
+    if (k - h) * v > n:
+        return [0] * (n + 1)
+    half = pow(c, h, n - (k - h) * v)
+    square = mul(half, half, n - (k & 1) * v)
     return mul(square, c, n) if k & 1 else square
 
 

@@ -203,6 +203,7 @@ _NAMED_SPECS = {"edge": _edge_spec, "cactus": _cactus_spec, "complete": _complet
 def _validate_block_spec(spec, order=40, tol=1e-9):
     # series coefficients and scalar evaluator must describe the same B'
     t = min(spec.R, 2.0) / 2
+    order = max(order, len(spec.tail))  # a poly B' is checked through its degree
     bp = spec.bprime_series(order)
     approx = 0.0
     for k in range(order, 0, -1):

@@ -285,6 +285,17 @@ class TestAgainstOracle:
         with pytest.raises(DomainError):
             exact.total_count(cls, 4)
 
+    @pytest.mark.parametrize("name,n,k", [("trees", 1000, 989), ("cacti", 600, 589)])
+    def test_large_n_small_window(self, name, n, k):
+        # the oracle is filled bottom-up in n, so that its recursion stays
+        # one level deep; it reads |C_1..n-k+1| only, as count does
+        cls = species.builtin(name)
+        g = forest_counts_oracle(species.coefficients(cls, n - k + 1))
+        for m in range(1, n + 1):
+            for j in range(max(1, m - (n - k)), m + 1):
+                g(m, j)
+        assert exact.count(cls, n, k) == g(n, k)
+
     @pytest.mark.parametrize("corrupt", [lambda v: v + 1, lambda v: -v], ids=["remainder", "negative"])
     def test_bad_product_raises(self, monkeypatch, corrupt):
         trees = species.builtin("trees")
@@ -292,8 +303,12 @@ class TestAgainstOracle:
         product = ps.mul
 
         def corrupted(f, g, n):
+            # only the product through the requested n: pow forms the inner
+            # square of C^3 through n - 1, and its top entry feeds the result,
+            # where two negations would cancel
             h = product(f, g, n)
-            h[n] = corrupt(h[n])
+            if n == 6:
+                h[n] = corrupt(h[n])
             return h
 
         monkeypatch.setattr(ps, "mul", corrupted)

@@ -32,6 +32,22 @@ class TestArithmetic:
         got = ps.pow(a, 5, 5)
         assert got == [math.factorial(j) * math.comb(5, j) for j in range(6)]
 
+    @pytest.mark.parametrize("v", [0, 1, 2, 3, None], ids=[*(f"valuation-{v}" for v in range(4)), "zero"])
+    def test_pow_matches_repeated_products(self, v):
+        # pow forms its inner powers only through the sizes that reach n,
+        # which depends on v, the first size with a non-zero entry
+        c = ([0] * v + [3, 1, 0, 2, 0, 5, 7, 1, 0, 2, 4, 0, 6])[:13] if v is not None else [0] * 13
+        for n in range(13):
+            for k in range(10):
+                want = [1] + [0] * n
+                if k:
+                    want = c
+                    for _ in range(k - 1):
+                        want = ps.mul(want, c, n)
+                got = ps.pow(c, k, n)
+                assert got[: n + 1] == want[: n + 1], (n, k)
+                assert len(got) > n
+
     def test_pow_zeroth(self):
         a = [0, 3, 14, 0, 0]
         got = ps.pow(a, 0, 4)

@@ -305,6 +305,15 @@ class TestIntegerFixedPoint:
         kind, tail = _ORACLE_SPECS[name]
         assert species.coefficients(cls, 200) == recurrences.connected_counts(kind, 200, tail)
 
+    @pytest.mark.parametrize("degree", [41, 60])
+    def test_poly_degree_beyond_forty_loads(self, tmp_path, degree):
+        # B'(u) = u + u^degree: the series check reaches the top term, so the
+        # series and the scalar B'(1) = 2 agree
+        bprime = ["0", "1", *["0"] * (degree - 2), "1"]
+        cls = _block_file_class(tmp_path, {"name": "wide", "block": {"kind": "poly", "bprime": bprime}})
+        tail = (1, *[0] * (degree - 2), 1)
+        assert species.coefficients(cls, 70) == recurrences.connected_counts("poly", 70, tail)
+
     @pytest.mark.parametrize("bprime", [["0", "1", "1/5"], ["0", "1", "0", "1/7"]])
     def test_non_integral_block_counts_raise(self, tmp_path, bprime):
         # B'(u) = u + u^2/5 has 2/5 blocks on 3 vertices: |C_3| = 17/5
