@@ -15,9 +15,10 @@ chosen from (n, k) alone:
   log of the integer count(n, k), correctly rounded by the decimal module
   to max(45, ceil(precision_bits log10 2) + 6) significant digits and then
   rounded to the nearest float.  Each of the ~2 log2 k binomial convolutions
-  behind count makes about (n - k + 1)^2 / 2 big-integer products and at
-  most n^2 / 2 additions for its Pascal rows.  The bounds stay where they
-  were set for n (n - k + 1) products, so that no count_log output moves;
+  behind count makes about (n - k + 1)^2 / 2 big-integer products, half
+  that for a square, and about as many additions for the binomials of its
+  window.  The bounds stay where they were set for n (n - k + 1) products
+  and full Pascal rows, so that no count_log output moves;
 * the float tier beyond: the Boltzmann identity of the weights module,
 
       count(n, k) = (n!/k!) W^k x^(-n) P(S_k = n - k),
@@ -54,7 +55,7 @@ from . import powerseries as ps
 from . import species
 from .errors import DomainError, InternalConsistencyError, PrecisionError, check_int
 
-_EXACT_TIER_MAX_N = 200  # bounds the n^2 / 2 Pascal-row additions per convolution
+_EXACT_TIER_MAX_N = 200  # set for full Pascal rows; kept so that no count_log output moves
 _EXACT_TIER_MAX_WORK = 12_000  # bounds n (n - k + 1); the module docstring says why
 _LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm
 DEFAULT_PRECISION_BITS = 128
@@ -178,10 +179,10 @@ def count_table(cls, n, k_range=None):
     wanted = set(ks)
     c = _labeled_counts(cls, n, n - ks[0] + 1)
     rows = []
-    power = c
-    k_fact = 1
-    for k in range(1, ks[-1] + 1):
-        if k > 1:
+    power = ps.pow(c, ks[0], n)
+    k_fact = math.factorial(ks[0])
+    for k in range(ks[0], ks[-1] + 1):
+        if k > ks[0]:
             power = ps.mul(power, c, n)
             k_fact *= k
         if k in wanted:

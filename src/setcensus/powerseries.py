@@ -4,11 +4,13 @@ A labeled list f holds f_m = m! [x^m] F, the number of labeled structures of
 size m when F is the EGF of a class.  mul, pow and exp are the product,
 power and exponential of EGFs on such lists: the EGF product is the
 binomial convolution h_m = sum_j C(m, j) f_j g_{m-j}, so every entry stays
-an integer.  mul skips the leading zeros of both factors, and pow forms each
-power of its binary chain only through the sizes that can still reach n, so
-C^k through n, with C from size 1, costs about (n - k + 1)^2 / 2 products per
-convolution.  The exact routes of the package (exact.count, count_table,
-total_count and sampler.sum_size_probability_exact) run on them.
+an integer.  mul skips the leading zeros of both factors, keeps only the
+binomials of its window and sums each pair of a square once, and pow forms
+each power of its binary chain only through the sizes that can still reach n,
+so C^k through n, with C from size 1, costs about (n - k + 1)^2 / 2 products
+and as many binomial additions per convolution, half that per square.  The
+exact routes of the package (exact.count, count_table, total_count and
+sampler.sum_size_probability_exact) run on them.
 
 The module also holds the package's one solver of the block-decomposition
 fixed point
@@ -25,6 +27,7 @@ arrays in the weights module.  A poly block whose labeled B'(y) is not an
 integer raises ModelViolationError naming the size.
 """
 
+import math
 import numbers
 import operator
 from itertools import islice
@@ -37,20 +40,38 @@ from .errors import InternalConsistencyError, ModelViolationError
 def mul(f, g, n):
     """h_m = sum_j C(m, j) f_j g_{m-j} for m = 0..n, so h_m = m! [x^m] F*G
     when f_m = m! [x^m] F and g_m = m! [x^m] G; entries past the end of a
-    list are 0.  One Pascal row is alive at a time.  With f_a and g_b the
-    first non-zero entries, h_m sums over j in [a, m - b] only, and h_m = 0
-    for m < a + b."""
+    list are 0.  With f_a and g_b the first non-zero entries, h_m = 0 for
+    m < a + b and sums over j in [a, m - b] only, so the row of binomials
+    kept holds C(m, j) for those j; it steps from m - 1 with the edge
+    binomials C(m - 1, a - 1) and C(m - 1, b - 1).  A square (f is g, as pow
+    forms it) sums each pair j < m - j once on the half row j in [a, m // 2]."""
+    square = f is g
     if len(g) <= n:  # g is read backwards from index m
         g = [*g, *[0] * (n + 1 - len(g))]
+    f = g if square else f
     a = next((j for j, v in enumerate(f) if v), n + 1)
-    b = next((j for j, v in enumerate(g) if v), n + 1)
-    h, row = [], [1]
-    for m in range(n + 1):
-        top = m - b + 1  # the terms j = a .. m - b
-        terms = zip(row[a:top], f[a:top], reversed(g[b : m - a + 1])) if top > a else ()
-        h.append(sum(r * x * y for r, x, y in terms))
-        row = [1, *map(operator.add, row, row[1:]), 1]
+    b = a if square else next((j for j, v in enumerate(g) if v), n + 1)
+    if a + b > n:
+        return [0] * (n + 1)
+    row = [math.comb(a + b, a)]
+    left, right = (math.comb(a + b, a - 1) if a else 0), (math.comb(a + b, b - 1) if b else 0)
+    h = [0] * (a + b) + [row[0] * f[a] * g[b]]
+    for m in range(a + b + 1, n + 1):
+        if square:  # C(m - 1, m/2) = C(m - 1, m/2 - 1) ends the half row at an even m
+            row = [*map(operator.add, [left, *row], row if m & 1 else [*row, row[-1]])]
+            pairs = _dot(row, f[a : (m + 1) // 2], reversed(f[m // 2 + 1 : m - a + 1]))
+            h.append(2 * pairs + (0 if m & 1 else row[-1] * f[m // 2] ** 2))
+        else:
+            row = [*map(operator.add, [left, *row], [*row, right])]
+            right = right * m // (m - b + 1)
+            h.append(_dot(row, f[a : m - b + 1], reversed(g[b : m - a + 1])))
+        left = left * m // (m - a + 1)
     return h
+
+
+def _dot(row, x, y):
+    """sum_i row_i x_i y_i, stopping at the shortest."""
+    return sum(map(operator.mul, map(operator.mul, row, x), y))
 
 
 def pow(c, k, n):  # noqa: A001 - deliberate shadow, mirrors mul/exp naming
@@ -84,7 +105,7 @@ def exp(c, n):
     """
     g, row = [1], [1]
     for m in range(1, n + 1):
-        g.append(sum(r * x * y for r, x, y in zip(row, c, reversed(g))))
+        g.append(_dot(row, c, reversed(g)))
         row = [1, *map(operator.add, row, row[1:]), 1]
     return g
 
@@ -123,11 +144,11 @@ class Labeled:
 
     def conv(self, lo, a, b):
         """sum_i C(n, lo + i) a_i b_i, the size-n term of an EGF product."""
-        return sum(map(operator.mul, map(operator.mul, islice(self.row, lo, None), a), b))
+        return _dot(islice(self.row, lo, None), a, b)
 
     def exp_conv(self, n, a, b):
         """sum_j C(n-1, j-1) a_j b_{n-j}, with a = a_1..a_n and b = b_{n-1}..b_0."""
-        return sum(map(operator.mul, map(operator.mul, self.prev, a), b))
+        return _dot(self.prev, a, b)
 
 
 class Tilted:

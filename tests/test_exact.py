@@ -148,6 +148,20 @@ class TestCountTable:
         for k, c, _lg in table.rows:
             assert exact.count(cls, 6, k) == c
 
+    @pytest.mark.parametrize("name,n,ks", [("trees", 300, range(290, 301)), ("cacti", 60, [50, 55, 60])])
+    def test_rows_from_the_smallest_k(self, name, n, ks):
+        # the running power starts at C^min(k); the oracle is filled
+        # bottom-up in n, so that its recursion stays one level deep
+        cls = species.builtin(name)
+        window = n - min(ks)
+        g = forest_counts_oracle(species.coefficients(cls, window + 1))
+        for m in range(1, n + 1):
+            for j in range(max(1, m - window), m + 1):
+                g(m, j)
+        rows = exact.count_table(cls, n, ks).rows
+        assert [k for k, _c, _lg in rows] == list(ks)
+        assert [c for _k, c, _lg in rows] == [exact.count(cls, n, k) for k in ks] == [g(n, k) for k in ks]
+
 
 def _digest(value):
     return hashlib.sha256(str(value).encode()).hexdigest()[:16]

@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,34 @@ class TestArithmetic:
                 got = ps.pow(c, k, n)
                 assert got[: n + 1] == want[: n + 1], (n, k)
                 assert len(got) > n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mul_and_pow_match_naive_convolution(self, seed):
+        # an oracle independent of mul's windowed and halved binomial rows:
+        # every full Pascal row, every term
+        def naive(f, g, n):
+            f, g = [*f, *[0] * (n + 1)], [*g, *[0] * (n + 1)]
+            return [sum(math.comb(m, j) * f[j] * g[m - j] for j in range(m + 1)) for m in range(n + 1)]
+
+        rng = random.Random(seed)
+
+        def draw():  # valuation 0-6, shorter or longer than n + 1, or all zeros
+            size = rng.randrange(24)
+            if rng.random() < 0.1:
+                return [0] * size
+            v = rng.randrange(7)
+            return [0] * v + [rng.randint(-40, 40) for _ in range(size - v)]
+
+        for n in range(21):
+            f, g = draw(), draw()
+            for x, y in ((f, f), (f, list(f)), (f, g), (g, f)):
+                assert ps.mul(x, y, n) == naive(x, y, n), (n, x, y)
+            for k in range(11):
+                want = [1] + [0] * n
+                for _ in range(k):
+                    want = naive(want, f, n)
+                got = ps.pow(f, k, n)  # the first power is f itself, which may be shorter
+                assert [*got, *[0] * (n + 1)][: n + 1] == want, (n, k, f)
 
     def test_pow_zeroth(self):
         a = [0, 3, 14, 0, 0]
