@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import signal
 
@@ -331,6 +333,47 @@ class TestSupercritical:
         else:
             with pytest.raises(DomainError):
                 asy.solve_supercritical(trees, lam)
+
+
+# Block files B' = u + u^2/2 + u^3/2 (c4) and u + u^3/3 (p3)
+_FROZEN_BLOCK_FILES = {
+    "c4": ["0", "1", "1/2", "1/2"],
+    "p3": ["0", "1", "0", "1/3"],
+}
+_FROZEN_BLOCK_LAMBDAS = (0.6, 0.75, 0.85, 0.9, 0.95, 0.99, 0.999, 0.9999)
+
+# SHA-256 prefixes of repr(recipe_constants) and repr(solve_supercritical) at
+# every lambda of _FROZEN_BLOCK_LAMBDAS above lambda*, newline-joined, as the
+# block route gave them before the block specs lost their series copies
+_FROZEN_BLOCK_ROUTE = {
+    "trees": "ac61181ecb50bf2d",
+    "cacti": "9f958804c9160080",
+    "husimi": "433c709c0315fa42",
+    "c4": "fd1d68323ba920cb",
+    "p3": "4508560d64d2a3de",
+}
+
+
+class TestFrozenBlockRoute:
+    """The float block route (recipe and saddle), bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_FROZEN_BLOCK_ROUTE))
+    def test_recipe_and_saddles(self, tmp_path, name):
+        if name in _FROZEN_BLOCK_FILES:
+            path = tmp_path / f"{name}.json"
+            doc = {"name": name, "block": {"kind": "poly", "bprime": _FROZEN_BLOCK_FILES[name]}}
+            path.write_text(json.dumps(doc))
+            cls = species.from_file(str(path))
+        else:
+            cls = species.builtin(name)
+        rc = asy.recipe_constants(cls)
+        lines = [repr(rc)] + [
+            repr(asy.solve_supercritical(cls, lam))
+            for lam in _FROZEN_BLOCK_LAMBDAS
+            if lam > rc.lambda_star
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert digest == _FROZEN_BLOCK_ROUTE[name]
 
 
 class TestConstants:
