@@ -401,46 +401,12 @@ def solve_supercritical(cls, lam):
     return sp
 
 
-def _complete_gap(t):
-    """B'(t) - B(t)/t for B = e^t - t - 1, as sum_{m>=1} m t^m / (m+1)!."""
-    total, term, m = 0.0, 0.5 * t, 1
-    while total + term != total:
-        total += term
-        term *= t * (m + 1) / (m * (m + 2))
-        m += 1
-    return total
-
-
-def _cactus_gap(t):
-    """B'(t) - B(t)/t for the cactus block, as t/4 + (1/2) sum_{m>=1} m t^m / (m+1)."""
-    total, power, m = 0.0, t, 1
-    while True:
-        term = m * power / (m + 1)
-        if total + term == total:
-            return 0.25 * t + 0.5 * total
-        total += term
-        power *= t
-        m += 1
-
-
-def _poly_gap(spec):
-    """B'(t) - B(t)/t for B' = sum_d c_d t^d, as sum_d c_d d/(d+1) t^d."""
-    coeffs = [float(c * d / (d + 1)) for d, c in enumerate(spec.tail, start=1)]
-    return lambda t: sum(c * t**d for d, c in enumerate(coeffs, start=1) if c)
-
-
-# g(t) = B'(t) - B(t)/t as a sum of positive terms, for the block kinds whose
-# closed forms cancel at small t (e^t - 1 - t, log1p, polynomials); edge
-# blocks evaluate B and B' directly.
-_GAP_SERIES = {"complete": _complete_gap, "cactus": _cactus_gap}
-
-
 def _supercritical_block(cls, lam):
     # The saddle y solves g(y) = 1 - lambda, where g = B' - B/t rises from 0
     # at 0+ to 1 - lambda* at zeta; g' = B'' - g/t.
     spec = cls.block_spec
     rc = recipe_constants(cls)
-    gap = _poly_gap(spec) if spec.kind == "poly" else _GAP_SERIES.get(spec.kind)
+    gap = spec.gap
     if gap is None:
 
         def fdf(t):

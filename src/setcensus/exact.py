@@ -155,9 +155,9 @@ def _tilt(cls, n, k):
     without growth parameters the x where the size law truncated to n - k + 1
     sizes has mean n/k.  Any x gives the same count; this one keeps the
     weights near the sizes a composition of n into k parts uses."""
-    from . import weights
-
     if cls.growth is None:
+        from . import weights
+
         return weights._mean_tilt(cls, n - k + 1, n / k)
     lam = k / n
     if asymptotics.lambda_star(cls) + asymptotics._CRITICAL_WINDOW < lam < 1.0:

@@ -323,11 +323,9 @@ def sample_partition(sizes, rng):
 
     Block i takes the next sizes[i] labels of one uniform permutation, in
     increasing order; blocks of one or two labels are ordered without a sort.
+    Each size must be a positive integer: 2.5, nan and "3" raise DomainError.
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
-    if len(sizes) and sizes.min() < 1:
-        raise DomainError("all block sizes must be positive")
-    return _partition(sizes.tolist(), rng)
+    return _partition([check_int(f"sizes[{i}]", s, 1) for i, s in enumerate(sizes)], rng)
 
 
 def _partition(sizes, rng):
@@ -446,8 +444,9 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     """Uniform labeled forest of exactly k trees on vertices 1..n.
 
     Component sizes come from the Boltzmann size law conditioned on total n by
-    rejection (at parameter x; the default picks the saddle x_lambda for
-    lambda = k/n above the threshold 1/2, the radius e^{-1} otherwise), the
+    rejection (at parameter x; the default is the tilt of exact.count_log's
+    float tier: the saddle x_lambda for lambda = k/n above the threshold 1/2
+    and its critical window, the radius e^{-1} otherwise), the
     vertex partition is uniform given the sizes, and each component is a
     uniform labeled tree via a Pruefer draw.  rng must be a
     numpy.random.Generator (default: a fresh unseeded one).
@@ -465,12 +464,7 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
         )
     trees_cls = species.builtin("trees")
     if x is None:
-        lam = k / n
-        lam_star = asymptotics.lambda_star(trees_cls)
-        if lam > lam_star + 1e-12 and lam < 1.0:
-            x = asymptotics.solve_supercritical(trees_cls, lam).x_lambda
-        else:
-            x = trees_cls.growth.rho
+        x = exact._tilt(trees_cls, n, k)
     table = _size_table(trees_cls, x, n_max=n - k + 1)
     # 0-based size indices: the sizes total n exactly when these total n - k
     idx, attempts = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects)

@@ -18,7 +18,9 @@ Python integers (n! times each coefficient, so no common denominator), and
 their growth parameters from the subcritical recipe in the asymptotics
 module; every block class of this kind has alpha = 3/2.  A poly block file
 must give integer block counts d! [u^d] B' (the blocks on d + 1 vertices),
-or it does not load.
+or it does not load.  A block kind is defined in two places: its BlockSpec
+here (the scalar B, B', B'', B''', the radius and the gap series of the
+saddle solve) and its step in powerseries.BlockTable.
 """
 
 import json
@@ -77,13 +79,15 @@ class GrowthParams:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Scalar evaluators and series coefficients of a 2-connected block family B.
+    """Scalar evaluators of a 2-connected block family B.
 
     kind selects the step of powerseries.BlockTable, the fixed-point solver of
     every arithmetic: "edge" (B = u^2/2), "cactus" (B = u^2/4 - u/2 - log(1-u)/2),
     "complete" (B = e^u - u - 1) or "poly" (B' a finite polynomial, with
     tail its exact c_1..c_D of B'(u) = sum_d c_d u^d and c_D != 0).  R is
-    the radius of convergence of B, possibly infinite.
+    the radius of convergence of B, possibly infinite.  gap is
+    g(t) = B'(t) - B(t)/t as a sum of positive terms, or None where B and B'
+    are evaluated directly (edge).
     """
 
     kind: str
@@ -92,12 +96,8 @@ class BlockSpec:
     Bpp: object
     Bppp: object
     R: float
-    bprime_series_provider: object
+    gap: object  # the closed forms cancel at small t (e^t - 1 - t, log1p, polynomials)
     tail: tuple = ()
-
-    def bprime_series(self, T):
-        """[u^0..u^T] B' as a list of T + 1 Fractions."""
-        return self.bprime_series_provider(T)
 
 
 class ConnectedClass:
@@ -126,10 +126,6 @@ class ConnectedClass:
 
 
 def _edge_spec():
-    def provider(T):
-        coeffs = [Fraction(0), Fraction(1)][: T + 1]
-        return coeffs + [Fraction(0)] * (T + 1 - len(coeffs))
-
     return BlockSpec(
         kind="edge",
         B=lambda t: t * t / 2,
@@ -137,15 +133,23 @@ def _edge_spec():
         Bpp=lambda t: 1.0,
         Bppp=lambda t: 0.0,
         R=math.inf,
-        bprime_series_provider=provider,
+        gap=None,
     )
 
 
-def _cactus_spec():
-    def provider(T):
-        coeffs = [Fraction(0), Fraction(1)] + [Fraction(1, 2)] * (T - 1)
-        return coeffs[: T + 1]
+def _cactus_gap(t):
+    """B'(t) - B(t)/t for the cactus block, as t/4 + (1/2) sum_{m>=1} m t^m / (m+1)."""
+    total, power, m = 0.0, t, 1
+    while True:
+        term = m * power / (m + 1)
+        if total + term == total:
+            return 0.25 * t + 0.5 * total
+        total += term
+        power *= t
+        m += 1
 
+
+def _cactus_spec():
     return BlockSpec(
         kind="cactus",
         B=lambda t: t * t / 4 - t / 2 - math.log1p(-t) / 2,
@@ -153,14 +157,21 @@ def _cactus_spec():
         Bpp=lambda t: 0.5 + 1 / (2 * (1 - t) ** 2),
         Bppp=lambda t: 1 / (1 - t) ** 3,
         R=1.0,
-        bprime_series_provider=provider,
+        gap=_cactus_gap,
     )
 
 
-def _complete_spec():
-    def provider(T):
-        return [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, T + 1)]
+def _complete_gap(t):
+    """B'(t) - B(t)/t for B = e^t - t - 1, as sum_{m>=1} m t^m / (m+1)!."""
+    total, term, m = 0.0, 0.5 * t, 1
+    while total + term != total:
+        total += term
+        term *= t * (m + 1) / (m * (m + 2))
+        m += 1
+    return total
 
+
+def _complete_spec():
     return BlockSpec(
         kind="complete",
         B=lambda t: math.exp(t) - t - 1,
@@ -168,17 +179,13 @@ def _complete_spec():
         Bpp=math.exp,
         Bppp=math.exp,
         R=math.inf,
-        bprime_series_provider=provider,
+        gap=_complete_gap,
     )
 
 
 def _poly_spec(tail):
     """BlockSpec for B'(u) = sum_d tail[d-1] u^d given as exact rationals."""
     tail = tuple(tail)
-
-    def provider(T):
-        coeffs = [Fraction(0)] + list(tail)
-        return coeffs[: T + 1] + [Fraction(0)] * max(0, T + 1 - len(tail) - 1)
 
     def B(t):
         return sum(float(c) * t ** (d + 1) / (d + 1) for d, c in enumerate(tail, start=1))
@@ -192,28 +199,18 @@ def _poly_spec(tail):
     def Bppp(t):
         return sum(float(c) * d * (d - 1) * t ** (d - 2) for d, c in enumerate(tail, start=1) if d >= 2)
 
+    # B'(t) - B(t)/t = sum_d c_d d/(d+1) t^d
+    gap_coeffs = [float(c * d / (d + 1)) for d, c in enumerate(tail, start=1)]
+
+    def gap(t):
+        return sum(c * t**d for d, c in enumerate(gap_coeffs, start=1) if c)
+
     degree = max((d for d, c in enumerate(tail, start=1) if c), default=0)
     return BlockSpec(kind="poly", B=B, Bp=Bp, Bpp=Bpp, Bppp=Bppp, R=math.inf,
-                     bprime_series_provider=provider, tail=tail[:degree])
+                     gap=gap, tail=tail[:degree])
 
 
 _NAMED_SPECS = {"edge": _edge_spec, "cactus": _cactus_spec, "complete": _complete_spec}
-
-
-def _validate_block_spec(spec, order=40, tol=1e-9):
-    # series coefficients and scalar evaluator must describe the same B'
-    t = min(spec.R, 2.0) / 2
-    order = max(order, len(spec.tail))  # a poly B' is checked through its degree
-    bp = spec.bprime_series(order)
-    approx = 0.0
-    for k in range(order, 0, -1):
-        approx = approx * t + float(bp[k])
-    approx *= t
-    target = spec.Bp(t)
-    if abs(approx - target) > tol * max(1.0, abs(target)):
-        raise ValidationError(
-            f"block spec inconsistent: series B'({t}) = {approx} vs scalar {target}"
-        )
 
 
 def y_series(cls, T):
@@ -342,26 +339,25 @@ def builtin(name):
 
 
 def _make_builtin(name):
-    if name == "trees":
-        spec = _edge_spec()
-        growth = GrowthParams(1 / math.sqrt(2 * math.pi), math.exp(-1), SUBCRITICAL_ALPHA)
-        cls = ConnectedClass("trees", CoeffSource.CLOSED_FORM, growth, spec)
-        cls.coeff_provider = _cayley
-    else:
-        spec = _cactus_spec() if name == "cacti" else _complete_spec()
-        cls = ConnectedClass(name, CoeffSource.BLOCK_DERIVED, None, spec)
-        _attach_recipe_growth(cls)
-        cls.coeff_provider = lambda n, _cls=cls: coefficients(_cls, n)[n - 1]
-    _validate_block_spec(spec)
+    if name != "trees":
+        return _block_class(name, _cactus_spec() if name == "cacti" else _complete_spec())
+    growth = GrowthParams(1 / math.sqrt(2 * math.pi), math.exp(-1), SUBCRITICAL_ALPHA)
+    cls = ConnectedClass("trees", CoeffSource.CLOSED_FORM, growth, _edge_spec())
+    cls.coeff_provider = _cayley
     _validate_first_coefficient(cls)
     return cls
 
 
-def _attach_recipe_growth(cls):
+def _block_class(name, spec):
+    """The BLOCK_DERIVED class of spec, with the growth of the subcritical recipe."""
     from . import asymptotics  # deferred: asymptotics imports this module
 
+    cls = ConnectedClass(name, CoeffSource.BLOCK_DERIVED, None, spec)
     rc = asymptotics.recipe_constants(cls)
     cls.growth = GrowthParams(rc.b, rc.rho, SUBCRITICAL_ALPHA)
+    cls.coeff_provider = lambda n: coefficients(cls, n)[n - 1]
+    _validate_first_coefficient(cls)
+    return cls
 
 
 def _validate_first_coefficient(cls):
@@ -500,11 +496,7 @@ def from_file(path):
         raise ValidationError(
             f"unknown block kind {kind!r}; expected edge, cactus, complete or poly"
         )
-    _validate_block_spec(spec)
-    cls = ConnectedClass(name, CoeffSource.BLOCK_DERIVED, None, spec)
-    _attach_recipe_growth(cls)
-    cls.coeff_provider = lambda n, _cls=cls: coefficients(_cls, n)[n - 1]
-    _validate_first_coefficient(cls)
+    cls = _block_class(name, spec)
     if growth is not None:
         _check_growth_agreement(cls, growth)
     return cls
@@ -524,8 +516,7 @@ def _check_growth_agreement(cls, declared, rel_tol=1e-3):
 
 def export(cls, terms):
     """Serializable definition document reproducing |C_1..terms| exactly."""
-    if terms < 1:
-        raise DomainError("terms must be at least 1")
+    terms = check_int("terms", terms, 1)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "name": cls.name,

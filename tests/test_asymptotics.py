@@ -96,8 +96,6 @@ class TestRecipe:
 
     def test_not_subcritical(self):
         # B = u^2/4 capped at R = 1/4 keeps t*B'' = t/2 below 1
-        from fractions import Fraction
-
         spec = species.BlockSpec(
             kind="poly",
             B=lambda t: t * t / 4,
@@ -105,7 +103,7 @@ class TestRecipe:
             Bpp=lambda t: 0.5,
             Bppp=lambda t: 0.0,
             R=0.25,
-            bprime_series_provider=lambda T: [Fraction(0), Fraction(1, 2)] + [Fraction(0)] * (T - 1),
+            gap=None,
         )
         cls = species.ConnectedClass("flat", species.CoeffSource.BLOCK_DERIVED, None, spec)
         with pytest.raises(asy.NotSubcriticalError):

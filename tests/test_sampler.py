@@ -237,6 +237,17 @@ class TestPartition:
         with pytest.raises(DomainError):
             sampler.sample_partition((2, 0), rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, "3"])
+    def test_rejects_non_integer_sizes(self, bad):
+        with pytest.raises(DomainError, match="must be an integer"):
+            sampler.sample_partition([bad, 1], rng=np.random.default_rng(0))
+
+    def test_numpy_integer_sizes(self):
+        sizes = np.array([3, 1, 2], dtype=np.int64)
+        ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+        assert sampler.sample_partition(sizes, ours) == sampler.sample_partition((3, 1, 2), ref)
+        assert sampler.sample_partition((), ours) == ()
+
 
 class TestForests:
     def test_structure_is_valid(self):

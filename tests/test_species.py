@@ -232,6 +232,15 @@ class TestFiles:
         with pytest.raises(ValidationError):
             species.from_file(path)
 
+    @pytest.mark.parametrize("terms", ["3", 2.5, 0])
+    def test_export_checks_terms(self, tmp_path, terms):
+        trees = species.builtin("trees")
+        with pytest.raises(DomainError, match="terms"):
+            species.export(trees, terms)
+        with pytest.raises(DomainError, match="terms"):
+            species.to_file(trees, terms, tmp_path / "trees.json")
+        assert not (tmp_path / "trees.json").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
             species.from_file(tmp_path / "nope.json")
@@ -313,6 +322,26 @@ class TestIntegerFixedPoint:
         cls = _block_file_class(tmp_path, {"name": "wide", "block": {"kind": "poly", "bprime": bprime}})
         tail = (1, *[0] * (degree - 2), 1)
         assert species.coefficients(cls, 70) == recurrences.connected_counts("poly", 70, tail)
+
+    @pytest.mark.parametrize("name", [*sorted(_ORACLE_SPECS), "degree-41"])
+    def test_scalar_bprime_matches_labeled_table(self, tmp_path, name):
+        # spec.Bp against the series B'(y) the counts are solved with: at
+        # x = rho/2, sum_n kA[n] x^n / n! with y = sum_n Y[n] x^n / n!
+        if name == "degree-41":
+            doc = {"name": "wide", "block": {"kind": "poly", "bprime": ["0", "1", *["0"] * 39, "1"]}}
+            cls = _block_file_class(tmp_path, doc)
+        elif name in _BLOCK_FILES:
+            cls = _block_file_class(tmp_path, _BLOCK_FILES[name])
+        else:
+            cls = species.builtin(name)
+        spec = cls.block_spec
+        table = ps.BlockTable(spec.kind, spec.tail, ps.Labeled())
+        Y = table.terms(60)
+        x = cls.growth.rho / 2
+        terms = [x**n / math.factorial(n) for n in range(61)]
+        y = math.fsum(Y[n] * terms[n] for n in range(61))
+        bprime_y = math.fsum(table.kA[n] * terms[n] for n in range(61))
+        assert spec.Bp(y) == pytest.approx(bprime_y, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bprime", [["0", "1", "1/5"], ["0", "1", "0", "1/7"]])
     def test_non_integral_block_counts_raise(self, tmp_path, bprime):
