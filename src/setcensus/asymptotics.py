@@ -10,9 +10,10 @@ the threshold lambda* = C(rho) / (rho*C'(rho)):
 * above (lambda* < lambda < 1): constant * n^{-1/2} * x_lambda^{-n} *
   C(x_lambda)^N * n!/N!, where x_lambda solves x*C'(x)/C(x) = 1/lambda.
 
-Block-specified classes additionally get the closed recipe that produces their
-growth constants (zeta, b, rho, lambda*, C(rho)) from scalar evaluations of
-the block EGF B alone.
+Each rule of this table is decided once: _regime makes the closed window
+[lambda* - 1e-9, lambda* + 1e-9] critical, _alpha_case takes alpha within
+1e-12 of 2 as 2, and _growth_constants gives (b, rho, alpha, lambda*, C(rho));
+block classes get these from a closed recipe in scalar values of B alone.
 
 Scalar values of C, x*C', x^2*C'' for synthetic and list classes are computed
 from a coefficient head plus the growth formula's tail sum_{n>H} n^{-s} z^n,
@@ -24,7 +25,6 @@ these classes comes from a bracketed Newton iteration on x*C'/C.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,9 +35,10 @@ from .errors import (
     InternalConsistencyError,
     NotSubcriticalError,
     check_int,
+    check_real,
 )
 
-_CRITICAL_WINDOW = 1e-9  # |lambda - lambda*| below this counts as critical
+_CRITICAL_WINDOW = 1e-9  # the half-width of the closed critical window around lambda*
 _ALPHA_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _HEAD_TERMS = 64
@@ -211,10 +212,8 @@ def recipe_constants(cls):
     cached = cls._scalar_cache.get("recipe")
     if cached is not None:
         return cached
+    zeta = solve_zeta(cls)  # DomainError for a class without a block spec
     spec = cls.block_spec
-    if spec is None:
-        raise DomainError(f"class {cls.name} carries no block specification")
-    zeta = solve_zeta(cls)
     b = zeta / math.sqrt(2 * math.pi * (1.0 + zeta**2 * spec.Bppp(zeta)))
     rho = zeta * math.exp(-spec.Bp(zeta))
     lam_star = 1.0 - spec.Bp(zeta) + spec.B(zeta) / zeta
@@ -238,10 +237,9 @@ def _egf_at(cls, x):
     from the inverse of y*exp(-B'(y)); for synthetic and growth-annotated list
     classes from an exact coefficient head plus an analytic tail.
     """
-    # float and int first: they skip the slower abstract-class check
-    if not (isinstance(x, (float, int, numbers.Real)) and x > 0 and math.isfinite(x)):
+    x = check_real("evaluation point x", x)
+    if not x > 0:
         raise DomainError(f"evaluation point x = {x} must be a positive real")
-    x = float(x)
     cached = cls._scalar_cache.get(x)
     if cached is not None:
         return cached
@@ -265,10 +263,7 @@ def _egf_at(cls, x):
 def _egf_block(cls, x):
     spec = cls.block_spec
     rc = recipe_constants(cls)
-    if x > rc.rho * (1.0 + 1e-12):
-        raise DivergenceError(
-            f"x = {x} exceeds the radius of convergence rho = {rc.rho}"
-        )
+    _check_radius(x, rc.rho)
     if x >= rc.rho * (1.0 - 1e-14):
         y = rc.zeta
     else:
@@ -282,6 +277,12 @@ def _egf_block(cls, x):
     denom = 1.0 - y * spec.Bpp(y)
     D = math.inf if denom <= 0 else y / denom - y
     return (C, A, D)
+
+
+def _check_radius(x, rho):
+    """DivergenceError for x beyond the radius rho, with a relative slack of 1e-12."""
+    if x > rho * (1.0 + 1e-12):
+        raise DivergenceError(f"x = {x} exceeds the radius of convergence rho = {rho}")
 
 
 def _egf_head_tail(cls, x, head_coeffs):
@@ -299,9 +300,8 @@ def _egf_head_tail(cls, x, head_coeffs):
         # bare list: the stored coefficients are the whole model
         return (sC, sA, sD)
     b, rho, alpha = growth.b, growth.rho, growth.alpha
+    _check_radius(x, rho)
     z = x / rho
-    if z > 1.0 + 1e-12:
-        raise DivergenceError(f"x = {x} exceeds the radius of convergence rho = {rho}")
     if z > 1.0 - 1e-12:
         z = 1.0
     H = len(head_coeffs)
@@ -340,25 +340,14 @@ def _tail(z, s, H):
 
 def lambda_star(cls):
     """Threshold density C(rho) / (rho * C'(rho))."""
-    if cls.block_spec is not None:
-        return recipe_constants(cls).lambda_star
-    if cls.growth is None:
-        raise DomainError(
-            f"class {cls.name} declares no growth parameters; lambda* is undefined"
-        )
-    C, A, _ = _egf_at(cls, cls.growth.rho)
-    val = C / A
-    if not (0.0 < val < 1.0):
-        raise DomainError(f"class {cls.name} has degenerate threshold lambda* = {val}")
-    return val
+    return _growth_constants(cls)[3]
 
 
 def _growth_constants(cls):
-    """(b, rho, alpha, lambda_star, C_rho) for any class supporting asymptotics."""
-    if cls.block_spec is not None and cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
+    """(b, rho, alpha, lambda_star, C_rho): the recipe's for block classes (trees too)."""
+    if cls.block_spec is not None:
         rc = recipe_constants(cls)
-        alpha = cls.growth.alpha if cls.growth else species.SUBCRITICAL_ALPHA
-        return rc.b, rc.rho, alpha, rc.lambda_star, rc.C_rho
+        return rc.b, rc.rho, species.SUBCRITICAL_ALPHA, rc.lambda_star, rc.C_rho
     if cls.growth is None:
         raise DomainError(
             f"class {cls.name} declares no growth parameters; asymptotics are unavailable"
@@ -367,9 +356,7 @@ def _growth_constants(cls):
     C, A, _ = _egf_at(cls, g.rho)
     lam_star = C / A
     if not (0.0 < lam_star < 1.0):
-        raise DomainError(
-            f"class {cls.name} has degenerate threshold lambda* = {lam_star}"
-        )
+        raise DomainError(f"class {cls.name} has degenerate threshold lambda* = {lam_star}")
     return g.b, g.rho, g.alpha, lam_star, C
 
 
@@ -381,7 +368,7 @@ def solve_supercritical(cls, lam):
 
     Results are cached per class and lambda, next to the _egf_at values.
     """
-    lam = float(lam)
+    lam = check_real("lambda", lam)
     key = ("saddle", lam)
     cached = cls._scalar_cache.get(key)
     if cached is not None:
@@ -451,12 +438,30 @@ def _supercritical_scalar(cls, lam):
     return SupercriticalPoint(lam=lam, y_lambda=A, x_lambda=x, C_x_lambda=C, sigma2=sigma2)
 
 
-# --- regime constants -----------------------------------------------------------
+# --- the regime table -------------------------------------------------------------
+
+
+def _regime(lam, lam_star):
+    """The regime of lambda: the closed window [lambda* - w, lambda* + w] is critical."""
+    if lam < lam_star - _CRITICAL_WINDOW:
+        return Regime.BELOW
+    if lam <= lam_star + _CRITICAL_WINDOW:
+        return Regime.CRITICAL
+    return Regime.ABOVE
+
+
+def _alpha_case(alpha):
+    """The alpha case: alpha within 1e-12 of 2 counts as 2."""
+    if alpha < 2.0 - _ALPHA_TOL:
+        return AlphaCase.LT2
+    if alpha <= 2.0 + _ALPHA_TOL:
+        return AlphaCase.EQ2
+    return AlphaCase.GT2
 
 
 def constant_below(cls, lam):
     """Leading constant in the sparse-components regime 0 < lambda < lambda*."""
-    lam = float(lam)
+    lam = check_real("lambda", lam)
     b, _rho, alpha, lam_star, C_rho = _growth_constants(cls)
     if not (0.0 < lam < lam_star):
         raise DomainError(f"lambda = {lam} is not in (0, lambda* = {lam_star})")
@@ -466,11 +471,12 @@ def constant_below(cls, lam):
 def constant_critical(cls):
     """Leading constant at lambda = lambda* (defined for alpha <= 2)."""
     b, _rho, alpha, lam_star, C_rho = _growth_constants(cls)
-    if alpha < 2.0 - _ALPHA_TOL:
+    alpha_case = _alpha_case(alpha)
+    if alpha_case is AlphaCase.LT2:
         num = alpha * C_rho
         den = lam_star * b * abs(gamma_fn(1.0 - alpha))
         return (num / den) ** (1.0 / alpha) / abs(gamma_fn(-1.0 / alpha))
-    if abs(alpha - 2.0) <= _ALPHA_TOL:
+    if alpha_case is AlphaCase.EQ2:
         return math.sqrt(C_rho / (b * math.pi * lam_star))
     raise DomainError(
         "for alpha > 2 the critical constant is the gaussian one; "
@@ -480,7 +486,7 @@ def constant_critical(cls):
 
 def _sigma2_at_rho(cls):
     b, rho, alpha, lam_star, C_rho = _growth_constants(cls)
-    if alpha <= 2.0 + _ALPHA_TOL:
+    if _alpha_case(alpha) is not AlphaCase.GT2:
         raise DomainError("the variance at rho is finite only for alpha > 2")
     _C, _A, D = _egf_at(cls, rho)
     return D / C_rho + 1.0 / lam_star - 1.0 / lam_star**2
@@ -492,11 +498,11 @@ def constant_above(cls, lam):
     lambda = lambda* itself is admitted only when alpha > 2 (where the
     variance stays finite at rho).
     """
-    lam = float(lam)
-    _b, _rho, alpha, lam_star, _C = _growth_constants(cls)
+    lam = check_real("lambda", lam)
+    lam_star = _growth_constants(cls)[3]
     if not (lam_star <= lam < 1.0):
         raise DomainError(f"lambda = {lam} is not in [lambda* = {lam_star}, 1)")
-    if abs(lam - lam_star) < _CRITICAL_WINDOW:
+    if _regime(lam, lam_star) is Regime.CRITICAL:
         sigma2 = _sigma2_at_rho(cls)
         lam_eff = lam_star
     else:
@@ -513,38 +519,30 @@ def constant_above(cls, lam):
 def classify(cls, lam):
     """(regime, alpha_case, leading constant, saddle) at density lambda.
 
-    lambda within 1e-9 of lambda* counts as critical, where the constant is
+    lambda in [lambda* - 1e-9, lambda* + 1e-9] is critical, where the constant is
     the critical one for alpha <= 2 and the gaussian one at lambda* above.
     The saddle is the SupercriticalPoint above lambda* and None otherwise.
     """
+    lam = check_real("lambda", lam)
     _b, _rho, alpha, lam_star, _C = _growth_constants(cls)
-    if alpha < 2.0 - _ALPHA_TOL:
-        alpha_case = AlphaCase.LT2
-    elif abs(alpha - 2.0) <= _ALPHA_TOL:
-        alpha_case = AlphaCase.EQ2
-    else:
-        alpha_case = AlphaCase.GT2
+    regime, alpha_case = _regime(lam, lam_star), _alpha_case(alpha)
     sp = None
-    if lam < lam_star - _CRITICAL_WINDOW:
-        regime = Regime.BELOW
+    if regime is Regime.BELOW:
         const = constant_below(cls, lam)
-    elif lam <= lam_star + _CRITICAL_WINDOW:
-        regime = Regime.CRITICAL
-        if alpha_case is AlphaCase.GT2:
-            const = constant_above(cls, lam_star)
-        else:
-            const = constant_critical(cls)
-    else:
-        regime = Regime.ABOVE
+    elif regime is Regime.ABOVE:
         sp = solve_supercritical(cls, lam)
         const = constant_above(cls, lam)
+    elif alpha_case is AlphaCase.GT2:
+        const = constant_above(cls, lam_star)
+    else:
+        const = constant_critical(cls)
     return regime, alpha_case, const, sp
 
 
 def estimate(cls, n, lam):
     """First-order estimate of log count(n, floor(lambda*n)) with its factors."""
     n = check_int("n", n, 2)
-    lam = float(lam)
+    lam = check_real("lambda", lam)
     if not (0.0 < lam < 1.0):
         raise DomainError(f"lambda = {lam} must lie strictly between 0 and 1")
     N = int(math.floor(lam * n + 1e-9))

@@ -103,7 +103,7 @@ def _growth_block(cls):
         "b": _real(cls.growth.b) if cls.growth else None,
         "rho": _real(cls.growth.rho) if cls.growth else None,
     }
-    if cls.block_spec is not None and cls.coeff_source is not species.CoeffSource.EXPLICIT_LIST:
+    if cls.block_spec is not None:
         rc = asymptotics.recipe_constants(cls)
         out["zeta"] = _real(rc.zeta)
     return out
@@ -117,9 +117,7 @@ def _cmd_constants(args):
     lam_star = asymptotics.lambda_star(cls)
     results = _growth_block(cls)
     results["lambda_star"] = _real(lam_star)
-    C_rho, _A, _D = asymptotics._egf_at(
-        cls, cls.growth.rho if cls.block_spec is None else asymptotics.recipe_constants(cls).rho
-    )
+    C_rho, _A, _D = asymptotics._egf_at(cls, cls.growth.rho)
     results["C_rho"] = _real(C_rho)
     if args.lam is not None:
         lam = args.lam

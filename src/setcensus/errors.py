@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: domain/validation failures exit 2,
 precision shortfalls exit 3, exhausted retry budgets exit 4.
 """
 
+import math
+import numbers
+
 
 class SetCensusError(Exception):
     """Base class for all errors raised by this package."""
@@ -32,6 +35,18 @@ def check_int(name, value, lo, hi=None):
         bounds = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise DomainError(f"{name} = {value} must be an integer {bounds}")
     return value
+
+
+def check_real(name, value):
+    """value as a float, else DomainError.  Real values of any type that a float
+    holds count (Fraction(1, 2), numpy floats, ints); nan, inf, None, "0.5" do not."""
+    try:
+        # float and int first: they skip the slower abstract-class check
+        if isinstance(value, (float, int, numbers.Real)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int or Fraction beyond the float range, too long to print
+        raise DomainError(f"{name} lies beyond the float range") from None
+    raise DomainError(f"{name} = {value!r} must be a finite real number")
 
 
 class ValidationError(SetCensusError):

@@ -150,17 +150,17 @@ def _tilted_count_log(cls, n, k):
 
 
 def _tilt(cls, n, k):
-    """Boltzmann parameter of the float tier: x_lambda above lambda* (beyond the
-    critical window of asymptotics.classify), else rho, and for a class
-    without growth parameters the x where the size law truncated to n - k + 1
-    sizes has mean n/k.  Any x gives the same count; this one keeps the
-    weights near the sizes a composition of n into k parts uses."""
+    """Boltzmann parameter of the float tier: x_lambda where lambda = k/n < 1
+    is above the critical window (asymptotics._regime), else rho, and for a
+    class without growth parameters the x where the size law truncated to
+    n - k + 1 sizes has mean n/k.  Any x gives the same count; this one keeps
+    the weights near the sizes a composition of n into k parts uses."""
     if cls.growth is None:
         from . import weights
 
         return weights._mean_tilt(cls, n - k + 1, n / k)
-    lam = k / n
-    if asymptotics.lambda_star(cls) + asymptotics._CRITICAL_WINDOW < lam < 1.0:
+    lam, lam_star = k / n, asymptotics.lambda_star(cls)
+    if lam < 1.0 and asymptotics._regime(lam, lam_star) is asymptotics.Regime.ABOVE:
         return asymptotics.solve_supercritical(cls, lam).x_lambda
     return cls.growth.rho
 

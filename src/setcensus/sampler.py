@@ -71,13 +71,7 @@ import numpy as np
 
 from . import asymptotics, exact, species
 from . import powerseries as ps
-from .errors import (
-    DivergenceError,
-    DomainError,
-    PrecisionError,
-    RetryBudgetError,
-    check_int,
-)
+from .errors import DomainError, PrecisionError, RetryBudgetError, check_int, check_real
 from .weights import (
     _MAX_BLOCK_TABLE,
     _MAX_TABLE,
@@ -184,10 +178,9 @@ def size_distribution(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
 
 def _size_table(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
     """The cached SizeDistribution behind size_distribution, shared by every caller."""
-    # float and int first: they skip the slower abstract-class check
-    if not (isinstance(x, (float, int, numbers.Real)) and x > 0 and math.isfinite(x)):
+    x = check_real("boltzmann parameter x", x)
+    if not x > 0:
         raise DomainError(f"boltzmann parameter x = {x} must be a positive real")
-    x = float(x)
     if n_max is not None:
         n_max = check_int("n_max", n_max, 1)
     key = (x, n_max, mass_tol)
@@ -208,10 +201,8 @@ def _table_cap(cls):
 
 
 def _solve_size_table(cls, x, n_max, mass_tol):
-    if cls.growth is not None and x > cls.growth.rho * (1.0 + 1e-12):
-        raise DivergenceError(
-            f"x = {x} exceeds the radius of convergence rho = {cls.growth.rho}"
-        )
+    if cls.growth is not None:
+        asymptotics._check_radius(x, cls.growth.rho)
     bare_list = cls.coeff_source is species.CoeffSource.EXPLICIT_LIST and cls.growth is None
     if n_max is not None:
         M = n_max

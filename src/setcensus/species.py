@@ -17,8 +17,11 @@ y = x*exp(B'(y)), solved by powerseries.BlockTable on labeled counts in
 Python integers (n! times each coefficient, so no common denominator), and
 their growth parameters from the subcritical recipe in the asymptotics
 module; every block class of this kind has alpha = 3/2.  A poly block file
-must give integer block counts d! [u^d] B' (the blocks on d + 1 vertices),
-or it does not load.  A block kind is defined in two places: its BlockSpec
+must give integer block counts d! [u^d] B' (the blocks on d + 1 vertices)
+that fit a float, or it does not load.  Every class has |C_1| >= 1 by
+construction (Cayley; y_1 = x e^0 for blocks; max(count, 1) for synthetic
+classes; from_coefficients refuses a leading 0), so sizes never live on a
+sublattice.  A block kind is defined in two places: its BlockSpec
 here (the scalar B, B', B'', B''', the radius and the gap series of the
 saddle solve) and its step in powerseries.BlockTable.
 """
@@ -265,30 +268,25 @@ def _round_half_away(q):
 
 
 def _synthetic_coeff(growth, n):
-    """max(round(b n^{-(1+alpha)} rho^{-n} n!), [n=1]), rounding half away from zero."""
+    """max(round(b n^{-(1+alpha)} rho^{-n} n!), [n=1]) at fractional alpha, half away from 0."""
     b, rho, alpha = growth.b, growth.rho, growth.alpha
-    if float(alpha).is_integer():
-        # b and rho are dyadic rationals, so the value is an exact Fraction
-        q = Fraction(b) * Fraction(rho) ** (-n) * math.factorial(n) / n ** (1 + int(alpha))
-        val = _round_half_away(q)
-    else:
-        bits = (
-            math.log2(b)
-            - (1 + alpha) * math.log2(n)
-            - n * math.log2(rho)
-            + (math.lgamma(n + 1) / math.log(2))
-        )
-        prec = max(96, int(bits) + 96)
-        import mpmath
+    bits = (
+        math.log2(b)
+        - (1 + alpha) * math.log2(n)
+        - n * math.log2(rho)
+        + (math.lgamma(n + 1) / math.log(2))
+    )
+    prec = max(96, int(bits) + 96)
+    import mpmath
 
-        with mpmath.workprec(prec):
-            v = (
-                mpmath.mpf(b)
-                * mpmath.power(n, -(1 + alpha))
-                * mpmath.power(mpmath.mpf(rho), -n)
-                * mpmath.factorial(n)
-            )
-            val = int(mpmath.floor(v + mpmath.mpf("0.5")))
+    with mpmath.workprec(prec):
+        v = (
+            mpmath.mpf(b)
+            * mpmath.power(n, -(1 + alpha))
+            * mpmath.power(mpmath.mpf(rho), -n)
+            * mpmath.factorial(n)
+        )
+        val = int(mpmath.floor(v + mpmath.mpf("0.5")))
     if n == 1:
         val = max(val, 1)
     return val
@@ -296,6 +294,7 @@ def _synthetic_coeff(growth, n):
 
 def _synthetic_vector(growth, n_max):
     if float(growth.alpha).is_integer():
+        # b and rho are dyadic rationals, so each value is an exact Fraction
         out = []
         fact = 1
         rinv = Fraction(1) / Fraction(growth.rho)
@@ -344,7 +343,6 @@ def _make_builtin(name):
     growth = GrowthParams(1 / math.sqrt(2 * math.pi), math.exp(-1), SUBCRITICAL_ALPHA)
     cls = ConnectedClass("trees", CoeffSource.CLOSED_FORM, growth, _edge_spec())
     cls.coeff_provider = _cayley
-    _validate_first_coefficient(cls)
     return cls
 
 
@@ -355,31 +353,18 @@ def _block_class(name, spec):
     cls = ConnectedClass(name, CoeffSource.BLOCK_DERIVED, None, spec)
     rc = asymptotics.recipe_constants(cls)
     cls.growth = GrowthParams(rc.b, rc.rho, SUBCRITICAL_ALPHA)
-    cls.coeff_provider = lambda n: coefficients(cls, n)[n - 1]
-    _validate_first_coefficient(cls)
     return cls
-
-
-def _validate_first_coefficient(cls):
-    if cls.coeff_provider(1) < 1:
-        raise ValidationError(
-            f"class {cls.name} has |C_1| = 0; single-vertex structures are required "
-            "(otherwise the size support would live on a sublattice)"
-        )
 
 
 def synthetic(b, rho, alpha):
     """Class whose coefficients are defined by the growth formula itself.
 
-    coeff_provider(n) = max(round(b n^{-(1+alpha)} rho^{-n} n!), [n = 1]) with
+    |C_n| = max(round(b n^{-(1+alpha)} rho^{-n} n!), [n = 1]) with
     round-half-away-from-zero; growth parameters are recorded as declared.
     """
     growth = GrowthParams(float(b), float(rho), float(alpha))
     name = f"synthetic(b={growth.b:g},rho={growth.rho:g},alpha={growth.alpha:g})"
-    cls = ConnectedClass(name, CoeffSource.SYNTHETIC, growth, None)
-    cls.coeff_provider = lambda n, _g=growth: _synthetic_coeff(_g, n)
-    _validate_first_coefficient(cls)
-    return cls
+    return ConnectedClass(name, CoeffSource.SYNTHETIC, growth, None)
 
 
 def from_coefficients(name, values, growth=None):
@@ -491,6 +476,10 @@ def from_file(path):
                     f"bprime[{d}] = {c} gives {c * math.factorial(d)} blocks on {d + 1} "
                     "vertices; d! * bprime[d] must be an integer"
                 )
+            try:
+                float(c)  # the scalar closures of the spec take it as a float
+            except OverflowError as e:
+                raise ValidationError(f"bprime[{d}] = {raw[d]} does not fit a float") from e
         spec = _poly_spec(coeffs[1:])
     else:
         raise ValidationError(

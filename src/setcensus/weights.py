@@ -62,29 +62,24 @@ def _formula_weights(cls, x, M):
         # the only closed form is Cayley's n^{n-2}
         logw = (ns - 2.0) * np.log(ns) + ns * math.log(x) - logfact
         return np.exp(logw)
+    # exact counts for a head of H sizes, the growth formula beyond it
+    g = cls.growth
     if cls.coeff_source is species.CoeffSource.SYNTHETIC:
-        g = cls.growth
-        head = species.coefficients(cls, _exact_head(g, M))
-        logw = math.log(g.b) - (1.0 + g.alpha) * np.log(ns) + ns * math.log(x / g.rho)
-        w = np.exp(logw)
-        for j, c in enumerate(head):
-            w[j] = 0.0 if c == 0 else math.exp(math.log(c) + (j + 1) * math.log(x) - logfact[j])
-        return w
-    # explicit list: exact integers, growth formula beyond the list if declared
-    stored = species.coefficients(cls, min(M, cls.list_length))
-    if M > cls.list_length and cls.growth is None:
-        raise DomainError(
-            f"class {cls.name} defines coefficients only up to n = {cls.list_length} "
-            "and declares no growth parameters"
-        )
+        H = _exact_head(g, M)
+    else:  # explicit list
+        H = min(M, cls.list_length)
+        if M > H and g is None:
+            raise DomainError(
+                f"class {cls.name} defines coefficients only up to n = {cls.list_length} "
+                "and declares no growth parameters"
+            )
     w = np.zeros(M)
-    for j, c in enumerate(stored):
+    for j, c in enumerate(species.coefficients(cls, H)):
         if c:
             w[j] = math.exp(math.log(c) + (j + 1) * math.log(x) - logfact[j])
-    if M > cls.list_length:
-        g = cls.growth
-        tail_ns = ns[cls.list_length:]
-        w[cls.list_length:] = np.exp(
+    if M > H:
+        tail_ns = ns[H:]
+        w[H:] = np.exp(
             math.log(g.b) - (1.0 + g.alpha) * np.log(tail_ns) + tail_ns * math.log(x / g.rho)
         )
     return w

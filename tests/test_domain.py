@@ -1,7 +1,10 @@
-"""Integer parameters: every public check goes through errors.check_int.
+"""Integer and real parameters: every public check goes through
+errors.check_int or errors.check_real.
 
 nan, the infinities and non-integral values raise DomainError instead of a
 bare ValueError or OverflowError; integral values of other types still count.
+The real checks refuse nan, the infinities, None and strings in the same way,
+and take Fraction, numpy floats and ints.
 """
 
 import math
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from setcensus import asymptotics, exact, sampler, species
-from setcensus.errors import DomainError, check_int
+from setcensus.errors import DomainError, check_int, check_real
 
 TREES = species.builtin("trees")
 
@@ -59,3 +62,43 @@ def test_integral_values_of_any_type_count(value):
 def test_out_of_range_or_not_a_number(value, lo, hi):
     with pytest.raises(DomainError, match="must be an integer"):
         check_int("n", value, lo, hi)
+
+
+# (name, call with the real parameter v); every other argument is valid
+REAL_CALLS = [
+    ("estimate lambda", lambda v: asymptotics.estimate(TREES, 100, v)),
+    ("classify lambda", lambda v: asymptotics.classify(TREES, v)),
+    ("solve_supercritical lambda", lambda v: asymptotics.solve_supercritical(TREES, v)),
+    ("constant_below lambda", lambda v: asymptotics.constant_below(TREES, v)),
+    ("constant_above lambda", lambda v: asymptotics.constant_above(TREES, v)),
+    ("_egf_at x", lambda v: asymptotics._egf_at(TREES, v)),
+    ("size_distribution x", lambda v: sampler.size_distribution(TREES, v).pmf.tolist()),
+]
+
+
+# 10**5000 has too many digits for str(), so its message must not print it
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "0.5", 10**400, 10**5000],
+                         ids=["nan", "inf", "-inf", "None", "str", "10**400", "10**5000"])
+@pytest.mark.parametrize("name, call", REAL_CALLS, ids=[name for name, _ in REAL_CALLS])
+def test_non_reals_are_domain_errors(name, call, value):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+# a valid value of each real parameter: below lambda* = 1/2 or above it, as the call needs
+_VALID = {"solve_supercritical lambda": 3, "constant_above lambda": 3}
+
+
+@pytest.mark.parametrize(
+    "convert", [float, Fraction, np.float64], ids=["float", "Fraction", "float64"]
+)
+@pytest.mark.parametrize("name, call", REAL_CALLS, ids=[name for name, _ in REAL_CALLS])
+def test_real_values_of_any_type_count(name, call, convert):
+    quarters = _VALID.get(name, 1)
+    assert call(convert(Fraction(quarters, 4))) == call(quarters / 4)
+
+
+def test_integers_count_as_reals():
+    assert check_real("x", 1) == 1.0 and type(check_real("x", 1)) is float
+    wide = species.synthetic(1, 2, 2.5)  # rho = 2, so x = 1 converges
+    assert asymptotics._egf_at(wide, 1) == asymptotics._egf_at(wide, 1.0)

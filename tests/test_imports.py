@@ -110,3 +110,14 @@ def test_star_import_binds_all_names():
         "print(json.dumps([n for n in setcensus.__all__ if n not in globals()]))"
     )
     assert missing == []
+
+
+def test_synthetic_class_loads_nothing_heavy():
+    # |C_1| >= 1 holds by construction, so building the class evaluates no count
+    loaded = run_child(
+        "import json, sys\n"
+        "from setcensus import species\n"
+        "species.synthetic(1, 0.5, 2.5)\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    )
+    assert loaded == []

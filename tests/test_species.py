@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -360,3 +361,17 @@ class TestIntegerFixedPoint:
         kind = _ORACLE_SPECS[name][0]
         cls = species.builtin(name)
         assert species.coefficients(cls, 300) == recurrences.connected_counts(kind, 300)
+
+
+@pytest.mark.parametrize("bprime", [["0", "1e400"], ["0", "1", "0", "2e400"]])
+def test_poly_entry_beyond_float_range_is_a_validation_error(tmp_path, capsys, bprime):
+    from setcensus import cli
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "block": {"kind": "poly", "bprime": bprime}}))
+    entry = f"bprime[{len(bprime) - 1}] = {bprime[-1]}"
+    with pytest.raises(ValidationError, match=rf"{re.escape(entry)} does not fit a float"):
+        species.from_file(str(path))
+    assert cli.main(["constants", "--class-file", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "validation" and entry in err["message"]
