@@ -293,6 +293,52 @@ def _block_file_class(tmp_path, doc):
     return species.from_file(path)
 
 
+# (fresh class, T) of each coefficient route: a block file, the integer-alpha
+# running product and the mpmath values of a synthetic class, an explicit list
+_GROWN = {
+    "cacti": (lambda tmp: _block_file_class(tmp, {"name": "cacti", "block": {"kind": "cactus"}}), 300),
+    "poly": (lambda tmp: _block_file_class(tmp, _BLOCK_FILES["poly"]), 200),
+    "synthetic-2": (lambda tmp: species.synthetic(1, 0.5, 2), 200),
+    "synthetic-2.5": (lambda tmp: species.synthetic(1, 0.5, 2.5), 120),
+    "list": (lambda tmp: species.from_coefficients("cubes", [n**3 + 1 for n in range(1, 101)]), 100),
+}
+
+# SHA-256 prefixes of the decimal counts |C_1..T|, comma-joined, and of
+# y_series(husimi, 200), as one fresh solve per call gave them
+_FROZEN_GROWN = {
+    "cacti": "c9bd5c4371075d85",
+    "poly": "b551cb0420a3a583",
+    "synthetic-2": "50c209260d6f1ae9",
+    "synthetic-2.5": "67462d3f99e8d0be",
+    "list": "9fa12f0c7964150b",
+}
+_FROZEN_HUSIMI_Y = "3ba05ff55e9cbad8"
+
+
+def _digest(values):
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()[:16]
+
+
+class TestFrozenGrowth:
+    """Counts taken in one call and in steps, frozen before the memo grew in place."""
+
+    @pytest.mark.parametrize("steps", [False, True], ids=["one-call", "steps"])
+    @pytest.mark.parametrize("name", sorted(_GROWN))
+    def test_counts(self, tmp_path, name, steps):
+        make, T = _GROWN[name]
+        cls = make(tmp_path)
+        got = species.coefficients(cls, T)
+        if steps:
+            cls = make(tmp_path)
+            for t in (T // 4, T // 2, T):
+                part = species.coefficients(cls, t)
+                assert part == got[:t]
+        assert _digest(got) == _FROZEN_GROWN[name]
+
+    def test_husimi_y_series(self):
+        assert _digest(species.y_series(species.builtin("husimi"), 200)) == _FROZEN_HUSIMI_Y
+
+
 # (kind, B' tail) of each block file for the recurrence oracle
 _ORACLE_SPECS = {
     "cacti": ("cactus", ()),
