@@ -545,7 +545,7 @@ def estimate(cls, n, lam):
     lam = check_real("lambda", lam)
     if not (0.0 < lam < 1.0):
         raise DomainError(f"lambda = {lam} must lie strictly between 0 and 1")
-    N = int(math.floor(lam * n + 1e-9))
+    N = int(math.floor(lam * check_real("n", n) + 1e-9))  # DomainError beyond the float range
     if N < 1:
         raise DomainError(f"floor(lambda*n) = {N}; need at least one component")
 

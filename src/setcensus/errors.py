@@ -29,12 +29,20 @@ def check_int(name, value, lo, hi=None):
         except (TypeError, ValueError, OverflowError):
             as_int = None
         if as_int is None or as_int != value:
-            raise DomainError(f"{name} = {value!r} must be an integer")
+            raise DomainError(f"{name} = {shown(value)} must be an integer")
         value = as_int
     if value < lo or (hi is not None and value > hi):
         bounds = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise DomainError(f"{name} = {value} must be an integer {bounds}")
+        raise DomainError(f"{name} = {shown(value)} must be an integer {bounds}")
     return value
+
+
+def shown(value):
+    """repr(value) for a message, unless it has too many digits to print."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return "a number too long to print"
 
 
 def check_real(name, value):

@@ -21,9 +21,11 @@ must give integer block counts d! [u^d] B' (the blocks on d + 1 vertices)
 that fit a float, or it does not load.  Every class has |C_1| >= 1 by
 construction (Cayley; y_1 = x e^0 for blocks; max(count, 1) for synthetic
 classes; from_coefficients refuses a leading 0), so sizes never live on a
-sublattice.  A block kind is defined in two places: its BlockSpec
-here (the scalar B, B', B'', B''', the radius and the gap series of the
-saddle solve) and its step in powerseries.BlockTable.
+sublattice.  coefficients grows each memo in place, and a block class
+solves its fixed point once, in one labeled table that it extends.  A block
+kind is defined in two places: its BlockSpec here (the scalar B, B', B'',
+B''', the radius and the gap series of the saddle solve) and its step in
+powerseries.BlockTable.
 """
 
 import json
@@ -106,8 +108,8 @@ class BlockSpec:
 class ConnectedClass:
     """A registered connected class: coefficients, growth data, optional blocks.
 
-    Instances are immutable after registration; the coefficient memo grows
-    monotonically under a lock and behaves as if every call recomputed.
+    Instances are immutable after registration; the coefficient memo and a
+    block class's table grow in place under a lock, as if each call recomputed.
     """
 
     def __init__(self, name, coeff_source, growth=None, block_spec=None):
@@ -118,7 +120,8 @@ class ConnectedClass:
         self.coeff_provider = None
         self.list_length = None  # explicit lists only
         self._memo = []
-        self._lock = threading.Lock()
+        self._table = None  # the labeled BlockTable of y_series, once it is asked for
+        self._lock = threading.RLock()  # coefficients holds it across y_series
         self._scalar_cache = {}
 
     def __repr__(self):
@@ -218,17 +221,20 @@ _NAMED_SPECS = {"edge": _edge_spec, "cactus": _cactus_spec, "complete": _complet
 
 def y_series(cls, T):
     """Labeled counts n! [x^n] y = n |C_n| for n = 0..T of a block-specified
-    class, y = x*C'(x), as Python integers.
+    class, y = x*C'(x), as Python integers, from the class's labeled table.
 
-    ModelViolationError if a count is negative, or if a poly spec takes a
-    labeled count to a non-integer (the message names the size).
+    ModelViolationError if a count through T is negative, or if a poly spec
+    takes a labeled count to a non-integer (the message names the size).  A
+    table whose step raised is dropped (its kernel has opened that step's
+    Pascal row), so every later call through that size raises again.
     """
     spec = cls.block_spec
     if spec is None:
         raise DomainError(f"class {cls.name} carries no block specification")
-    y = ps.solve_fixed_point_with_composer(
-        T, lambda: ps.BlockTable(spec.kind, spec.tail, ps.Labeled())
-    )
+    with cls._lock:
+        table, cls._table = cls._table or ps.BlockTable(spec.kind, spec.tail, ps.Labeled()), None
+        y = ps.solve_fixed_point_with_composer(T, table)[: T + 1]
+        cls._table = table  # put back only if its steps did not raise
     negative = next((n for n, v in enumerate(y) if v < 0), None)
     if negative is not None:
         raise ModelViolationError(f"negative connected count at n = {negative}")
@@ -239,21 +245,19 @@ def y_series(cls, T):
 
 
 def coefficients(cls, n_max):
-    """|C_1..n_max| as exact integers, memoized monotonically."""
+    """|C_1..n_max| as exact integers; only sizes past the memo are computed."""
     n_max = check_int("n_max", n_max, 1)
     with cls._lock:
-        if len(cls._memo) < n_max:
-            cls._memo = _compute_coefficients(cls, n_max)
-        return list(cls._memo[:n_max])
-
-
-def _compute_coefficients(cls, n_max):
-    if cls.coeff_source is CoeffSource.BLOCK_DERIVED:
-        y = y_series(cls, n_max)
-        return [y[n] // n for n in range(1, n_max + 1)]
-    if cls.coeff_source is CoeffSource.SYNTHETIC:
-        return _synthetic_vector(cls.growth, n_max)
-    return [cls.coeff_provider(n) for n in range(1, n_max + 1)]
+        memo, lo = cls._memo, len(cls._memo) + 1
+        if lo <= n_max:
+            if cls.coeff_source is CoeffSource.BLOCK_DERIVED:
+                y = y_series(cls, n_max)
+                memo += [y[n] // n for n in range(lo, n_max + 1)]
+            elif cls.coeff_source is CoeffSource.SYNTHETIC:
+                memo += _synthetic_vector(cls.growth, lo, n_max)
+            else:
+                memo += [cls.coeff_provider(n) for n in range(lo, n_max + 1)]
+        return memo[:n_max]
 
 
 def _cayley(n):
@@ -292,22 +296,19 @@ def _synthetic_coeff(growth, n):
     return val
 
 
-def _synthetic_vector(growth, n_max):
+def _synthetic_vector(growth, lo, hi):
+    """|C_lo..hi| of a synthetic class; the running n! and rho^-n start at lo."""
     if float(growth.alpha).is_integer():
         # b and rho are dyadic rationals, so each value is an exact Fraction
-        out = []
-        fact = 1
-        rinv = Fraction(1) / Fraction(growth.rho)
-        rpow = Fraction(1)
-        bq = Fraction(growth.b)
-        a1 = 1 + int(growth.alpha)
-        for n in range(1, n_max + 1):
+        bq, rinv, a1 = Fraction(growth.b), 1 / Fraction(growth.rho), 1 + int(growth.alpha)
+        fact, rpow, out = math.factorial(lo - 1), rinv ** (lo - 1), []
+        for n in range(lo, hi + 1):
             fact *= n
             rpow *= rinv
             val = _round_half_away(bq * rpow * fact / n**a1)
             out.append(max(val, 1) if n == 1 else val)
         return out
-    return [_synthetic_coeff(growth, n) for n in range(1, n_max + 1)]
+    return [_synthetic_coeff(growth, n) for n in range(lo, hi + 1)]
 
 
 def check_synthetic_rho(growth):

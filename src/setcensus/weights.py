@@ -21,7 +21,7 @@ import numpy as np
 from . import powerseries as ps
 from . import species
 from .asymptotics import _safe_newton
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, shown
 
 _MAX_TABLE = 5_000_000  # cap for direct-formula weight tables
 _MAX_BLOCK_TABLE = 200_000  # cap for O(n_max^2) block fixed-point tables
@@ -52,7 +52,7 @@ def _weight_table(cls, x):
 def _formula_weights(cls, x, M):
     if M > _MAX_TABLE:
         raise PrecisionError(
-            f"size table of length {M} exceeds the supported maximum {_MAX_TABLE}; "
+            f"size table of length {shown(M)} exceeds the supported maximum {_MAX_TABLE}; "
             "pass a smaller n_max",
             suggested=_MAX_TABLE,
         )
@@ -115,7 +115,7 @@ def _block_weights(spec, x):
     def weights(M):
         if M > _MAX_BLOCK_TABLE:
             raise PrecisionError(
-                f"block-derived size table of length {M} exceeds the supported "
+                f"block-derived size table of length {shown(M)} exceeds the supported "
                 f"maximum {_MAX_BLOCK_TABLE}; pass a smaller n_max",
                 suggested=_MAX_BLOCK_TABLE,
             )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from setcensus import asymptotics, exact, sampler, species
-from setcensus.errors import DomainError, check_int, check_real
+from setcensus.errors import DomainError, SetCensusError, check_int, check_real
 
 TREES = species.builtin("trees")
 
@@ -83,6 +83,32 @@ REAL_CALLS = [
 def test_non_reals_are_domain_errors(name, call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+# (name, call with the integer parameter v) for integers out of range, too
+# long to print or beyond the float range; a huge n goes only where it fails
+# before an n-long list is built
+HUGE_INT_CALLS = [
+    ("count k", lambda v: exact.count(TREES, 5, v)),
+    ("count_table k", lambda v: exact.count_table(TREES, 5, [v])),
+    ("sample_forest k", lambda v: sampler.sample_forest(5, v, rng=_rng())),
+    ("count_log n", lambda v: exact.count_log(TREES, v, 3)),
+    ("count_log n, block class", lambda v: exact.count_log(species.builtin("cacti"), v, 3)),
+    ("estimate n", lambda v: asymptotics.estimate(TREES, v, 0.5)),
+]
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000, -(10**5000)],
+                         ids=["10**400", "10**5000", "-10**5000"])
+@pytest.mark.parametrize("name, call", HUGE_INT_CALLS, ids=[name for name, _ in HUGE_INT_CALLS])
+def test_huge_integers_are_typed_errors(name, call, value):
+    with pytest.raises(SetCensusError):
+        call(value)
+
+
+def test_huge_integers_are_not_printed():
+    with pytest.raises(DomainError, match="too long to print must be an integer in"):
+        check_int("k", 10**5000, 1, 5)
 
 
 # a valid value of each real parameter: below lambda* = 1/2 or above it, as the call needs

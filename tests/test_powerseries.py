@@ -2,6 +2,8 @@ import json
 import math
 import operator
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ import recurrences
 
 import setcensus.powerseries as ps
 from setcensus import species, weights
-from setcensus.errors import InternalConsistencyError, ModelViolationError
+from setcensus.errors import ModelViolationError
 
 
 class TestArithmetic:
@@ -98,8 +100,8 @@ class TestArithmetic:
 
 
 def _tree_y(T):
-    """m! [x^m] y of y = x e^y through order T: the integer edge-block solve,
-    stabilization pass included."""
+    """m! [x^m] y of y = x e^y through order T: the integer edge-block solve
+    of the built-in trees, read from the one labeled table they keep."""
     return species.y_series(species.builtin("trees"), T)
 
 
@@ -221,20 +223,11 @@ class TestFixedPoint:
                 ]
                 assert g == scaled, name
 
-    def test_stabilization_pass_must_agree(self):
-        # a second pass that disagrees with the first is an internal fault
-        tilts = iter([1, 2])
-
-        def make_table():
-            return ps.BlockTable("edge", (), _fraction_kernel(Fraction(next(tilts))))
-
-        with pytest.raises(InternalConsistencyError, match="coefficient 1 changed"):
-            ps.solve_fixed_point_with_composer(5, make_table)
-
     @pytest.mark.parametrize("kind", ["edge", "cactus", "complete", "poly"])
-    def test_stabilization_pass_runs_labeled(self, monkeypatch, tmp_path, kind):
-        # both passes of y_series solve a labeled table with a kernel of its own
-        cls = _block_class(kind, tmp_path)
+    def test_one_labeled_table_per_class(self, monkeypatch, tmp_path, kind):
+        # y_series and coefficients extend one labeled table with one kernel
+        spec = _block_class(kind, tmp_path).block_spec
+        cls = species.ConnectedClass("fresh", species.CoeffSource.BLOCK_DERIVED, None, spec)
         kernels = []
         table = ps.BlockTable
 
@@ -244,5 +237,61 @@ class TestFixedPoint:
 
         monkeypatch.setattr(ps, "BlockTable", recording)
         species.y_series(cls, 12)
-        assert len(kernels) == 2 and kernels[0] is not kernels[1]
-        assert all(type(k) is ps.Labeled for k in kernels)
+        species.y_series(cls, 20)
+        got = species.coefficients(cls, 30)
+        assert len(kernels) == 1 and type(kernels[0]) is ps.Labeled
+        assert got == recurrences.connected_counts(kind, 30, spec.tail)
+
+
+def _fresh_block_class(tail):
+    spec = species._poly_spec([Fraction(t) for t in tail])
+    return species.ConnectedClass("fresh", species.CoeffSource.BLOCK_DERIVED, None, spec)
+
+
+class TestSharedTable:
+    """The labeled table a block class keeps and grows for as long as it lives."""
+
+    def test_threads_see_identical_prefixes(self):
+        # B'(u) = u + u^2/2 + u^3/2 (cacti through size 4), grown from eight
+        # threads at once to different sizes; coefficients holds the class
+        # lock while y_series takes it again, so a plain Lock would hang here
+        cls = _fresh_block_class([1, Fraction(1, 2), Fraction(1, 2)])
+        sizes = [5, 60, 17, 90, 33, 90, 8, 71]
+        results = [None] * len(sizes)
+        barrier = threading.Barrier(len(sizes))
+
+        def grow(i):
+            barrier.wait()
+            results[i] = species.coefficients(cls, sizes[i])
+
+        threads = [threading.Thread(target=grow, args=(i,), daemon=True) for i in range(len(sizes))]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(t.is_alive() for t in threads)
+        want = recurrences.connected_counts("poly", 90, cls.block_spec.tail)
+        assert results == [want[:T] for T in sizes]
+
+    def test_table_whose_step_raised_is_dropped(self):
+        # B'(u) = u + u^2/5: the labeled B'(y) at size 2 is 12/5; lift opens
+        # that step's Pascal row before mark raises, so the table goes
+        cls = _fresh_block_class([1, Fraction(1, 5)])
+        for _ in range(2):
+            with pytest.raises(ModelViolationError, match="size n = 2 has labeled count 12/5"):
+                species.y_series(cls, 10)
+            assert cls._table is None
+        assert species.y_series(cls, 1) == [0, 1]
+
+    @pytest.mark.parametrize("T", [3, 4, 10])
+    def test_negative_count_raises_on_every_call(self, T):
+        # B'(u) = u - 2u^2: |C_3| = -1, in the table once it has grown past 3
+        cls = _fresh_block_class([1, -2])
+        assert species.coefficients(cls, 2) == [1, 1]
+        for t in (T, T, 2 * T, T):
+            with pytest.raises(ModelViolationError, match="negative connected count at n = 3"):
+                species.coefficients(cls, t)
+            with pytest.raises(ModelViolationError, match="negative connected count at n = 3"):
+                species.y_series(cls, t)
+        assert species.coefficients(cls, 2) == [1, 1]
