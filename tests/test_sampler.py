@@ -791,3 +791,146 @@ class TestFrozenOutputs:
 
     def test_seeded_draws(self):
         assert _draw_fingerprints() == FROZEN_DRAWS
+
+
+# --- frozen formula tables --------------------------------------------------------
+#
+# Tables of trees, synthetic and list classes are built with np.exp and np.log,
+# whose SIMD kernels may round the last bit differently on other CPUs, so their
+# floats are recorded per kernel and named by the digest of np.exp and np.log on
+# a fixed vector.
+
+_CAYLEY = [1 if n <= 2 else n ** (n - 2) for n in range(1, 21)]
+
+
+@pytest.fixture(scope="module")
+def ufunc_order():
+    """Digest of np.exp and np.log on a fixed vector: it names their kernels."""
+    v = np.linspace(-40.0, 40.0, 20_001)
+    return _sha(np.exp(v).tobytes() + np.log(np.abs(v) + 0.25).tobytes())[:12]
+
+
+@pytest.fixture(scope="module")
+def formula_classes():
+    trees = species.builtin("trees")
+    return {
+        "trees": trees,
+        "synthetic": species.synthetic(1, 0.5, 2.5),
+        "list-growth": species.from_coefficients("cayley-20", _CAYLEY, growth=trees.growth),
+        "bare-list": species.from_coefficients("cayley-8", _CAYLEY[:8]),
+    }
+
+
+def _formula_fingerprint(cls, x, n_max):
+    d = sampler.size_distribution(cls, x, n_max=n_max)
+    return (
+        _sha(d.pmf.tobytes()),
+        _sha(d.cdf.tobytes()),
+        d.n_max,
+        d.normalizer.hex(),
+        d.truncated_mass.hex(),
+    )
+
+
+FROZEN_FORMULA_TABLES = {
+    "b44d055a64f1": {  # AVX-512 kernels (numpy 2.4 on x86-64)
+        ("trees", 0.6, None): (
+            "52613bc1d8746e6e", "d3c83721ba07e033", 256, "0x1.03066b08bea04p-2", "0x0.0p+0",
+        ),
+        ("trees", 0.9, None): (
+            "7ccd66da8ce49d09", "694fd568d271cdc8", 256, "0x1.b17601eb5a72dp-2", "0x0.0p+0",
+        ),
+        ("trees", 1.0, None): (
+            "dfe714f6273e4e70", "2f6f717f7bb3f2b7", 8192, "0x1.ffffe7ee25a22p-2", "0x1.811da5de00000p-21",
+        ),
+        ("synthetic", 0.6, None): (
+            "ebb8c2854f97264b", "5b0617a1a38eef32", 256, "0x1.4d474b45bd959p-1", "0x0.0p+0",
+        ),
+        ("synthetic", 0.9, None): (
+            "0f16db2a631715a4", "e2f1552f0d1c02ba", 256, "0x1.06ac325ba1048p+0", "0x1.f2fe6490c0500p-53",
+        ),
+        ("synthetic", 1.0, None): (
+            "e287f90e42bb2825", "5d0f2419eb8ce339", 256, "0x1.29b149d00c07cp+0", "0x1.5e84bad215ee9p-22",
+        ),
+        ("list-growth", 0.6, None): (
+            "5adf34c7f8c33477", "c6c25317a4c6971f", 256, "0x1.03066b0959ac9p-2", "0x1.fa05408c2acbbp-53",
+        ),
+        ("list-growth", 0.9, None): (
+            "a263ba3e969ecfc4", "13b366f63e6804c3", 256, "0x1.b1761c325882dp-2", "0x1.c593a61ff891dp-52",
+        ),
+        ("list-growth", 1.0, None): (
+            "c27552c1aa4be1f9", "843df894457dfe97", 8192, "0x1.0000ddeb0d7c9p-1", "0x1.811cdfefa9709p-21",
+        ),
+        ("bare-list", 0.3, None): (
+            "2db3e40bab440f58", "be9de5b1d7cb4fdc", 8, "0x1.79c0be7d5d8efp-2", "0x0.0p+0",
+        ),
+        ("bare-list", 0.3, 5): (
+            "d331225764b9122b", "738457d823a42138", 5, "0x1.7739c0ebedfa4p-2", "0x1.b675c7885a07ap-8",
+        ),
+        ("bare-list", 0.3, 8): (
+            "2db3e40bab440f58", "be9de5b1d7cb4fdc", 8, "0x1.79c0be7d5d8efp-2", "0x0.0p+0",
+        ),
+    },
+    "4c48460d2a6a": {  # AVX2 kernels (numpy 2.4 with AVX-512 off)
+        ("trees", 0.6, None): (
+            "2bb6426fb95e2909", "d3c83721ba07e033", 256, "0x1.03066b08bea04p-2", "0x0.0p+0",
+        ),
+        ("trees", 0.9, None): (
+            "b4eb6dd087c57a98", "694fd568d271cdc8", 256, "0x1.b17601eb5a72dp-2", "0x0.0p+0",
+        ),
+        ("trees", 1.0, None): (
+            "c417546f18f20d97", "2f6f717f7bb3f2b7", 8192, "0x1.ffffe7ee25a22p-2", "0x1.811da5de00000p-21",
+        ),
+        ("synthetic", 0.6, None): (
+            "d484e7cbf6de8773", "5b0617a1a38eef32", 256, "0x1.4d474b45bd959p-1", "0x0.0p+0",
+        ),
+        ("synthetic", 0.9, None): (
+            "cadc22d44e42ff6c", "e2f1552f0d1c02ba", 256, "0x1.06ac325ba1048p+0", "0x1.f2fe6490c0500p-53",
+        ),
+        ("synthetic", 1.0, None): (
+            "3e961369e2cc3f10", "5d0f2419eb8ce339", 256, "0x1.29b149d00c07cp+0", "0x1.5e84bad215ee9p-22",
+        ),
+        ("list-growth", 0.6, None): (
+            "370c4e8d6aeb43b8", "c6c25317a4c6971f", 256, "0x1.03066b0959ac9p-2", "0x1.fa05408c2acbbp-53",
+        ),
+        ("list-growth", 0.9, None): (
+            "a309a650f3133173", "13b366f63e6804c3", 256, "0x1.b1761c325882dp-2", "0x1.c593a61ff891dp-52",
+        ),
+        ("list-growth", 1.0, None): (
+            "35f31162ad8dd27e", "843df894457dfe97", 8192, "0x1.0000ddeb0d7c9p-1", "0x1.811cdfefa9709p-21",
+        ),
+        ("bare-list", 0.3, None): (
+            "2db3e40bab440f58", "be9de5b1d7cb4fdc", 8, "0x1.79c0be7d5d8efp-2", "0x0.0p+0",
+        ),
+        ("bare-list", 0.3, 5): (
+            "d331225764b9122b", "738457d823a42138", 5, "0x1.7739c0ebedfa4p-2", "0x1.b675c7885a07ap-8",
+        ),
+        ("bare-list", 0.3, 8): (
+            "2db3e40bab440f58", "be9de5b1d7cb4fdc", 8, "0x1.79c0be7d5d8efp-2", "0x0.0p+0",
+        ),
+    },
+}
+
+
+class TestFrozenFormulaTables:
+    @pytest.mark.parametrize("key", sorted(FROZEN_FORMULA_TABLES["b44d055a64f1"], key=repr))
+    def test_size_table(self, formula_classes, ufunc_order, key):
+        """(class, x, n_max) with x a multiple of the radius, where the class has one."""
+        if ufunc_order not in FROZEN_FORMULA_TABLES:
+            pytest.skip(f"no table floats recorded for exp/log kernels {ufunc_order}")
+        name, x, n_max = key
+        cls = formula_classes[name]
+        if cls.growth is not None:
+            x *= cls.growth.rho
+        assert _formula_fingerprint(cls, x, n_max) == FROZEN_FORMULA_TABLES[ufunc_order][key]
+
+    def test_coefficients_one_past_a_list(self):
+        cls = species.from_coefficients("cayley-8", _CAYLEY[:8])
+        message = "class cayley-8 defines coefficients only up to n = 8"
+        with pytest.raises(DomainError) as info:
+            species.coefficients(cls, 9)
+        assert str(info.value) == message
+        assert species.coefficients(cls, 8) == _CAYLEY[:8]
+        with pytest.raises(DomainError) as info:
+            species.coefficients(cls, 9)
+        assert str(info.value) == message
