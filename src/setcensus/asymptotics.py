@@ -43,7 +43,6 @@ _ALPHA_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _HEAD_TERMS = 64
 _TAIL_BAND = 2.0**-8  # the float tail sums z <= 1 - _TAIL_BAND; mpmath takes the band above
-_SCALAR_CACHE_MAX = 64
 
 
 class Regime(str, Enum):
@@ -209,9 +208,10 @@ def solve_zeta(cls):
 
 def recipe_constants(cls):
     """Growth constants of a subcritical block class, cached on the class."""
-    cached = cls._scalar_cache.get("recipe")
-    if cached is not None:
-        return cached
+    return species.cached(cls, "recipe", _recipe_constants, cls)
+
+
+def _recipe_constants(cls):
     zeta = solve_zeta(cls)  # DomainError for a class without a block spec
     spec = cls.block_spec
     b = zeta / math.sqrt(2 * math.pi * (1.0 + zeta**2 * spec.Bppp(zeta)))
@@ -222,9 +222,7 @@ def recipe_constants(cls):
         raise DomainError(
             f"class {cls.name} has degenerate threshold lambda* = {lam_star}"
         )
-    rc = RecipeConstants(zeta=zeta, b=b, rho=rho, lambda_star=lam_star, C_rho=C_rho)
-    cls._scalar_cache["recipe"] = rc
-    return rc
+    return RecipeConstants(zeta=zeta, b=b, rho=rho, lambda_star=lam_star, C_rho=C_rho)
 
 
 # --- scalar EGF evaluation ------------------------------------------------------
@@ -240,24 +238,20 @@ def _egf_at(cls, x):
     x = check_real("evaluation point x", x)
     if not x > 0:
         raise DomainError(f"evaluation point x = {x} must be a positive real")
-    cached = cls._scalar_cache.get(x)
-    if cached is not None:
-        return cached
+    return species.cached(cls, x, _egf_values, cls, x)
+
+
+def _egf_values(cls, x):
     if cls.block_spec is not None:
-        vals = _egf_block(cls, x)
-    elif cls.coeff_source is species.CoeffSource.SYNTHETIC:
+        return _egf_block(cls, x)
+    if cls.coeff_source is species.CoeffSource.SYNTHETIC:
         species.check_synthetic_rho(cls.growth)
         # head long enough that the coefficient-rounding tail 0.5*x^n/n! is dwarfed
         head = max(_HEAD_TERMS, int(3 * cls.growth.rho) + 48)
-        vals = _egf_head_tail(cls, x, species.coefficients(cls, head))
-    elif cls.coeff_source is species.CoeffSource.EXPLICIT_LIST:
-        vals = _egf_head_tail(cls, x, species.coefficients(cls, cls.list_length))
-    else:
-        raise DomainError(f"class {cls.name} supports no scalar EGF evaluation")
-    if len(cls._scalar_cache) >= _SCALAR_CACHE_MAX:
-        cls._scalar_cache.clear()  # recipe_constants recomputes its entry on demand
-    cls._scalar_cache[x] = vals
-    return vals
+        return _egf_head_tail(cls, x, species.coefficients(cls, head))
+    if cls.coeff_source is species.CoeffSource.EXPLICIT_LIST:
+        return _egf_head_tail(cls, x, species.coefficients(cls, cls.list_length))
+    raise DomainError(f"class {cls.name} supports no scalar EGF evaluation")
 
 
 def _egf_block(cls, x):
@@ -369,23 +363,18 @@ def solve_supercritical(cls, lam):
     Results are cached per class and lambda, next to the _egf_at values.
     """
     lam = check_real("lambda", lam)
-    key = ("saddle", lam)
-    cached = cls._scalar_cache.get(key)
-    if cached is not None:
-        return cached
+    return species.cached(cls, ("saddle", lam), _saddle, cls, lam)
+
+
+def _saddle(cls, lam):
     lam_star = lambda_star(cls)
     if not (lam_star < lam < 1.0):
         raise DomainError(
             f"lambda = {lam} is not in the supercritical range ({lam_star}, 1)"
         )
     if cls.block_spec is not None:
-        sp = _supercritical_block(cls, lam)
-    else:
-        sp = _supercritical_scalar(cls, lam)
-    if len(cls._scalar_cache) >= _SCALAR_CACHE_MAX:
-        cls._scalar_cache.clear()
-    cls._scalar_cache[key] = sp
-    return sp
+        return _supercritical_block(cls, lam)
+    return _supercritical_scalar(cls, lam)
 
 
 def _supercritical_block(cls, lam):

@@ -14,6 +14,7 @@ truncation shortfall) or 4 (sampler retry budget exhausted).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -199,14 +200,7 @@ def _estimate_results(est):
         "lambda_star": _real(est.lambda_star),
         "log_count": _real(est.log_count),
         "log10_count": _real(est.log_count / math.log(10)),
-        "factors": {
-            "log_constant": _real(est.factors.log_constant),
-            "n_power_exponent": _real(est.factors.n_power_exponent),
-            "log_power_exponent": _real(est.factors.log_power_exponent),
-            "log_rho_inv_n": _real(est.factors.log_rho_inv_n),
-            "N_log_h": _real(est.factors.N_log_h),
-            "log_factorial_ratio": _real(est.factors.log_factorial_ratio),
-        },
+        "factors": {name: _real(v) for name, v in dataclasses.asdict(est.factors).items()},
     }
 
 

@@ -26,10 +26,10 @@ every length, and a table of length M holds the same floats as the first M
 entries of any longer one.
 
 Each size table is solved once per class, x, n_max and mass_tol and kept
-in the class's scalar cache (bounded like the other scalar entries); every
-size_distribution call returns a new SizeDistribution over the cached
-read-only arrays, and forest and cross-check draws read the same cache.  A
-cap lowered after a table was cached still applies to it.
+in the class's one bounded cache (species.cached); every size_distribution
+call returns a new SizeDistribution over the cached read-only arrays, and
+forest and cross-check draws read the same cache.  A cap of
+weights._table_cap lowered after a table was cached still applies to it.
 
 All randomness flows through a caller-supplied numpy Generator; a fixed seed
 fixes every sample exactly.  sample_set draws each size with one scalar
@@ -63,7 +63,6 @@ the max_rejects that succeeds with probability 0.95.
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,13 +71,7 @@ import numpy as np
 from . import asymptotics, exact, species
 from . import powerseries as ps
 from .errors import DomainError, PrecisionError, RetryBudgetError, check_int, check_real
-from .weights import (
-    _MAX_BLOCK_TABLE,
-    _MAX_TABLE,
-    _log_power_coefficient,
-    _weight_table,
-    _weights,
-)
+from .weights import _log_power_coefficient, _table_cap, _weight_table, _weights
 
 DEFAULT_MASS_TOL = 1e-6
 _GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact
@@ -183,32 +176,18 @@ def _size_table(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
         raise DomainError(f"boltzmann parameter x = {x} must be a positive real")
     if n_max is not None:
         n_max = check_int("n_max", n_max, 1)
-    key = (x, n_max, mass_tol)
-    table = cls._scalar_cache.get(key)
-    # a cap lowered after the table was cached still applies: solving again raises
-    if table is None or table.n_max > _table_cap(cls):
-        table = _solve_size_table(cls, x, n_max, mass_tol)
-        if len(cls._scalar_cache) >= asymptotics._SCALAR_CACHE_MAX:
-            cls._scalar_cache.clear()
-        cls._scalar_cache[key] = table
+    table = species.cached(cls, (x, n_max, mass_tol), _solve_size_table, cls, x, n_max, mass_tol)
+    _table_cap(cls, table.n_max)  # a cap lowered after the table was cached still applies
     return table
-
-
-def _table_cap(cls):
-    if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
-        return _MAX_BLOCK_TABLE
-    return _MAX_TABLE
 
 
 def _solve_size_table(cls, x, n_max, mass_tol):
     if cls.growth is not None:
         asymptotics._check_radius(x, cls.growth.rho)
-    bare_list = cls.coeff_source is species.CoeffSource.EXPLICIT_LIST and cls.growth is None
+    elif n_max is None:
+        n_max = cls.list_length  # a list without growth: the whole list
     if n_max is not None:
         M = n_max
-        w = _weights(cls, x, M)
-    elif bare_list:
-        M = cls.list_length
         w = _weights(cls, x, M)
     else:
         C_full = _full_value(cls, x)
@@ -230,11 +209,8 @@ def _solve_size_table(cls, x, n_max, mass_tol):
     s = float(np.sum(w))
     if not (s > 0 and math.isfinite(s)):
         raise DomainError(f"size weights sum to {s} at x = {x}")
-    if bare_list and M >= cls.list_length:
-        trunc = 0.0
-    else:
-        C_full = _full_value(cls, x)
-        trunc = max((C_full - s) / C_full, 0.0) if math.isfinite(C_full) else math.nan
+    C_full = _full_value(cls, x)
+    trunc = max((C_full - s) / C_full, 0.0) if math.isfinite(C_full) else math.nan
     pmf = w / s
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0
@@ -444,8 +420,7 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     """
     n = check_int("n", n, 1)
     k = check_int("k", k, 1, n)
-    if not isinstance(max_rejects, numbers.Integral) or max_rejects < 0:
-        raise DomainError(f"max_rejects = {max_rejects!r} must be an integer of at least 0")
+    max_rejects = check_int("max_rejects", max_rejects, 0)
     if rng is None:
         rng = np.random.default_rng()
     elif not isinstance(rng, np.random.Generator):

@@ -21,11 +21,12 @@ must give integer block counts d! [u^d] B' (the blocks on d + 1 vertices)
 that fit a float, or it does not load.  Every class has |C_1| >= 1 by
 construction (Cayley; y_1 = x e^0 for blocks; max(count, 1) for synthetic
 classes; from_coefficients refuses a leading 0), so sizes never live on a
-sublattice.  coefficients grows each memo in place, and a block class
-solves its fixed point once, in one labeled table that it extends.  A block
-kind is defined in two places: its BlockSpec here (the scalar B, B', B'',
-B''', the radius and the gap series of the saddle solve) and its step in
-powerseries.BlockTable.
+sublattice.  coefficients grows each memo in place (an explicit list's memo
+is the list itself), and a block class solves its fixed point once, in one
+labeled table that it extends.  A block kind is defined in two places: its
+BlockSpec here (the scalar B, B', B'', B''', the radius and the gap series
+of the saddle solve) and its step in powerseries.BlockTable.  cached is
+the one bounded cache of a class's scalars and size tables.
 """
 
 import json
@@ -54,6 +55,8 @@ SUBCRITICAL_ALPHA = 1.5
 # largest rho of a synthetic class whose EGF and tilted weights can be
 # evaluated: both take exact counts up to a size that grows with rho
 MAX_SYNTHETIC_RHO = 256.0
+
+_SCALAR_CACHE_MAX = 64  # entries of a class's cache (cached) before it is cleared
 
 _BUILTIN_NAMES = ("trees", "cacti", "husimi")
 
@@ -117,8 +120,7 @@ class ConnectedClass:
         self.coeff_source = coeff_source
         self.growth = growth
         self.block_spec = block_spec
-        self.coeff_provider = None
-        self.list_length = None  # explicit lists only
+        self.list_length = None  # explicit lists only, whose memo is the whole list
         self._memo = []
         self._table = None  # the labeled BlockTable of y_series, once it is asked for
         self._lock = threading.RLock()  # coefficients holds it across y_series
@@ -126,6 +128,18 @@ class ConnectedClass:
 
     def __repr__(self):
         return f"ConnectedClass({self.name!r}, source={self.coeff_source.value})"
+
+
+def cached(cls, key, fn, *args):
+    """fn(*args), kept under key in the class's one cache of scalars and size
+    tables; a hit is one dict lookup, and a miss clears a full cache first."""
+    value = cls._scalar_cache.get(key)
+    if value is None:
+        value = fn(*args)
+        if len(cls._scalar_cache) >= _SCALAR_CACHE_MAX:
+            cls._scalar_cache.clear()
+        cls._scalar_cache[key] = value
+    return value
 
 
 # --- built-in block specifications ------------------------------------------
@@ -245,7 +259,8 @@ def y_series(cls, T):
 
 
 def coefficients(cls, n_max):
-    """|C_1..n_max| as exact integers; only sizes past the memo are computed."""
+    """|C_1..n_max| as exact integers, computing only sizes past the memo; an
+    explicit list's memo is the whole list, and DomainError lies beyond it."""
     n_max = check_int("n_max", n_max, 1)
     with cls._lock:
         memo, lo = cls._memo, len(cls._memo) + 1
@@ -255,8 +270,10 @@ def coefficients(cls, n_max):
                 memo += [y[n] // n for n in range(lo, n_max + 1)]
             elif cls.coeff_source is CoeffSource.SYNTHETIC:
                 memo += _synthetic_vector(cls.growth, lo, n_max)
+            elif cls.coeff_source is CoeffSource.CLOSED_FORM:
+                memo += [_cayley(n) for n in range(lo, n_max + 1)]
             else:
-                memo += [cls.coeff_provider(n) for n in range(lo, n_max + 1)]
+                raise DomainError(f"class {cls.name} defines coefficients only up to n = {lo - 1}")
         return memo[:n_max]
 
 
@@ -342,9 +359,7 @@ def _make_builtin(name):
     if name != "trees":
         return _block_class(name, _cactus_spec() if name == "cacti" else _complete_spec())
     growth = GrowthParams(1 / math.sqrt(2 * math.pi), math.exp(-1), SUBCRITICAL_ALPHA)
-    cls = ConnectedClass("trees", CoeffSource.CLOSED_FORM, growth, _edge_spec())
-    cls.coeff_provider = _cayley
-    return cls
+    return ConnectedClass("trees", CoeffSource.CLOSED_FORM, growth, _edge_spec())
 
 
 def _block_class(name, spec):
@@ -390,17 +405,7 @@ def from_coefficients(name, values, growth=None):
             "|C_1| = 0 violates the single-vertex assumption (C_1 must be non-empty)"
         )
     cls = ConnectedClass(name, CoeffSource.EXPLICIT_LIST, growth, None)
-    cls.list_length = len(counts)
-    stored = tuple(counts)
-
-    def provider(n, _stored=stored, _name=name):
-        if n > len(_stored):
-            raise DomainError(
-                f"class {_name} defines coefficients only up to n = {len(_stored)}"
-            )
-        return _stored[n - 1]
-
-    cls.coeff_provider = provider
+    cls.list_length, cls._memo = len(counts), counts
     return cls
 
 

@@ -9,9 +9,10 @@ sum of k iid sizes drawn with probabilities w / W,
 which the sampler uses to draw and test sizes and exact.count_log uses to
 count beyond its exact tier.  Block classes solve their weights with
 powerseries.BlockTable on float64 arrays, tilted by x^n; the other classes
-evaluate exact counts or the growth formula in logs.  This module imports
-numpy and nothing else that is heavy; the sampler imports it, and
-exact.count_log imports it only when it needs the float tier.
+evaluate exact counts or the growth formula in logs.  _table_cap owns each
+class's longest table and the one check of a length against it.  This
+module imports numpy and nothing else that is heavy; the sampler imports
+it, and exact.count_log imports it only when it needs the float tier.
 """
 
 import math
@@ -45,17 +46,26 @@ def _weight_table(cls, x):
     it, so a search over growing M solves each entry once.
     """
     if cls.coeff_source is species.CoeffSource.BLOCK_DERIVED:
-        return _block_weights(cls.block_spec, x)
+        return _block_weights(cls, x)
     return lambda M: _formula_weights(cls, x, M)
 
 
-def _formula_weights(cls, x, M):
-    if M > _MAX_TABLE:
+def _table_cap(cls, M=0):
+    """The longest size table of cls, a block table costing O(M^2) and the others
+    O(M); PrecisionError if M exceeds it."""
+    block = cls.coeff_source is species.CoeffSource.BLOCK_DERIVED
+    cap = _MAX_BLOCK_TABLE if block else _MAX_TABLE
+    if M > cap:
         raise PrecisionError(
-            f"size table of length {shown(M)} exceeds the supported maximum {_MAX_TABLE}; "
-            "pass a smaller n_max",
-            suggested=_MAX_TABLE,
+            f"{'block-derived ' if block else ''}size table of length {shown(M)} exceeds "
+            f"the supported maximum {cap}; pass a smaller n_max",
+            suggested=cap,
         )
+    return cap
+
+
+def _formula_weights(cls, x, M):
+    _table_cap(cls, M)
     ns = np.arange(1, M + 1, dtype=float)
     logfact = _log_factorials(M)
     if cls.coeff_source is species.CoeffSource.CLOSED_FORM:
@@ -107,18 +117,14 @@ def _dot(a, b):
     return float(a.dot(b))
 
 
-def _block_weights(spec, x):
+def _block_weights(cls, x):
     """M -> _weights for a block class at x, from one growing float64 BlockTable."""
+    spec = cls.block_spec
     tail = [float(c) for c in spec.tail]
     table = ps.BlockTable(spec.kind, tail, ps.Tilted(x, np.zeros, _dot))
 
     def weights(M):
-        if M > _MAX_BLOCK_TABLE:
-            raise PrecisionError(
-                f"block-derived size table of length {shown(M)} exceeds the supported "
-                f"maximum {_MAX_BLOCK_TABLE}; pass a smaller n_max",
-                suggested=_MAX_BLOCK_TABLE,
-            )
+        _table_cap(cls, M)
         return table.terms(M)[1 : M + 1] / np.arange(1, M + 1, dtype=float)
 
     return weights

@@ -300,12 +300,12 @@ class TestSupercritical:
         for i in range(200):
             asy.solve_supercritical(cls, lam_star + 0.01 + (0.98 - lam_star) * i / 200)
             asy._egf_at(cls, 0.45 * (i + 1) / 200)
-            assert len(cls._scalar_cache) <= asy._SCALAR_CACHE_MAX
+            assert len(cls._scalar_cache) <= species._SCALAR_CACHE_MAX
         cacti = species.builtin("cacti")
         rc = asy.recipe_constants(cacti)
         for i in range(200):
             asy._egf_at(cacti, rc.rho * (i + 1) / 201)
-            assert len(cacti._scalar_cache) <= asy._SCALAR_CACHE_MAX
+            assert len(cacti._scalar_cache) <= species._SCALAR_CACHE_MAX
         assert asy.recipe_constants(cacti) == rc
 
     def test_saddle_is_solved_once_per_lambda(self, monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import setcensus
-from setcensus import cli, sampler, species
+from setcensus import cli, species, weights
 
 try:
     import tomllib
@@ -311,7 +311,7 @@ class TestSample:
         assert json.loads(err)["error"]["code"] == "domain"
 
     def test_precision_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(sampler, "_MAX_BLOCK_TABLE", 64)
+        monkeypatch.setattr(weights, "_MAX_BLOCK_TABLE", 64)
         rho = species.builtin("cacti").growth.rho
         code, _, err = run_cli(
             capsys,

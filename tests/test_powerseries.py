@@ -193,7 +193,7 @@ class TestFixedPoint:
         cls = _block_class(kind, tmp_path)
         y_exact = species.y_series(cls, T)
         rho = Fraction(cls.growth.rho)
-        w = weights._block_weights(cls.block_spec, cls.growth.rho)(T)
+        w = weights._block_weights(cls, cls.growth.rho)(T)
         for n in range(1, T + 1):
             want = Fraction(y_exact[n], n * math.factorial(n)) * rho**n  # |C_n| rho^n / n!
             assert abs(Fraction(float(w[n - 1])) - want) / want < Fraction(1, 2**45)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from setcensus import asymptotics, exact, sampler, species
+from setcensus import asymptotics, exact, sampler, species, weights
 from setcensus import powerseries as ps
 from setcensus.errors import (
     DivergenceError,
@@ -133,7 +133,7 @@ class TestSizeDistribution:
     def test_cached_table_still_respects_the_cap(self, monkeypatch):
         cacti = species.builtin("cacti")
         assert sampler.size_distribution(cacti, cacti.growth.rho).n_max == 8192
-        monkeypatch.setattr(sampler, "_MAX_BLOCK_TABLE", 64)
+        monkeypatch.setattr(weights, "_MAX_BLOCK_TABLE", 64)
         with pytest.raises(PrecisionError):
             sampler.size_distribution(cacti, cacti.growth.rho)
 
@@ -149,7 +149,7 @@ class TestSizeDistribution:
             sampler.size_distribution(trees, "0.2")
 
     def test_block_table_cap_raises_precision(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_MAX_BLOCK_TABLE", 64)
+        monkeypatch.setattr(weights, "_MAX_BLOCK_TABLE", 64)
         cacti = species.builtin("cacti")
         with pytest.raises(PrecisionError) as info:
             sampler.size_distribution(cacti, cacti.growth.rho, mass_tol=1e-9)
