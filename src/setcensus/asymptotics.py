@@ -198,6 +198,10 @@ def solve_zeta(cls):
         raise NotSubcriticalError(
             f"class {cls.name} is not subcritical: t*B''(t) stays below 1 on (0, R)"
         )
+    # Newton from hi toward a root far below it (B'' of order 1e300) only halves
+    # its distance each step, so the bracket is halved down to the root first
+    while hi / 2 > lo and g(hi / 2) > 0:
+        hi /= 2
     zeta = _safe_newton(gdg, lo, hi)
     if abs(zeta * Bpp(zeta) - 1.0) > _RESIDUAL_TOL:
         raise InternalConsistencyError(

@@ -182,6 +182,8 @@ def _size_table(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
 
 
 def _solve_size_table(cls, x, n_max, mass_tol):
+    if not 0 < check_real("mass_tol", mass_tol) < 1:
+        raise DomainError(f"mass_tol = {mass_tol!r} must lie strictly between 0 and 1")
     if cls.growth is not None:
         asymptotics._check_radius(x, cls.growth.rho)
     elif n_max is None:

@@ -378,7 +378,7 @@ def synthetic(b, rho, alpha):
     |C_n| = max(round(b n^{-(1+alpha)} rho^{-n} n!), [n = 1]) with
     round-half-away-from-zero; growth parameters are recorded as declared.
     """
-    growth = GrowthParams(float(b), float(rho), float(alpha))
+    growth = _growth_params({"b": b, "rho": rho, "alpha": alpha})
     name = f"synthetic(b={growth.b:g},rho={growth.rho:g},alpha={growth.alpha:g})"
     return ConnectedClass(name, CoeffSource.SYNTHETIC, growth, None)
 
@@ -387,9 +387,12 @@ def from_coefficients(name, values, growth=None):
     """Class defined by an explicit list of counts |C_1..len(values)|.
 
     Each count must be an integer (a Python or numpy integer); 1.5, nan, inf
-    and "3" raise ValidationError rather than being truncated.
+    and "3" raise ValidationError rather than being truncated.  growth is
+    None or a GrowthParams.
     """
     _validate_name(name)
+    if growth is not None and not isinstance(growth, GrowthParams):
+        raise ValidationError(f"growth must be a GrowthParams, not {type(growth).__name__}")
     counts = []
     for i, v in enumerate(values, start=1):
         if not isinstance(v, numbers.Integral):
@@ -407,6 +410,15 @@ def from_coefficients(name, values, growth=None):
     cls = ConnectedClass(name, CoeffSource.EXPLICIT_LIST, growth, None)
     cls.list_length, cls._memo = len(counts), counts
     return cls
+
+
+def _growth_params(g):
+    """GrowthParams of the reals g["b"], g["rho"], g["alpha"] from outside the
+    program, else ValidationError."""
+    try:
+        return GrowthParams(float(g["b"]), float(g["rho"]), float(g["alpha"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"bad growth parameters: {e}") from e
 
 
 _NAME_RE = re.compile(r"^[\w()=.,+-]{1,100}$")
@@ -437,10 +449,7 @@ def from_file(path):
         g = doc["growth"]
         if not isinstance(g, dict) or set(g) - {"b", "rho", "alpha"}:
             raise ValidationError("growth must be an object with keys b, rho, alpha")
-        try:
-            growth = GrowthParams(float(g["b"]), float(g["rho"]), float(g["alpha"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"bad growth parameters: {e}") from e
+        growth = _growth_params(g)
 
     has_coeffs = "coefficients" in doc
     has_block = "block" in doc
@@ -482,10 +491,12 @@ def from_file(path):
                     f"bprime[{d}] = {c} gives {c * math.factorial(d)} blocks on {d + 1} "
                     "vertices; d! * bprime[d] must be an integer"
                 )
+            scale = max(1, d * (d - 1))  # B'' and B''' of the spec take d (d - 1) c_d as a float
             try:
-                float(c)  # the scalar closures of the spec take it as a float
+                float(scale * c)
             except OverflowError as e:
-                raise ValidationError(f"bprime[{d}] = {raw[d]} does not fit a float") from e
+                after = f" once multiplied by {scale}" if scale > 1 else ""
+                raise ValidationError(f"bprime[{d}] = {raw[d]} does not fit a float{after}") from e
         spec = _poly_spec(coeffs[1:])
     else:
         raise ValidationError(

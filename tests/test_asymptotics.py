@@ -109,6 +109,15 @@ class TestRecipe:
         with pytest.raises(asy.NotSubcriticalError):
             asy.solve_zeta(cls)
 
+    def test_root_far_below_one(self, tmp_path):
+        # B' = u + 1e300 u^2: zeta + 2e300 zeta^2 = 1 puts zeta near 2^-1/2 1e-150,
+        # 500 halvings below the bracket end 1 that the upward search finds
+        path = tmp_path / "steep.json"
+        doc = {"name": "steep", "block": {"kind": "poly", "bprime": ["0", "1", "1e300"]}}
+        path.write_text(json.dumps(doc))
+        zeta = asy.recipe_constants(species.from_file(path)).zeta
+        assert zeta == pytest.approx(2**-0.5 * 1e-150, rel=1e-12)
+
 
 class TestScalarEvaluation:
     def test_lambda_star_trees(self):

@@ -121,6 +121,11 @@ class TestSynthetic:
         with pytest.raises(ValidationError):
             species.synthetic(math.nan, 1, 2)
 
+    @pytest.mark.parametrize("b", ["a", None, 10**400], ids=["str", "None", "10**400"])
+    def test_non_reals_are_validation_errors(self, b):
+        with pytest.raises(ValidationError, match="bad growth parameters"):
+            species.synthetic(b, 0.5, 2)
+
 
 class TestExplicitList:
     def test_provider_and_bounds(self):
@@ -141,6 +146,10 @@ class TestExplicitList:
     def test_non_integer_counts_are_not_truncated(self, bad):
         with pytest.raises(ValidationError, match=r"\|C_2\|"):
             species.from_coefficients("frac", [1, bad, 7])
+
+    def test_growth_must_be_growth_params(self):
+        with pytest.raises(ValidationError, match="growth must be a GrowthParams, not tuple"):
+            species.from_coefficients("x", [1, 2], growth=(1, 2, 3))
 
     def test_numpy_integer_counts(self):
         import numpy as np
@@ -409,7 +418,10 @@ class TestIntegerFixedPoint:
         assert species.coefficients(cls, 300) == recurrences.connected_counts(kind, 300)
 
 
-@pytest.mark.parametrize("bprime", [["0", "1e400"], ["0", "1", "0", "2e400"]])
+# B'' takes 2 c_2 = 2 * 1.797e308 as a float, beyond the float range
+@pytest.mark.parametrize(
+    "bprime", [["0", "1e400"], ["0", "1", "0", "2e400"], ["0", "1", "1.7976931348623157e308"]]
+)
 def test_poly_entry_beyond_float_range_is_a_validation_error(tmp_path, capsys, bprime):
     from setcensus import cli
 
@@ -421,3 +433,16 @@ def test_poly_entry_beyond_float_range_is_a_validation_error(tmp_path, capsys, b
     assert cli.main(["constants", "--class-file", str(path)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["code"] == "validation" and entry in err["message"]
+
+
+def test_growth_beyond_float_range_is_a_validation_error(tmp_path, capsys):
+    from setcensus import cli
+
+    path = tmp_path / "huge.json"
+    rho = "1" + "0" * 400  # a JSON integer beyond the float range
+    path.write_text(f'{{"name": "huge", "coefficients": ["1", "2"], '
+                    f'"growth": {{"b": 1, "rho": {rho}, "alpha": 2}}}}')
+    with pytest.raises(ValidationError, match="bad growth parameters"):
+        species.from_file(str(path))
+    assert cli.main(["series", "--class-file", str(path), "--terms", "2"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation"
