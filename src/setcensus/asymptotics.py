@@ -254,7 +254,7 @@ def _egf_values(cls, x):
         head = max(_HEAD_TERMS, int(3 * cls.growth.rho) + 48)
         return _egf_head_tail(cls, x, species.coefficients(cls, head))
     if cls.coeff_source is species.CoeffSource.EXPLICIT_LIST:
-        return _egf_head_tail(cls, x, species.coefficients(cls, cls.list_length))
+        return _egf_head_tail(cls, x, species.coefficients(cls, len(cls._memo)))
     raise DomainError(f"class {cls.name} supports no scalar EGF evaluation")
 
 

@@ -152,7 +152,7 @@ class MCEstimate:
 def _full_value(cls, x):
     """C(x) under the class model, or nan when no tail model exists."""
     if cls.coeff_source is species.CoeffSource.EXPLICIT_LIST and cls.growth is None:
-        w = _weights(cls, x, cls.list_length)
+        w = _weights(cls, x, len(cls._memo))
         return float(np.sum(w))
     C, _A, _D = asymptotics._egf_at(cls, x)
     return C
@@ -176,21 +176,22 @@ def _size_table(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
         raise DomainError(f"boltzmann parameter x = {x} must be a positive real")
     if n_max is not None:
         n_max = check_int("n_max", n_max, 1)
+    if mass_tol is not DEFAULT_MASS_TOL and not 0 < check_real("mass_tol", mass_tol) < 1:
+        raise DomainError(f"mass_tol = {mass_tol!r} must lie strictly between 0 and 1")
     table = species.cached(cls, (x, n_max, mass_tol), _solve_size_table, cls, x, n_max, mass_tol)
     _table_cap(cls, table.n_max)  # a cap lowered after the table was cached still applies
     return table
 
 
 def _solve_size_table(cls, x, n_max, mass_tol):
-    if not 0 < check_real("mass_tol", mass_tol) < 1:
-        raise DomainError(f"mass_tol = {mass_tol!r} must lie strictly between 0 and 1")
     if cls.growth is not None:
         asymptotics._check_radius(x, cls.growth.rho)
     elif n_max is None:
-        n_max = cls.list_length  # a list without growth: the whole list
+        n_max = len(cls._memo)  # a list without growth: the whole list
     if n_max is not None:
         M = n_max
-        w = _weights(cls, x, M)
+        w = _weights(cls, x, M)  # a table over the cap fails before C(x) is evaluated
+        C_full = _full_value(cls, x)
     else:
         C_full = _full_value(cls, x)
         weights = _weight_table(cls, x)
@@ -211,7 +212,6 @@ def _solve_size_table(cls, x, n_max, mass_tol):
     s = float(np.sum(w))
     if not (s > 0 and math.isfinite(s)):
         raise DomainError(f"size weights sum to {s} at x = {x}")
-    C_full = _full_value(cls, x)
     trunc = max((C_full - s) / C_full, 0.0) if math.isfinite(C_full) else math.nan
     pmf = w / s
     cdf = np.cumsum(pmf)

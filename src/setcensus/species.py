@@ -120,7 +120,6 @@ class ConnectedClass:
         self.coeff_source = coeff_source
         self.growth = growth
         self.block_spec = block_spec
-        self.list_length = None  # explicit lists only, whose memo is the whole list
         self._memo = []
         self._table = None  # the labeled BlockTable of y_series, once it is asked for
         self._lock = threading.RLock()  # coefficients holds it across y_series
@@ -208,7 +207,8 @@ def _poly_spec(tail):
     tail = tuple(tail)
 
     def B(t):
-        return sum(float(c) * t ** (d + 1) / (d + 1) for d, c in enumerate(tail, start=1))
+        # (c t^d) t: at a root far below 1 the power t^(d+1) alone underflows
+        return sum(float(c) * t**d * t / (d + 1) for d, c in enumerate(tail, start=1))
 
     def Bp(t):
         return sum(float(c) * t**d for d, c in enumerate(tail, start=1))
@@ -408,7 +408,7 @@ def from_coefficients(name, values, growth=None):
             "|C_1| = 0 violates the single-vertex assumption (C_1 must be non-empty)"
         )
     cls = ConnectedClass(name, CoeffSource.EXPLICIT_LIST, growth, None)
-    cls.list_length, cls._memo = len(counts), counts
+    cls._memo = counts  # the whole list: coefficients never extends it
     return cls
 
 
@@ -495,8 +495,7 @@ def from_file(path):
             try:
                 float(scale * c)
             except OverflowError as e:
-                after = f" once multiplied by {scale}" if scale > 1 else ""
-                raise ValidationError(f"bprime[{d}] = {raw[d]} does not fit a float{after}") from e
+                raise ValidationError(f"bprime[{d}] = {raw[d]} does not fit a float") from e
         spec = _poly_spec(coeffs[1:])
     else:
         raise ValidationError(

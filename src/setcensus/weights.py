@@ -77,10 +77,10 @@ def _formula_weights(cls, x, M):
     if cls.coeff_source is species.CoeffSource.SYNTHETIC:
         H = _exact_head(g, M)
     else:  # explicit list
-        H = min(M, cls.list_length)
+        H = min(M, len(cls._memo))
         if M > H and g is None:
             raise DomainError(
-                f"class {cls.name} defines coefficients only up to n = {cls.list_length} "
+                f"class {cls.name} defines coefficients only up to n = {H} "
                 "and declares no growth parameters"
             )
     w = np.zeros(M)

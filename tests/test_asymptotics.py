@@ -111,12 +111,19 @@ class TestRecipe:
 
     def test_root_far_below_one(self, tmp_path):
         # B' = u + 1e300 u^2: zeta + 2e300 zeta^2 = 1 puts zeta near 2^-1/2 1e-150,
-        # 500 halvings below the bracket end 1 that the upward search finds
+        # 500 halvings below the bracket end 1 that the upward search finds.  There
+        # 1e300 zeta^2 = 1/2, so lambda* = 1/2 + 1/6 up to O(zeta), B' = 1/2 and
+        # zeta^2 B''' = 1, while zeta^3 alone lies below the float range
         path = tmp_path / "steep.json"
         doc = {"name": "steep", "block": {"kind": "poly", "bprime": ["0", "1", "1e300"]}}
         path.write_text(json.dumps(doc))
-        zeta = asy.recipe_constants(species.from_file(path)).zeta
-        assert zeta == pytest.approx(2**-0.5 * 1e-150, rel=1e-12)
+        rc = asy.recipe_constants(species.from_file(path))
+        zeta = 2**-0.5 * 1e-150
+        assert rc.zeta == pytest.approx(zeta, rel=1e-12)
+        assert rc.lambda_star == pytest.approx(2 / 3, rel=1e-12)
+        assert rc.C_rho == pytest.approx(2 / 3 * zeta, rel=1e-12)
+        assert rc.rho == pytest.approx(zeta * math.exp(-0.5), rel=1e-12)
+        assert rc.b == pytest.approx(zeta / math.sqrt(4 * math.pi), rel=1e-12)
 
 
 class TestScalarEvaluation:

@@ -79,8 +79,8 @@ REAL_CALLS = [
 
 
 # 10**5000 has too many digits for str(), so its message must not print it
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "0.5", 10**400, 10**5000],
-                         ids=["nan", "inf", "-inf", "None", "str", "10**400", "10**5000"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "0.5", [0.5], 10**400, 10**5000],
+                         ids=["nan", "inf", "-inf", "None", "str", "list", "10**400", "10**5000"])
 @pytest.mark.parametrize("name, call", REAL_CALLS, ids=[name for name, _ in REAL_CALLS])
 def test_non_reals_are_domain_errors(name, call, value):
     with pytest.raises(DomainError):
@@ -126,10 +126,12 @@ def test_real_values_of_any_type_count(name, call, convert):
     assert call(convert(Fraction(quarters, 4))) == call(quarters / 4)
 
 
+# also with an explicit n_max, where the table never reads mass_tol
+@pytest.mark.parametrize("n_max", [None, 5])
 @pytest.mark.parametrize("value", [-1, 0, 1, 2.5], ids=repr)
-def test_mass_tol_lies_strictly_between_0_and_1(value):
+def test_mass_tol_lies_strictly_between_0_and_1(value, n_max):
     with pytest.raises(DomainError, match="mass_tol"):
-        sampler.size_distribution(TREES, 0.1, mass_tol=value)
+        sampler.size_distribution(TREES, 0.1, n_max, mass_tol=value)
 
 
 def test_integers_count_as_reals():
