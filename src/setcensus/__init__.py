@@ -8,9 +8,9 @@ component density lambda, and draws uniform objects through a Boltzmann
 sampler; the three routes cross-validate each other.
 
 numpy and mpmath load on first use: `sampler` and `cli` are imported when
-first reached as attributes of the package, and the Lerch and Hurwitz tails,
-synthetic coefficients at fractional alpha and the chi-square tail import
-mpmath when called.
+first reached as attributes of the package, and only the Lerch and Hurwitz
+tails and synthetic coefficients at fractional alpha import mpmath, when
+called.
 """
 
 import importlib

@@ -25,6 +25,7 @@ from .errors import (
     PrecisionError,
     RetryBudgetError,
     SetCensusError,
+    check_int,
 )
 
 SCHEMA_VERSION = "1"
@@ -63,8 +64,8 @@ def _record(command, inputs, results):
     )
 
 
-def _add_class_args(p):
-    g = p.add_mutually_exclusive_group(required=True)
+def _add_class_args(p, required=True):
+    g = p.add_mutually_exclusive_group(required=required)
     g.add_argument(
         "--class",
         dest="class_name",
@@ -96,29 +97,17 @@ def _resolve_class(args):
     return cls, {"synthetic": {"b": _real(b), "rho": _real(rho), "alpha": _real(alpha)}}
 
 
-def _growth_block(cls):
-    out = {
-        "name": cls.name,
-        "source": cls.coeff_source.value,
-        "alpha": _real(cls.growth.alpha) if cls.growth else None,
-        "b": _real(cls.growth.b) if cls.growth else None,
-        "rho": _real(cls.growth.rho) if cls.growth else None,
-    }
-    if cls.block_spec is not None:
-        rc = asymptotics.recipe_constants(cls)
-        out["zeta"] = _real(rc.zeta)
-    return out
-
-
 # --- commands ---------------------------------------------------------------------
 
 
 def _cmd_constants(args):
     cls, desc = _resolve_class(args)
-    lam_star = asymptotics.lambda_star(cls)
-    results = _growth_block(cls)
+    b, rho, alpha, lam_star, C_rho = asymptotics._growth_constants(cls)
+    results = {"name": cls.name, "source": cls.coeff_source.value,
+               "alpha": _real(alpha), "b": _real(b), "rho": _real(rho)}
+    if cls.block_spec is not None:
+        results["zeta"] = _real(asymptotics.recipe_constants(cls).zeta)
     results["lambda_star"] = _real(lam_star)
-    C_rho, _A, _D = asymptotics._egf_at(cls, cls.growth.rho)
     results["C_rho"] = _real(C_rho)
     if args.lam is not None:
         lam = args.lam
@@ -265,11 +254,10 @@ def _cmd_sample(args):
 
     from . import sampler
 
-    if args.seed is None:
-        raise DomainError("--seed is required for sample")
+    seed = check_int("--seed", args.seed, 0)
     if args.trials < 1:
         raise DomainError("--trials must be positive")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     lines = []
     if args.composition:
         if args.class_name is None and args.class_file is None and args.synthetic is None:
@@ -340,36 +328,20 @@ def _cmd_series(args):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision-bits",
-        type=int,
-        default=exact.DEFAULT_PRECISION_BITS,
-        help="exact --mode float and compare: bits of precision (at least 8) for the "
-        "decimal log of an exact count; counts beyond the exact tier use float64",
-    )
-    common.add_argument(
-        "--trunc-order",
-        type=int,
-        default=None,
-        help="explicit truncation order for size tables",
-    )
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (required for sample)")
-
     p = argparse.ArgumentParser(
         prog="setcensus",
         description="count, estimate and sample labeled forests of connected structures",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("constants", parents=[common], help="growth and regime constants")
+    pc = sub.add_parser("constants", help="growth and regime constants")
     _add_class_args(pc)
     pc.add_argument(
         "--lambda", "--lam", dest="lam", type=float, default=None, help="component density"
     )
     pc.set_defaults(fn=_cmd_constants)
 
-    pe = sub.add_parser("exact", parents=[common], help="exact counts by coefficient extraction")
+    pe = sub.add_parser("exact", help="exact counts by coefficient extraction")
     _add_class_args(pe)
     pe.add_argument("-n", type=int, required=True, help="number of vertices")
     pe.add_argument("-k", type=int, default=None, help="number of components")
@@ -377,13 +349,13 @@ def _build_parser():
     pe.add_argument("--mode", choices=("exact", "float"), default="exact")
     pe.set_defaults(fn=_cmd_exact)
 
-    pes = sub.add_parser("estimate", parents=[common], help="asymptotic regime estimate")
+    pes = sub.add_parser("estimate", help="asymptotic regime estimate")
     _add_class_args(pes)
     pes.add_argument("-n", type=int, required=True)
     pes.add_argument("--lambda", "--lam", dest="lam", type=float, required=True)
     pes.set_defaults(fn=_cmd_estimate)
 
-    pcmp = sub.add_parser("compare", parents=[common], help="exact vs estimate at one lambda")
+    pcmp = sub.add_parser("compare", help="exact vs estimate at one lambda")
     _add_class_args(pcmp)
     pcmp.add_argument(
         "--n-list", "-n", dest="n_list", required=True, help="comma-separated vertex counts"
@@ -391,17 +363,26 @@ def _build_parser():
     pcmp.add_argument("--lambda", "--lam", dest="lam", type=float, required=True)
     pcmp.add_argument("--format", choices=("json", "tsv"), default="json")
     pcmp.set_defaults(fn=_cmd_compare)
+    for q in (pe, pcmp):
+        q.add_argument(
+            "--precision-bits",
+            type=int,
+            default=exact.DEFAULT_PRECISION_BITS,
+            help="bits of precision (at least 8) for the decimal log of an exact count "
+            "(exact --mode float and compare); counts beyond the exact tier use float64",
+        )
 
-    psa = sub.add_parser("sample", parents=[common], help="draw forests or compositions")
-    g = psa.add_mutually_exclusive_group(required=False)
-    g.add_argument("--class", dest="class_name", metavar="NAME")
-    g.add_argument("--class-file", metavar="PATH")
-    g.add_argument("--synthetic", nargs=3, type=float, metavar=("B", "RHO", "ALPHA"))
+    psa = sub.add_parser("sample", help="draw forests or compositions")
+    _add_class_args(psa, required=False)
     psa.add_argument("-n", type=int, default=None)
     psa.add_argument("-k", type=int, default=None)
     psa.add_argument("--x", type=float, default=None, help="Boltzmann parameter")
     psa.add_argument("--trials", "--count", dest="trials", type=int, default=1)
     psa.add_argument("--max-rejects", type=int, default=10_000)
+    psa.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
+    psa.add_argument(
+        "--trunc-order", type=int, default=None, help="size-table length for --composition"
+    )
     psa.add_argument(
         "--composition",
         action="store_true",
@@ -409,7 +390,7 @@ def _build_parser():
     )
     psa.set_defaults(fn=_cmd_sample)
 
-    pse = sub.add_parser("series", parents=[common], help="connected counts; export class files")
+    pse = sub.add_parser("series", help="connected counts; export class files")
     _add_class_args(pse)
     pse.add_argument("--terms", type=int, required=True)
     pse.add_argument("--export", default=None, metavar="PATH")

@@ -5,8 +5,10 @@ connected components: count(n, k) = (n!/k!) * [x^n] C(x)^k, a non-negative
 integer computed on the labeled counts |C_m| = m! [x^m] C in Python integers
 by powerseries.pow, where the EGF product is a binomial convolution.
 count_table reuses one running power of C to produce a whole row of counts,
-and total_count takes powerseries.exp.  precision_bits (DEFAULT_PRECISION_BITS
-unless given) sets the digits of count_log's exact tier.
+and total_count takes powerseries.exp.  All three build lists of n + 1
+counts, so an n past species._table_cap raises PrecisionError.
+precision_bits (DEFAULT_PRECISION_BITS unless given) sets the digits of
+count_log's exact tier.
 
 count_log(n, k) returns log count(n, k) as a float, by one of two tiers
 chosen from (n, k) alone:
@@ -82,9 +84,12 @@ def _check_domain(n, k):
 
 
 def _labeled_counts(cls, n, usable):
-    """[0, |C_1|, ..., |C_usable|, 0, ...] of length n + 1; n! [x^n] C^k needs
-    sizes up to n - k + 1 only, so explicit lists keep their full reach."""
-    return [0, *species.coefficients(cls, usable), *[0] * (n - usable)]
+    """[0, |C_1|, ..., |C_usable|, 0, ...] of length n + 1, n within the class's
+    species._table_cap; n! [x^n] C^k needs sizes up to n - k + 1 only, so
+    explicit lists keep their full reach."""
+    counts = species.coefficients(cls, usable)
+    species._table_cap(cls, n)
+    return [0, *counts, *[0] * (n - usable)]
 
 
 def _divide_exact(value, k_fact, what):

@@ -25,11 +25,11 @@ Entry n depends only on the entries below it, so the search for n_max
 every length, and a table of length M holds the same floats as the first M
 entries of any longer one.
 
-Each size table is solved once per class, x, n_max and mass_tol and kept
-in the class's one bounded cache (species.cached); every size_distribution
-call returns a new SizeDistribution over the cached read-only arrays, and
-forest and cross-check draws read the same cache.  A cap of
-weights._table_cap lowered after a table was cached still applies to it.
+Each size table is solved once per class, x and n_max and kept in the
+class's one bounded cache (species.cached); every size_distribution call
+returns a new SizeDistribution over the cached read-only arrays, and forest
+and cross-check draws read the same cache.  A cap of species._table_cap
+lowered after a table was cached still applies to it.
 
 All randomness flows through a caller-supplied numpy Generator; a fixed seed
 fixes every sample exactly.  sample_set draws each size with one scalar
@@ -71,9 +71,9 @@ import numpy as np
 from . import asymptotics, exact, species
 from . import powerseries as ps
 from .errors import DomainError, PrecisionError, RetryBudgetError, check_int, check_real
-from .weights import _log_power_coefficient, _table_cap, _weight_table, _weights
+from .weights import _log_power_coefficient, _weight_table, _weights
 
-DEFAULT_MASS_TOL = 1e-6
+_MASS_TOL = 1e-6  # a grown table leaves less than this share of C(x) beyond it
 _GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact
 _BLOCK_START = 256  # uniforms in the first block of forest rejection attempts
 _BLOCK_MAX = 8192  # blocks double up to this many uniforms
@@ -158,32 +158,30 @@ def _full_value(cls, x):
     return C
 
 
-def size_distribution(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
+def size_distribution(cls, x, n_max=None):
     """Component-size table of the Boltzmann model at parameter x.
 
     With n_max omitted, the table grows until the untruncated model keeps less
-    than mass_tol of its probability beyond the table (bare coefficient lists
-    use their full length).  The table is solved once and cached on the class;
+    than 1e-6 of its probability beyond the table (bare coefficient lists use
+    their full length).  The table is solved once and cached on the class;
     each call returns a new SizeDistribution over the same read-only arrays.
     """
-    return dataclasses.replace(_size_table(cls, x, n_max, mass_tol))
+    return dataclasses.replace(_size_table(cls, x, n_max))
 
 
-def _size_table(cls, x, n_max=None, mass_tol=DEFAULT_MASS_TOL):
+def _size_table(cls, x, n_max=None):
     """The cached SizeDistribution behind size_distribution, shared by every caller."""
     x = check_real("boltzmann parameter x", x)
     if not x > 0:
         raise DomainError(f"boltzmann parameter x = {x} must be a positive real")
     if n_max is not None:
         n_max = check_int("n_max", n_max, 1)
-    if mass_tol is not DEFAULT_MASS_TOL and not 0 < check_real("mass_tol", mass_tol) < 1:
-        raise DomainError(f"mass_tol = {mass_tol!r} must lie strictly between 0 and 1")
-    table = species.cached(cls, (x, n_max, mass_tol), _solve_size_table, cls, x, n_max, mass_tol)
-    _table_cap(cls, table.n_max)  # a cap lowered after the table was cached still applies
+    table = species.cached(cls, (x, n_max), _solve_size_table, cls, x, n_max)
+    species._table_cap(cls, table.n_max)  # a cap lowered after the table was cached still applies
     return table
 
 
-def _solve_size_table(cls, x, n_max, mass_tol):
+def _solve_size_table(cls, x, n_max):
     if cls.growth is not None:
         asymptotics._check_radius(x, cls.growth.rho)
     elif n_max is None:
@@ -199,13 +197,13 @@ def _solve_size_table(cls, x, n_max, mass_tol):
         while True:
             w = weights(M)
             s = float(np.sum(w))
-            if C_full - s <= mass_tol * C_full:
+            if C_full - s <= _MASS_TOL * C_full:
                 break
-            cap = _table_cap(cls)
+            cap = species._table_cap(cls)
             if M >= cap:
                 raise PrecisionError(
                     f"size table reached {M} entries with truncated mass still above "
-                    f"{mass_tol}; pass n_max explicitly",
+                    f"{_MASS_TOL}; pass n_max explicitly",
                     suggested=M,
                 )
             M = min(2 * M, cap)
@@ -225,11 +223,6 @@ def _solve_size_table(cls, x, n_max, mass_tol):
 
 
 # --- drawing ---------------------------------------------------------------------
-
-
-def sample_size(dist, rng):
-    """One component size by inverse-CDF lookup."""
-    return int(dist.cdf.searchsorted(rng.random(), side="right")) + 1
 
 
 def _guide_table(cdf):
@@ -420,8 +413,7 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     uniform labeled tree via a Pruefer draw.  rng must be a
     numpy.random.Generator (default: a fresh unseeded one).
     """
-    n = check_int("n", n, 1)
-    k = check_int("k", k, 1, n)
+    n, k = exact._check_domain(n, k)
     max_rejects = check_int("max_rejects", max_rejects, 0)
     if rng is None:
         rng = np.random.default_rng()
@@ -482,8 +474,7 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"boltzmann parameter x = {x} must be positive")
-    n = check_int("n", n, 1)
-    k = check_int("k", k, 1, n)
+    n, k = exact._check_domain(n, k)
     M = n - k + 1 if n_max is None else check_int("n_max", n_max, 1)
     counts = species.coefficients(cls, M)
     total = sum(Fraction(c, math.factorial(j)) * x**j for j, c in enumerate(counts, start=1))
@@ -496,8 +487,7 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
 
 def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):
     """Monte Carlo estimate of P(size_1 + ... + size_k = n) with its stderr."""
-    n = check_int("n", n, 1)
-    k = check_int("k", k, 1, n)
+    n, k = exact._check_domain(n, k)
     trials = check_int("trials", trials, 1)
     if dist is None:
         dist = _size_table(cls, x, n_max=n - k + 1)
@@ -512,15 +502,3 @@ def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):
     p = hits / trials
     stderr = math.sqrt(p * (1.0 - p) / trials)
     return MCEstimate(estimate=p, stderr=stderr, trials=trials, hits=hits)
-
-
-def chi_square_sf(statistic, df):
-    """Upper tail of the chi-square distribution (regularized incomplete gamma)."""
-    if df <= 0:
-        raise DomainError(f"df = {df} must be positive")
-    if statistic < 0:
-        return 1.0
-    import mpmath
-
-    with mpmath.workdps(30):
-        return float(mpmath.gammainc(df / 2.0, statistic / 2.0, mpmath.inf, regularized=True))

@@ -26,7 +26,9 @@ is the list itself), and a block class solves its fixed point once, in one
 labeled table that it extends.  A block kind is defined in two places: its
 BlockSpec here (the scalar B, B', B'', B''', the radius and the gap series
 of the saddle solve) and its step in powerseries.BlockTable.  cached is
-the one bounded cache of a class's scalars and size tables.
+the one bounded cache of a class's scalars and size tables, and _table_cap
+the one cap on how many sizes a class computes: its coefficients here, the
+lists of n + 1 labeled counts behind exact counts, and its size tables.
 """
 
 import json
@@ -42,9 +44,11 @@ from . import powerseries as ps
 from .errors import (
     DomainError,
     ModelViolationError,
+    PrecisionError,
     UnknownClassError,
     ValidationError,
     check_int,
+    shown,
 )
 
 SCHEMA_VERSION = "1"
@@ -57,6 +61,9 @@ SUBCRITICAL_ALPHA = 1.5
 MAX_SYNTHETIC_RHO = 256.0
 
 _SCALAR_CACHE_MAX = 64  # entries of a class's cache (cached) before it is cleared
+
+_MAX_TABLE = 5_000_000  # cap for tables that cost O(n) (_table_cap)
+_MAX_BLOCK_TABLE = 200_000  # cap for O(n^2) block fixed-point tables
 
 _BUILTIN_NAMES = ("trees", "cacti", "husimi")
 
@@ -139,6 +146,20 @@ def cached(cls, key, fn, *args):
             cls._scalar_cache.clear()
         cls._scalar_cache[key] = value
     return value
+
+
+def _table_cap(cls, M=0):
+    """The most sizes cls computes, a block class at O(M^2) cost and the others
+    at O(M); PrecisionError if M exceeds it."""
+    block = cls.coeff_source is CoeffSource.BLOCK_DERIVED
+    cap = _MAX_BLOCK_TABLE if block else _MAX_TABLE
+    if M > cap:
+        raise PrecisionError(
+            f"{'block-derived ' if block else ''}table of length {shown(M)} exceeds "
+            f"the supported maximum {cap}",
+            suggested=cap,
+        )
+    return cap
 
 
 # --- built-in block specifications ------------------------------------------
@@ -259,21 +280,23 @@ def y_series(cls, T):
 
 
 def coefficients(cls, n_max):
-    """|C_1..n_max| as exact integers, computing only sizes past the memo; an
-    explicit list's memo is the whole list, and DomainError lies beyond it."""
+    """|C_1..n_max| as exact integers, computing only sizes past the memo and
+    up to _table_cap; an explicit list's memo is the whole list, and
+    DomainError lies beyond it."""
     n_max = check_int("n_max", n_max, 1)
     with cls._lock:
         memo, lo = cls._memo, len(cls._memo) + 1
         if lo <= n_max:
+            if cls.coeff_source is CoeffSource.EXPLICIT_LIST:
+                raise DomainError(f"class {cls.name} defines coefficients only up to n = {lo - 1}")
+            _table_cap(cls, n_max)
             if cls.coeff_source is CoeffSource.BLOCK_DERIVED:
                 y = y_series(cls, n_max)
                 memo += [y[n] // n for n in range(lo, n_max + 1)]
             elif cls.coeff_source is CoeffSource.SYNTHETIC:
                 memo += _synthetic_vector(cls.growth, lo, n_max)
-            elif cls.coeff_source is CoeffSource.CLOSED_FORM:
-                memo += [_cayley(n) for n in range(lo, n_max + 1)]
             else:
-                raise DomainError(f"class {cls.name} defines coefficients only up to n = {lo - 1}")
+                memo += [_cayley(n) for n in range(lo, n_max + 1)]
         return memo[:n_max]
 
 

@@ -9,10 +9,11 @@ sum of k iid sizes drawn with probabilities w / W,
 which the sampler uses to draw and test sizes and exact.count_log uses to
 count beyond its exact tier.  Block classes solve their weights with
 powerseries.BlockTable on float64 arrays, tilted by x^n; the other classes
-evaluate exact counts or the growth formula in logs.  _table_cap owns each
-class's longest table and the one check of a length against it.  This
-module imports numpy and nothing else that is heavy; the sampler imports
-it, and exact.count_log imports it only when it needs the float tier.
+evaluate exact counts or the growth formula in logs, and an exact count
+whose weight passes the float64 range raises PrecisionError.
+species._table_cap bounds every table's length.  This module imports
+numpy and nothing else that is heavy; the sampler imports it, and
+exact.count_log imports it only when it needs the float tier.
 """
 
 import math
@@ -22,10 +23,8 @@ import numpy as np
 from . import powerseries as ps
 from . import species
 from .asymptotics import _safe_newton
-from .errors import DomainError, PrecisionError, shown
+from .errors import DomainError, PrecisionError
 
-_MAX_TABLE = 5_000_000  # cap for direct-formula weight tables
-_MAX_BLOCK_TABLE = 200_000  # cap for O(n_max^2) block fixed-point tables
 _FORMULA_HEAD = 64  # synthetic classes: exact integers at least this far, formula beyond
 
 
@@ -50,22 +49,8 @@ def _weight_table(cls, x):
     return lambda M: _formula_weights(cls, x, M)
 
 
-def _table_cap(cls, M=0):
-    """The longest size table of cls, a block table costing O(M^2) and the others
-    O(M); PrecisionError if M exceeds it."""
-    block = cls.coeff_source is species.CoeffSource.BLOCK_DERIVED
-    cap = _MAX_BLOCK_TABLE if block else _MAX_TABLE
-    if M > cap:
-        raise PrecisionError(
-            f"{'block-derived ' if block else ''}size table of length {shown(M)} exceeds "
-            f"the supported maximum {cap}; pass a smaller n_max",
-            suggested=cap,
-        )
-    return cap
-
-
 def _formula_weights(cls, x, M):
-    _table_cap(cls, M)
+    species._table_cap(cls, M)
     ns = np.arange(1, M + 1, dtype=float)
     logfact = _log_factorials(M)
     if cls.coeff_source is species.CoeffSource.CLOSED_FORM:
@@ -86,7 +71,12 @@ def _formula_weights(cls, x, M):
     w = np.zeros(M)
     for j, c in enumerate(species.coefficients(cls, H)):
         if c:
-            w[j] = math.exp(math.log(c) + (j + 1) * math.log(x) - logfact[j])
+            try:
+                w[j] = math.exp(math.log(c) + (j + 1) * math.log(x) - logfact[j])
+            except OverflowError:
+                raise PrecisionError(
+                    f"the weight of size {j + 1} at x = {x} exceeds the float64 range"
+                ) from None
     if M > H:
         tail_ns = ns[H:]
         w[H:] = np.exp(
@@ -124,7 +114,7 @@ def _block_weights(cls, x):
     table = ps.BlockTable(spec.kind, tail, ps.Tilted(x, np.zeros, _dot))
 
     def weights(M):
-        _table_cap(cls, M)
+        species._table_cap(cls, M)
         return table.terms(M)[1 : M + 1] / np.arange(1, M + 1, dtype=float)
 
     return weights

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import shutil
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import setcensus
-from setcensus import cli, species, weights
+from deadline import deadline
+from setcensus import asymptotics, cli, species
 
 try:
     import tomllib
@@ -83,17 +83,22 @@ class TestConstants:
         assert rec["results"]["alpha"] == 2.0
         assert rec["results"]["lambda_star"] == pytest.approx(0.7273334675, abs=1e-8)
 
-    def test_huge_synthetic_rho_fails_fast(self, capsys):
-        def out_of_time(_signum, _frame):
-            raise TimeoutError("constants did not fail fast")
+    def test_values_come_from_the_growth_constants(self, capsys, tmp_path):
+        # one C(rho) for every route: the recipe's, which lambda* and the estimates use
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps({"name": "p3", "block": {"kind": "poly",
+                                                            "bprime": ["0", "1", "3/2"]}}))
+        code, out, _ = run_cli(capsys, "constants", "--class-file", str(path))
+        (rec,) = records(out)
+        b, rho, alpha, lam_star, C_rho = asymptotics._growth_constants(species.from_file(path))
+        r = rec["results"]
+        assert code == 0
+        assert (r["b"], r["rho"], r["alpha"], r["lambda_star"], r["C_rho"]) == tuple(
+            cli._real(v) for v in (b, rho, alpha, lam_star, C_rho))
 
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.alarm(5)
-        try:
+    def test_huge_synthetic_rho_fails_fast(self, capsys):
+        with deadline(5):
             code, out, err = run_cli(capsys, "constants", "--synthetic", "1", "1e300", "2")
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert code == 2 and out == ""
         payload = json.loads(err)["error"]
         assert payload["code"] == "domain"
@@ -311,7 +316,7 @@ class TestSample:
         assert json.loads(err)["error"]["code"] == "domain"
 
     def test_precision_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(weights, "_MAX_BLOCK_TABLE", 64)
+        monkeypatch.setattr(species, "_MAX_BLOCK_TABLE", 64)
         rho = species.builtin("cacti").growth.rho
         code, _, err = run_cli(
             capsys,
@@ -329,6 +334,40 @@ class TestSample:
         assert payload["code"] == "precision"
         assert payload["suggested"] >= 64
 
+    def test_negative_seed_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--class", "trees", "-n", "6", "-k", "2",
+                                 "--seed", "-1")
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "domain"
+        assert "--seed = -1" in payload["message"]
+
+    def test_weights_beyond_float64_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps({"name": "ones", "coefficients": ["1"] * 400}))
+        code, out, err = run_cli(capsys, "sample", "--composition", "--class-file", str(path),
+                                 "--x", "1000", "--seed", "1")
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "precision"
+        assert "x = 1000.0" in payload["message"]
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("exact", "--class", "trees", "-n", "100000000000", "-k", "3"),
+            ("series", "--class", "trees", "--terms", str(10**20)),
+        ],
+        ids=["exact", "series"],
+    )
+    def test_past_the_cap_exits_3_at_once(self, capsys, args):
+        with deadline(10):
+            code, out, err = run_cli(capsys, *args)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == "precision"
+
 
 class TestPrecisionBits:
     @pytest.mark.parametrize(
@@ -345,6 +384,75 @@ class TestPrecisionBits:
         payload = json.loads(err)["error"]
         assert payload["code"] == "domain"
         assert "at least 8" in payload["message"]
+
+
+# one valid call of each command, and the three flags that only some commands read
+_CALLS = {
+    "constants": ("constants", "--class", "trees"),
+    "exact": ("exact", "--class", "trees", "-n", "4", "-k", "2"),
+    "estimate": ("estimate", "--class", "trees", "-n", "40", "--lambda", "0.5"),
+    "compare": ("compare", "--class", "trees", "--lambda", "0.75", "-n", "40"),
+    "sample": ("sample", "-n", "6", "-k", "2", "--seed", "1"),
+    "series": ("series", "--class", "trees", "--terms", "5"),
+}
+_READS = {"exact": {"--precision-bits"}, "compare": {"--precision-bits"},
+          "sample": {"--seed", "--trunc-order"}}
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--trunc-order", "--precision-bits"])
+@pytest.mark.parametrize("command", _CALLS)
+def test_flags_only_on_the_commands_that_read_them(capsys, command, flag):
+    args = [*_CALLS[command], flag, "20"]
+    if flag in _READS.get(command, ()):
+        assert cli.main(args) == 0
+    else:
+        with pytest.raises(SystemExit) as info:
+            cli.main(args)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Every integer flag of every command that reads it, with the other arguments
+# valid; V stands for the value.
+_INT_FLAG_CALLS = [
+    ("exact -n", "exact --class trees -n V -k 3"),
+    ("exact -k", "exact --class trees -n 8 -k V"),
+    ("exact --precision-bits", "exact --class trees -n 8 -k 3 --mode float --precision-bits V"),
+    ("estimate -n", "estimate --class trees -n V --lambda 0.5"),
+    ("compare -n", "compare --class trees --lambda 0.75 -n V"),
+    ("compare --precision-bits", "compare --class trees --lambda 0.75 -n 40 --precision-bits V"),
+    ("sample -n", "sample -n V -k 2 --seed 1"),
+    ("sample -k", "sample -n 6 -k V --seed 1"),
+    ("sample --seed", "sample -n 6 -k 2 --seed V"),
+    ("sample --trials", "sample -n 6 -k 2 --seed 1 --trials V"),
+    ("sample --max-rejects", "sample -n 6 -k 2 --seed 1 --max-rejects V"),
+    ("sample --trunc-order",
+     "sample --composition --class trees --x 0.25 --seed 1 --trunc-order V"),
+    ("series --terms", "series --class trees --terms V"),
+]
+# sizes, budgets and seeds also run far past any table; --trials prints one
+# record a draw and --precision-bits sets decimal digits, so neither does
+_HUGE_OK = ("-n", "-k", "--seed", "--max-rejects", "--trunc-order", "--terms")
+_INT_FLAG_GRID = [
+    pytest.param(template, value, id=f"{name} {value_id}")
+    for name, template in _INT_FLAG_CALLS
+    for value, value_id in [("-1", "-1"), ("0", "0"), (str(10**20), "10**20")]
+    if value_id != "10**20" or name.split()[1] in _HUGE_OK
+]
+
+
+@pytest.mark.parametrize("template, value", _INT_FLAG_GRID)
+def test_integer_flag_grid(capsys, template, value):
+    """Exit 0, 2, 3 or 4 within the time limit; an error is one JSON line on stderr."""
+    args = [value if a == "V" else a for a in template.split()]
+    with deadline(10):
+        code, out, err = run_cli(capsys, *args)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+        assert set(json.loads(err)["error"]) >= {"code", "message"}
 
 
 # SHA-256 of the stdout of each README example, recorded before count_log

@@ -73,8 +73,6 @@ REAL_CALLS = [
     ("constant_above lambda", lambda v: asymptotics.constant_above(TREES, v)),
     ("_egf_at x", lambda v: asymptotics._egf_at(TREES, v)),
     ("size_distribution x", lambda v: sampler.size_distribution(TREES, v).pmf.tolist()),
-    ("size_distribution mass_tol",
-     lambda v: sampler.size_distribution(TREES, 0.1, mass_tol=v).pmf.tolist()),
 ]
 
 
@@ -124,14 +122,6 @@ _VALID = {"solve_supercritical lambda": 3, "constant_above lambda": 3}
 def test_real_values_of_any_type_count(name, call, convert):
     quarters = _VALID.get(name, 1)
     assert call(convert(Fraction(quarters, 4))) == call(quarters / 4)
-
-
-# also with an explicit n_max, where the table never reads mass_tol
-@pytest.mark.parametrize("n_max", [None, 5])
-@pytest.mark.parametrize("value", [-1, 0, 1, 2.5], ids=repr)
-def test_mass_tol_lies_strictly_between_0_and_1(value, n_max):
-    with pytest.raises(DomainError, match="mass_tol"):
-        sampler.size_distribution(TREES, 0.1, n_max, mass_tol=value)
 
 
 def test_integers_count_as_reals():

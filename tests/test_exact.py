@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 
+from deadline import deadline
 from setcensus import asymptotics, exact, species
 from setcensus import powerseries as ps
 from setcensus.errors import DomainError, InternalConsistencyError, PrecisionError
@@ -416,9 +417,56 @@ class TestCountLogTiers:
         with pytest.raises(DomainError):
             exact.count_log(cls, 300, 292)
 
+    def test_weights_beyond_float64_raise_precision_error(self):
+        # the mean tilt moves x up until the mean size is near n, where the
+        # weight x^j / j! of a list of ones passes the float64 range
+        cls = species.from_coefficients("ones", [1] * 400)
+        for n in range(341, 401):
+            with pytest.raises(PrecisionError, match="at x = "):
+                exact.count_log(cls, n, 1)
+
     def test_acceptance_sizes_run_fast(self):
         # acceptance 07's largest size is this big; the float tier takes milliseconds
         t0 = time.perf_counter()
         got = exact.count_log(species.builtin("trees"), 2000, 1000)
         assert time.perf_counter() - t0 < 1.0
         assert got == pytest.approx(8594.82836866037, rel=1e-13)
+
+
+class TestSizeCap:
+    """count, count_table and total_count build lists of n + 1 counts, so an n
+    past species._table_cap raises PrecisionError before any is built."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cls: exact.count(cls, 10**5000, 3),
+            lambda cls: exact.count_table(cls, 10**5000, [3]),
+            lambda cls: exact.total_count(cls, 10**5000),
+            lambda cls: exact.count(cls, 10**12, 10**12 - 5),
+        ],
+        ids=["count", "count_table", "total_count", "count small window"],
+    )
+    def test_huge_n_raises_at_once(self, call):
+        t0 = time.perf_counter()
+        with deadline(10), pytest.raises(PrecisionError) as info:
+            call(species.builtin("trees"))
+        assert time.perf_counter() - t0 < 1.0
+        assert info.value.suggested == species._MAX_TABLE
+
+    def test_explicit_list_keeps_its_reach_error(self):
+        cls = species.from_coefficients("ones", [1] * 400)
+        with pytest.raises(DomainError, match="only up to n = 400"):
+            exact.count(cls, 10**12, 3)
+        with pytest.raises(PrecisionError):
+            exact.count(cls, 10**12, 10**12 - 5)
+
+    def test_coefficients_stop_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(species, "_MAX_TABLE", 64)
+        cls = species.synthetic(1, 2, 2)
+        assert len(species.coefficients(cls, 64)) == 64
+        with pytest.raises(PrecisionError) as info:
+            species.coefficients(cls, 65)
+        assert info.value.suggested == 64
+        with pytest.raises(PrecisionError):
+            exact.count(cls, 65, 64)
