@@ -368,7 +368,7 @@ def _build_parser():
             "--precision-bits",
             type=int,
             default=exact.DEFAULT_PRECISION_BITS,
-            help="bits of precision (at least 8) for the decimal log of an exact count "
+            help="bits of precision (8 to 4096) for the decimal log of an exact count "
             "(exact --mode float and compare); counts beyond the exact tier use float64",
         )
 

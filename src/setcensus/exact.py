@@ -7,8 +7,8 @@ by powerseries.pow, where the EGF product is a binomial convolution.
 count_table reuses one running power of C to produce a whole row of counts,
 and total_count takes powerseries.exp.  All three build lists of n + 1
 counts, so an n past species._table_cap raises PrecisionError.
-precision_bits (DEFAULT_PRECISION_BITS unless given) sets the digits of
-count_log's exact tier.
+precision_bits (DEFAULT_PRECISION_BITS unless given, from 8 to
+MAX_PRECISION_BITS) sets the digits of count_log's exact tier.
 
 count_log(n, k) returns log count(n, k) as a float, by one of two tiers
 chosen from (n, k) alone:
@@ -55,18 +55,23 @@ from dataclasses import dataclass
 from . import asymptotics
 from . import powerseries as ps
 from . import species
-from .errors import DomainError, InternalConsistencyError, PrecisionError, check_int
+from .errors import DomainError, InternalConsistencyError, PrecisionError, check_int, shown
 
 _EXACT_TIER_MAX_N = 200  # set for full Pascal rows; kept so that no count_log output moves
 _EXACT_TIER_MAX_WORK = 12_000  # bounds n (n - k + 1); the module docstring says why
 _LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm
 DEFAULT_PRECISION_BITS = 128
+# at most this many bits: 65536 makes count_log(trees, 200, 150) take 30 s
+MAX_PRECISION_BITS = 4096
 
 
 def check_precision_bits(bits):
-    """bits as an int; DomainError unless it is an integer of at least 8."""
-    if not isinstance(bits, numbers.Integral) or bits < 8:
-        raise DomainError(f"precision_bits = {bits!r} must be an integer of at least 8")
+    """bits as an int; DomainError unless it is an integer from 8 to MAX_PRECISION_BITS."""
+    if not isinstance(bits, numbers.Integral) or not 8 <= bits <= MAX_PRECISION_BITS:
+        raise DomainError(
+            f"precision_bits = {shown(bits)} must be an integer of at least 8 "
+            f"and at most {MAX_PRECISION_BITS}"
+        )
     return int(bits)
 
 

@@ -34,7 +34,10 @@ lowered after a table was cached still applies to it.
 All randomness flows through a caller-supplied numpy Generator; a fixed seed
 fixes every sample exactly.  sample_set draws each size with one scalar
 rng.random() and a guide-table lookup, which gives the same doubles and
-sizes as rng.random(kappa) with a binary search of the CDF.
+sizes as rng.random(kappa) with a binary search of the CDF.  Its draws of
+no component and of one component of size j return shared immutable
+Compositions; the one-component ones are made on first use and kept by j
+alone, so they are at most as many as the distinct sizes ever drawn.
 
 sample_forest conditions on total n a block of rejection attempts at a
 time: it saves the bit generator's state, draws every uniform of the block
@@ -46,9 +49,12 @@ is exact, so both give the sizes of the inverse-CDF search bit for bit.
 On a hit before the block's last attempt the state is restored and only
 the attempts up to the hit are drawn again, so forests, attempt counts
 and every later draw from the same Generator are what testing one attempt
-at a time gives.  Blocks start at about 256 uniforms and double up to
-about 8192; they never run past max_rejects + 1 attempts.  This needs rng
-to be a numpy.random.Generator.  An accepted size vector is dressed with
+at a time gives.  The first block holds the fewest attempts that hit with
+probability 0.9, from the exact acceptance, and at most 256 uniforms (21
+attempts at (4, 2) instead of 128); each (x, n, k) keeps it in a plan in
+the trees class's cache (_forest_plan).  Blocks then double up to about
+8192 uniforms; they never run past max_rejects + 1 attempts.  This needs
+rng to be a numpy.random.Generator.  An accepted size vector is dressed with
 one shuffle of the labels 1..n, which makes the swaps and draws of
 rng.permutation(n), and one Pruefer draw per forest: the sequences of all
 blocks of m >= 3 vertices come from one rng.integers call with bound m
@@ -56,7 +62,8 @@ repeated m - 2 times, in block order, which gives the integers of one
 rng.integers(0, m, m - 2) call per block.  Sequences of at most three
 integers in all are drawn one scalar call each, which is cheaper and gives
 the same integers.  Blocks of one or two vertices take no sort, no draw and
-no call.  When the budget runs out, RetryBudgetError carries the exact
+no call, and a tree on three vertices is written out from its one-integer
+sequence.  When the budget runs out, RetryBudgetError carries the exact
 per-attempt acceptance (a truncated convolution power of the size law) and
 the max_rejects that succeeds with probability 0.95.
 """
@@ -77,6 +84,7 @@ _MASS_TOL = 1e-6  # a grown table leaves less than this share of C(x) beyond it
 _GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact
 _BLOCK_START = 256  # uniforms in the first block of forest rejection attempts
 _BLOCK_MAX = 8192  # blocks double up to this many uniforms
+_SIZED_MAX_N = 1024  # forests up to this n size their first block from the acceptance
 # (Timings below: numpy 2.4 on a 2-vCPU x86-64 VM.)
 # Up to this many uniforms one searchsorted call (about 1.5 us plus 6-18 ns a
 # uniform, more for longer tables) beats the guide table's 4-7 calls (about
@@ -259,16 +267,23 @@ def _size_indices(cdf, guide, u):
 
 
 _NO_COMPONENTS = Composition(kappa=0, sizes=())
+_ONE_COMPONENT = {}  # size j -> the shared Composition(kappa=1, sizes=(j,))
 
 
 def sample_set(cls, x, rng, dist=None):
     """Unconditioned Boltzmann draw: kappa ~ Poisson(C(x)), then iid sizes."""
     if dist is None:
         dist = _size_table(cls, x)
-    kappa = int(rng.poisson(dist.normalizer))
+    kappa = rng.poisson(dist.normalizer)
     if not kappa:
         return _NO_COMPONENTS
     cdf, guide = dist.cdf, dist.guide
+    if kappa == 1:
+        u = rng.random()
+        j = guide.item(int(u * _GUIDE_BUCKETS)) + 1 or int(cdf.searchsorted(u, side="right")) + 1
+        comp = _ONE_COMPONENT.get(j)
+        return comp or _ONE_COMPONENT.setdefault(j, Composition(kappa=1, sizes=(j,)))
+    kappa = int(kappa)
     sizes = []
     for _ in range(kappa):
         # one scalar uniform at a time gives the doubles of rng.random(kappa)
@@ -343,7 +358,8 @@ def _forest_trees(sizes, blocks, rng):
     m - 2) per block, and so is the generator's state after them.  A forest
     whose sequences hold at most _SCALAR_DRAWS integers draws them one
     scalar call each.  A block of 2 vertices (u, v) with u < v is its own
-    single edge.
+    single edge; a block of 3 joins the label that its one-integer sequence
+    names to the other two, the edges _prufer_decode gives, without the call.
     """
     big = [m for m in sizes if m > 2]
     if sum(big) - 2 * len(big) <= _SCALAR_DRAWS:
@@ -358,6 +374,12 @@ def _forest_trees(sizes, blocks, rng):
             trees.append(())
         elif m == 2:
             trees.append((labels,))
+        elif m == 3:
+            a, b, d = labels
+            c = seq[at]
+            trees.append(((a, b), (a, d)) if c == 0 else ((a, b), (b, d)) if c == 1
+                         else ((a, d), (b, d)))
+            at += 1
         else:
             edges = []
             for a, b in _prufer_decode(m, seq[at : at + m - 2]):
@@ -368,7 +390,21 @@ def _forest_trees(sizes, blocks, rng):
     return tuple(trees)
 
 
-def _first_hit(cdf, guide, k, total, rng, max_rejects):
+def _forest_plan(trees_cls, x, n, k):
+    """(size table, exact per-attempt acceptance p, attempts in the first block)
+    for k sizes that total n at x.  p is None where it cannot shrink the
+    first block (k > _BLOCK_START // 2) or its O(n^2 log k) convolutions
+    would cost more than the draws save (n > _SIZED_MAX_N)."""
+    table = _size_table(trees_cls, x, n - k + 1)
+    p, first = None, max(1, _BLOCK_START // k)
+    if first > 1 and n <= _SIZED_MAX_N:
+        p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
+        if 0 < p < 1:  # the fewest attempts that hit with probability 0.9
+            first = math.ceil(min(math.log(0.1) / math.log1p(-p), first))
+    return table, p, first
+
+
+def _first_hit(cdf, guide, k, total, rng, max_rejects, first):
     """Rejection for k 0-based size indices that sum to total, a block of attempts
     at a time.
 
@@ -380,7 +416,7 @@ def _first_hit(cdf, guide, k, total, rng, max_rejects):
     """
     bits = rng.bit_generator
     ones = _ONES[:k] if k <= _MATMUL_MAX_K else None
-    per_block = max(1, _BLOCK_START // k)
+    per_block = first
     attempts = 0
     while attempts <= max_rejects:
         b = min(per_block, max_rejects + 1 - attempts)
@@ -423,22 +459,26 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
             "pass numpy.random.default_rng(seed)"
         )
     trees_cls = species.builtin("trees")
-    if x is None:
-        x = exact._tilt(trees_cls, n, k)
-    table = _size_table(trees_cls, x, n_max=n - k + 1)
+    # the default x is tilted afresh on every draw; a plan's solve checks x > 0
+    x = exact._tilt(trees_cls, n, k) if x is None else check_real("boltzmann parameter x", x)
+    table, p, first = species.cached(
+        trees_cls, ("forest", x, n, k), _forest_plan, trees_cls, x, n, k
+    )
+    species._table_cap(trees_cls, table.n_max)  # a cap lowered after the plan was cached
     # 0-based size indices: the sizes total n exactly when these total n - k
-    idx, attempts = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects)
+    idx, attempts = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects, first)
     if idx is None:
-        raise _budget_error(table, n, k, attempts)
+        raise _budget_error(table, p, n, k, attempts)
     sizes = [i + 1 for i in idx]
     blocks = _partition(sizes, rng)
     return LabeledForest(n=n, blocks=blocks, trees=_forest_trees(sizes, blocks, rng))
 
 
-def _budget_error(table, n, k, attempts):
-    """RetryBudgetError naming the exact per-attempt acceptance and a budget that
-    succeeds with probability 0.95."""
-    p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
+def _budget_error(table, p, n, k, attempts):
+    """RetryBudgetError naming the exact per-attempt acceptance p (None: not yet
+    computed) and a budget that succeeds with probability 0.95."""
+    if p is None:
+        p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
     message = f"no size vector with total {n} in {attempts} attempts at x = {table.x}"
     budget = None
     if p > 0.0:

@@ -385,6 +385,21 @@ class TestPrecisionBits:
         assert payload["code"] == "domain"
         assert "at least 8" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("exact", "--class", "trees", "-n", "8", "-k", "3", "--mode", "float"),
+            ("compare", "--class", "trees", "--lambda", "0.75", "-n", "40"),
+        ],
+    )
+    @pytest.mark.parametrize("bits", ["4097", str(10**20)])
+    def test_above_maximum_is_a_domain_error(self, capsys, args, bits):
+        code, out, err = run_cli(capsys, *args, "--precision-bits", bits)
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "domain"
+        assert "at most 4096" in payload["message"]
+
 
 # one valid call of each command, and the three flags that only some commands read
 _CALLS = {
@@ -430,9 +445,10 @@ _INT_FLAG_CALLS = [
      "sample --composition --class trees --x 0.25 --seed 1 --trunc-order V"),
     ("series --terms", "series --class trees --terms V"),
 ]
-# sizes, budgets and seeds also run far past any table; --trials prints one
-# record a draw and --precision-bits sets decimal digits, so neither does
-_HUGE_OK = ("-n", "-k", "--seed", "--max-rejects", "--trunc-order", "--terms")
+# sizes, budgets, seeds and precisions also run far past any table or maximum;
+# --trials prints one record a draw, so it does not
+_HUGE_OK = ("-n", "-k", "--seed", "--max-rejects", "--trunc-order", "--terms",
+            "--precision-bits")
 _INT_FLAG_GRID = [
     pytest.param(template, value, id=f"{name} {value_id}")
     for name, template in _INT_FLAG_CALLS

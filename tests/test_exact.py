@@ -101,6 +101,16 @@ class TestCountLog:
         got = exact.count_log(species.builtin("trees"), 4, 2, precision_bits=8)
         assert got == pytest.approx(math.log(15), rel=1e-2)
 
+    @pytest.mark.parametrize("bits", [4097, 65536, 10**20, pytest.param(10**5000, id="10**5000")])
+    def test_precision_above_maximum(self, bits):
+        with pytest.raises(DomainError, match="at most 4096"):
+            exact.count_log(species.builtin("trees"), 200, 150, precision_bits=bits)
+
+    def test_precision_maximum_accepted(self):
+        assert exact.MAX_PRECISION_BITS == 4096
+        got = exact.count_log(species.builtin("trees"), 4, 2, precision_bits=4096)
+        assert got == math.log(15)
+
     def test_block_class_large(self):
         cacti = species.builtin("cacti")
         want = math.log(exact.count(cacti, 60, 30))

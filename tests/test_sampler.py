@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chisquare import chi_square_sf
-from setcensus import asymptotics, exact, sampler, species
+from setcensus import asymptotics, exact, sampler, species, weights
 from setcensus import powerseries as ps
 from setcensus.errors import (
     DivergenceError,
@@ -209,6 +209,24 @@ class TestBoltzmannDraws:
         draws = (sampler.sample_set(cls, 1e-3, ours) for _ in range(100))
         assert next(c for c in draws if not c.kappa) == sampler.Composition(kappa=0, sizes=())
 
+    @pytest.mark.parametrize("name", ["cacti", "trees"])
+    @pytest.mark.parametrize("scale", [0.6, 1.0])
+    def test_draws_match_the_loop_and_share_one_component_results(self, name, scale):
+        cls = species.builtin(name)
+        x = scale * cls.growth.rho
+        d = sampler.size_distribution(cls, x)
+        ours, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        shared, ones = {}, 0
+        for _ in range(20_000):
+            got, want = sampler.sample_set(cls, x, ours, dist=d), _loop_sample_set(d, ref)
+            assert got == want and repr(got) == repr(want)
+            if got.kappa == 1:
+                ones += 1
+                assert got is shared.setdefault(got.sizes, got)
+                assert got == sampler.Composition(kappa=1, sizes=got.sizes)
+        assert ours.random() == ref.random()
+        assert ones > len(shared) > 1  # some sizes came more than once
+
     def test_size_draws_follow_pmf(self):
         d = sampler.size_distribution(species.builtin("trees"), 0.2, n_max=8)
         rng = np.random.default_rng(11)
@@ -217,6 +235,20 @@ class TestBoltzmannDraws:
         obs = np.bincount(draws, minlength=9)[1:9]
         chi2 = float((((obs - 30000 * d.pmf) ** 2) / (30000 * d.pmf)).sum())
         assert chi_square_sf(chi2, 7) > 1e-4
+
+
+def _loop_sample_set(dist, rng):
+    """sample_set as it was before one-component draws were shared: one scalar
+    uniform and a guide lookup per component, and a new Composition each draw."""
+    kappa = int(rng.poisson(dist.normalizer))
+    sizes = []
+    for _ in range(kappa):
+        u = rng.random()
+        i = dist.guide.item(int(u * 4096))
+        if i < 0:
+            i = int(dist.cdf.searchsorted(u, side="right"))
+        sizes.append(i + 1)
+    return sampler.Composition(kappa=kappa, sizes=tuple(sizes))
 
 
 class TestPartition:
@@ -292,6 +324,33 @@ class TestForests:
     def test_explicit_x_supported(self):
         f = sampler.sample_forest(5, 2, x=0.2, rng=np.random.default_rng(17))
         assert_valid_forest(f)
+
+    @pytest.mark.parametrize("x", [math.nan, -1, "0.3"])
+    def test_explicit_x_is_checked_with_a_plan_cached(self, x):
+        sampler.sample_forest(5, 2, x=0.3, rng=np.random.default_rng(1))
+        assert ("forest", 0.3, 5, 2) in species.builtin("trees")._scalar_cache
+        with pytest.raises(DomainError, match="boltzmann parameter x"):
+            sampler.sample_forest(5, 2, x=x, rng=np.random.default_rng(1))
+
+    def test_cached_plan_still_respects_the_cap(self, monkeypatch):
+        sampler.sample_forest(8, 6, rng=np.random.default_rng(1))
+        assert ("forest", _default_x(8, 6), 8, 6) in species.builtin("trees")._scalar_cache
+        monkeypatch.setattr(species, "_MAX_TABLE", 2)  # below the 3 sizes of (8, 6)
+        with pytest.raises(PrecisionError):
+            sampler.sample_forest(8, 6, rng=np.random.default_rng(1))
+
+    @pytest.mark.parametrize("n,k", [(300, 200), (2000, 3)])
+    def test_retry_budget_outside_the_sized_plans(self, n, k):
+        # more than 128 sizes, or n above 1024: the plan holds no acceptance, and
+        # the error computes it as a plan would
+        x = _default_x(n, k)
+        table, p, first = sampler._forest_plan(species.builtin("trees"), x, n, k)
+        assert p is None and first == max(1, 256 // k)
+        with pytest.raises(RetryBudgetError) as info:
+            sampler.sample_forest(n, k, x=x * 0.5, rng=np.random.default_rng(0), max_rejects=0)
+        half = sampler.size_distribution(species.builtin("trees"), x * 0.5, n_max=n - k + 1)
+        want = math.exp(weights._log_power_coefficient(half.pmf, k, n - k))
+        assert info.value.expected_acceptance == want
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, 0), (0, 1), (2.5, 1)])
     def test_domain(self, n, k):
@@ -502,6 +561,33 @@ class TestBlockRejection:
                 else:
                     assert sampler.sample_forest(8, 6, rng=ours, max_rejects=max_rejects) == want
                 assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+    @pytest.mark.parametrize("n,k,p,first", [(5, 2, 0.0553, 41), (7, 3, 0.0516, 44)])
+    def test_budgets_around_the_acceptance_sized_first_block(self, bit_generator, n, k, p, first):
+        x = _default_x(n, k)
+        _table, plan_p, plan_first = sampler._forest_plan(species.builtin("trees"), x, n, k)
+        assert plan_p == pytest.approx(p, abs=1e-4)
+        # the fewest attempts that hit with probability 0.9
+        assert plan_first == first == math.ceil(math.log(0.1) / math.log1p(-plan_p))
+        outcomes = Counter()
+        # budgets that end inside the first block, on its last attempt and just past it
+        for max_rejects in (0, first // 2, first - 2, first - 1, first, first + 1):
+            ours = np.random.Generator(bit_generator(max_rejects))
+            ref = np.random.Generator(bit_generator(max_rejects))
+            for _ in range(20):
+                try:
+                    want = _one_attempt_forest(n, k, x, ref, max_rejects)
+                except RetryBudgetError as err:
+                    with pytest.raises(RetryBudgetError) as info:
+                        sampler.sample_forest(n, k, rng=ours, max_rejects=max_rejects)
+                    assert info.value.attempts == err.attempts == max_rejects + 1
+                    outcomes["budget"] += 1
+                else:
+                    assert sampler.sample_forest(n, k, rng=ours, max_rejects=max_rejects) == want
+                    outcomes["forest"] += 1
+                assert ours.random() == ref.random()
+        assert outcomes["budget"] and outcomes["forest"]
 
     @pytest.mark.parametrize("max_rejects", [-3, 2.5, "10"])
     def test_max_rejects_must_be_a_non_negative_integer(self, max_rejects):
