@@ -62,8 +62,7 @@ repeated m - 2 times, in block order, which gives the integers of one
 rng.integers(0, m, m - 2) call per block.  Sequences of at most three
 integers in all are drawn one scalar call each, which is cheaper and gives
 the same integers.  Blocks of one or two vertices take no sort, no draw and
-no call, and a tree on three vertices is written out from its one-integer
-sequence.  When the budget runs out, RetryBudgetError carries the exact
+no call.  When the budget runs out, RetryBudgetError carries the exact
 per-attempt acceptance (a truncated convolution power of the size law) and
 the max_rejects that succeeds with probability 0.95.
 """
@@ -84,7 +83,6 @@ _MASS_TOL = 1e-6  # a grown table leaves less than this share of C(x) beyond it
 _GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact
 _BLOCK_START = 256  # uniforms in the first block of forest rejection attempts
 _BLOCK_MAX = 8192  # blocks double up to this many uniforms
-_SIZED_MAX_N = 1024  # forests up to this n size their first block from the acceptance
 # (Timings below: numpy 2.4 on a 2-vCPU x86-64 VM.)
 # Up to this many uniforms one searchsorted call (about 1.5 us plus 6-18 ns a
 # uniform, more for longer tables) beats the guide table's 4-7 calls (about
@@ -278,12 +276,6 @@ def sample_set(cls, x, rng, dist=None):
     if not kappa:
         return _NO_COMPONENTS
     cdf, guide = dist.cdf, dist.guide
-    if kappa == 1:
-        u = rng.random()
-        j = guide.item(int(u * _GUIDE_BUCKETS)) + 1 or int(cdf.searchsorted(u, side="right")) + 1
-        comp = _ONE_COMPONENT.get(j)
-        return comp or _ONE_COMPONENT.setdefault(j, Composition(kappa=1, sizes=(j,)))
-    kappa = int(kappa)
     sizes = []
     for _ in range(kappa):
         # one scalar uniform at a time gives the doubles of rng.random(kappa)
@@ -292,7 +284,11 @@ def sample_set(cls, x, rng, dist=None):
         if i < 0:
             i = int(cdf.searchsorted(u, side="right"))
         sizes.append(i + 1)
-    return Composition(kappa=kappa, sizes=tuple(sizes))
+    if kappa == 1:
+        j = sizes[0]
+        comp = _ONE_COMPONENT.get(j)
+        return comp or _ONE_COMPONENT.setdefault(j, Composition(kappa=1, sizes=(j,)))
+    return Composition(kappa=int(kappa), sizes=tuple(sizes))
 
 
 def sample_partition(sizes, rng):
@@ -358,8 +354,7 @@ def _forest_trees(sizes, blocks, rng):
     m - 2) per block, and so is the generator's state after them.  A forest
     whose sequences hold at most _SCALAR_DRAWS integers draws them one
     scalar call each.  A block of 2 vertices (u, v) with u < v is its own
-    single edge; a block of 3 joins the label that its one-integer sequence
-    names to the other two, the edges _prufer_decode gives, without the call.
+    single edge.
     """
     big = [m for m in sizes if m > 2]
     if sum(big) - 2 * len(big) <= _SCALAR_DRAWS:
@@ -374,12 +369,6 @@ def _forest_trees(sizes, blocks, rng):
             trees.append(())
         elif m == 2:
             trees.append((labels,))
-        elif m == 3:
-            a, b, d = labels
-            c = seq[at]
-            trees.append(((a, b), (a, d)) if c == 0 else ((a, b), (b, d)) if c == 1
-                         else ((a, d), (b, d)))
-            at += 1
         else:
             edges = []
             for a, b in _prufer_decode(m, seq[at : at + m - 2]):
@@ -393,11 +382,10 @@ def _forest_trees(sizes, blocks, rng):
 def _forest_plan(trees_cls, x, n, k):
     """(size table, exact per-attempt acceptance p, attempts in the first block)
     for k sizes that total n at x.  p is None where it cannot shrink the
-    first block (k > _BLOCK_START // 2) or its O(n^2 log k) convolutions
-    would cost more than the draws save (n > _SIZED_MAX_N)."""
+    first block, k > _BLOCK_START // 2."""
     table = _size_table(trees_cls, x, n - k + 1)
     p, first = None, max(1, _BLOCK_START // k)
-    if first > 1 and n <= _SIZED_MAX_N:
+    if first > 1:
         p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
         if 0 < p < 1:  # the fewest attempts that hit with probability 0.9
             first = math.ceil(min(math.log(0.1) / math.log1p(-p), first))
