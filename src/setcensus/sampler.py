@@ -51,11 +51,11 @@ the attempts up to the hit are drawn again, so forests, attempt counts
 and every later draw from the same Generator are what testing one attempt
 at a time gives.  The first block holds the fewest attempts that hit with
 probability 0.9, from the exact acceptance, and at most 256 uniforms (21
-attempts at (4, 2) instead of 128); each (x, n, k) keeps it in a plan in
-the trees class's cache (_forest_plan).  Blocks then double up to about
-8192 uniforms; they never run past max_rejects + 1 attempts.  This needs
-rng to be a numpy.random.Generator.  An accepted size vector is dressed with
-one shuffle of the labels 1..n, which makes the swaps and draws of
+attempts at (4, 2), where 256 would make 128); each (x, n, k) keeps it in
+a plan in the trees class's cache (_forest_plan).  Blocks then double up
+to about 8192 uniforms; they never run past max_rejects + 1 attempts.
+This needs rng to be a numpy.random.Generator.  An accepted size vector is
+dressed with one shuffle of the labels 1..n, which makes the swaps and draws of
 rng.permutation(n), and one Pruefer draw per forest: the sequences of all
 blocks of m >= 3 vertices come from one rng.integers call with bound m
 repeated m - 2 times, in block order, which gives the integers of one
