@@ -20,27 +20,9 @@ import math
 import sys
 
 from . import asymptotics, exact, species
-from .errors import (
-    DomainError,
-    PrecisionError,
-    RetryBudgetError,
-    SetCensusError,
-    check_int,
-)
+from .errors import DomainError, RetryBudgetError, SetCensusError, check_int
 
 SCHEMA_VERSION = "1"
-
-_ERROR_CODES = {
-    "UnknownClassError": "unknown-class",
-    "NotSubcriticalError": "not-subcritical",
-    "DivergenceError": "divergence",
-    "DomainError": "domain",
-    "ValidationError": "validation",
-    "ModelViolationError": "model-violation",
-    "InternalConsistencyError": "internal-consistency",
-    "PrecisionError": "precision",
-    "RetryBudgetError": "retry-budget",
-}
 
 
 def _real(v):
@@ -405,9 +387,8 @@ def main(argv=None):
         for line in args.fn(args):
             print(line)
     except SetCensusError as e:
-        code = _ERROR_CODES.get(type(e).__name__, "domain")
-        payload = {"code": code, "message": str(e)}
-        if isinstance(e, (PrecisionError, RetryBudgetError)) and e.suggested is not None:
+        payload = {"code": e.code, "message": str(e)}
+        if getattr(e, "suggested", None) is not None:
             payload["suggested"] = e.suggested
         if isinstance(e, RetryBudgetError):
             payload["attempts"] = e.attempts
@@ -415,11 +396,7 @@ def main(argv=None):
             if e.expected_acceptance is not None:
                 payload["expected_acceptance"] = _real(e.expected_acceptance)
         print(json.dumps({"error": payload}), file=sys.stderr)
-        if isinstance(e, PrecisionError):
-            return 3
-        if isinstance(e, RetryBudgetError):
-            return 4
-        return 2
+        return e.exit_status
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all setcensus modules.
 
-The CLI maps these onto exit codes: domain/validation failures exit 2,
-precision shortfalls exit 3, exhausted retry budgets exit 4.
+Each class carries what the CLI reports for it: ``code``, the error code of
+its stderr record, and ``exit_status``, 2 for domain and validation
+failures, 3 for precision shortfalls and 4 for exhausted retry budgets.
 """
 
 import math
@@ -10,6 +11,9 @@ import numbers
 
 class SetCensusError(Exception):
     """Base class for all errors raised by this package."""
+
+    code = "domain"  # DomainError's too
+    exit_status = 2
 
 
 class DomainError(SetCensusError):
@@ -60,25 +64,37 @@ def check_real(name, value):
 class ValidationError(SetCensusError):
     """A class definition violates a structural requirement."""
 
+    code = "validation"
+
 
 class UnknownClassError(DomainError):
     """Lookup of a class name that is not registered."""
+
+    code = "unknown-class"
 
 
 class NotSubcriticalError(DomainError):
     """The block series fails the subcriticality test t*B''(t) > 1 near its radius."""
 
+    code = "not-subcritical"
+
 
 class DivergenceError(DomainError):
     """Evaluation requested at x beyond the radius of convergence."""
+
+    code = "divergence"
 
 
 class ModelViolationError(SetCensusError):
     """A block specification produced non-integer connected counts."""
 
+    code = "model-violation"
+
 
 class InternalConsistencyError(SetCensusError):
     """Two independent derivations of the same quantity disagree."""
+
+    code = "internal-consistency"
 
 
 class PrecisionError(SetCensusError):
@@ -87,6 +103,9 @@ class PrecisionError(SetCensusError):
     Carries ``suggested`` when a larger truncation order or precision is known
     to suffice.
     """
+
+    code = "precision"
+    exit_status = 3
 
     def __init__(self, message, suggested=None):
         super().__init__(message)
@@ -101,6 +120,9 @@ class RetryBudgetError(SetCensusError):
     per-attempt acceptance and ``suggested`` a budget that succeeds with
     probability 0.95, when known.
     """
+
+    code = "retry-budget"
+    exit_status = 4
 
     def __init__(self, message, acceptance_rate=0.0, attempts=0, expected_acceptance=None,
                  suggested=None):

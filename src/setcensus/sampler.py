@@ -49,13 +49,13 @@ is exact, so both give the sizes of the inverse-CDF search bit for bit.
 On a hit before the block's last attempt the state is restored and only
 the attempts up to the hit are drawn again, so forests, attempt counts
 and every later draw from the same Generator are what testing one attempt
-at a time gives.  The first block holds the fewest attempts that hit with
-probability 0.9, from the exact acceptance, and at most 256 uniforms (21
-attempts at (4, 2), where 256 would make 128); each (x, n, k) keeps it in
-a plan in the trees class's cache (_forest_plan).  Blocks then double up
-to about 8192 uniforms; they never run past max_rejects + 1 attempts.
-This needs rng to be a numpy.random.Generator.  An accepted size vector is
-dressed with one shuffle of the labels 1..n, which makes the swaps and draws of
+at a time gives, whatever the block size.  Every block holds the fewest
+attempts that hit with probability 0.9, from the exact acceptance p, and
+at most about 8192 uniforms: one attempt when p = 1 (n = k), the cap when
+p underflows to 0.  Each (x, n, k) keeps p and the block size in a plan in
+the trees class's cache (_forest_plan).  This needs rng to be a
+numpy.random.Generator.  An accepted size vector is dressed with one
+shuffle of the labels 1..n, which makes the swaps and draws of
 rng.permutation(n), and one Pruefer draw per forest: the sequences of all
 blocks of m >= 3 vertices come from one rng.integers call with bound m
 repeated m - 2 times, in block order, which gives the integers of one
@@ -81,8 +81,7 @@ from .weights import _log_power_coefficient, _weight_table, _weights
 
 _MASS_TOL = 1e-6  # a grown table leaves less than this share of C(x) beyond it
 _GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact
-_BLOCK_START = 256  # uniforms in the first block of forest rejection attempts
-_BLOCK_MAX = 8192  # blocks double up to this many uniforms
+_BLOCK_MAX = 8192  # most uniforms in a block of forest rejection attempts (or one attempt)
 # (Timings below: numpy 2.4 on a 2-vCPU x86-64 VM.)
 # Up to this many uniforms one searchsorted call (about 1.5 us plus 6-18 ns a
 # uniform, more for longer tables) beats the guide table's 4-7 calls (about
@@ -380,34 +379,34 @@ def _forest_trees(sizes, blocks, rng):
 
 
 def _forest_plan(trees_cls, x, n, k):
-    """(size table, exact per-attempt acceptance p, attempts in the first block)
-    for k sizes that total n at x.  p is None where it cannot shrink the
-    first block, k > _BLOCK_START // 2."""
+    """(size table, exact per-attempt acceptance p, attempts per block) for k
+    sizes that total n at x.  A block holds the fewest attempts that hit with
+    probability 0.9, at most max(1, _BLOCK_MAX // k): one when p = 1, the cap
+    when p underflows to 0."""
     table = _size_table(trees_cls, x, n - k + 1)
-    p, first = None, max(1, _BLOCK_START // k)
-    if first > 1:
-        p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
-        if 0 < p < 1:  # the fewest attempts that hit with probability 0.9
-            first = math.ceil(min(math.log(0.1) / math.log1p(-p), first))
-    return table, p, first
+    p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
+    block = max(1, _BLOCK_MAX // k)
+    if p >= 1:  # n = k: every attempt hits
+        block = 1
+    elif p > 0:
+        block = math.ceil(min(math.log(0.1) / math.log1p(-p), block))
+    return table, p, block
 
 
-def _first_hit(cdf, guide, k, total, rng, max_rejects, first):
-    """Rejection for k 0-based size indices that sum to total, a block of attempts
-    at a time.
+def _first_hit(cdf, guide, k, total, rng, max_rejects, block):
+    """Rejection for k 0-based size indices that sum to total, block attempts at
+    a time.
 
-    Returns (indices, attempts), indices a list of ints, or None when all
-    max_rejects + 1 attempts miss.  A block draws its uniforms in one call,
-    and on a hit before its last attempt the generator is rewound and moved
-    past the hit only, so it stands where testing one attempt at a time
-    would leave it.
+    Returns the indices as a list of ints, or None when all max_rejects + 1
+    attempts miss.  A block draws its uniforms in one call, and on a hit
+    before its last attempt the generator is rewound and moved past the hit
+    only, so it stands where testing one attempt at a time would leave it.
     """
     bits = rng.bit_generator
     ones = _ONES[:k] if k <= _MATMUL_MAX_K else None
-    per_block = first
-    attempts = 0
-    while attempts <= max_rejects:
-        b = min(per_block, max_rejects + 1 - attempts)
+    left = max_rejects + 1
+    while left:
+        b = min(block, left)
         state = bits.state
         idx = _size_indices(cdf, guide, rng.random(b * k))
         if ones is not None:
@@ -420,10 +419,9 @@ def _first_hit(cdf, guide, k, total, rng, max_rejects, first):
             if j < b - 1:
                 bits.state = state
                 rng.random((j + 1) * k)
-            return idx[j * k : (j + 1) * k].tolist(), attempts + j + 1
-        attempts += b
-        per_block = min(2 * per_block, max(1, _BLOCK_MAX // k))
-    return None, attempts
+            return idx[j * k : (j + 1) * k].tolist()
+        left -= b
+    return None
 
 
 def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
@@ -449,25 +447,23 @@ def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     trees_cls = species.builtin("trees")
     # the default x is tilted afresh on every draw; a plan's solve checks x > 0
     x = exact._tilt(trees_cls, n, k) if x is None else check_real("boltzmann parameter x", x)
-    table, p, first = species.cached(
+    table, p, block = species.cached(
         trees_cls, ("forest", x, n, k), _forest_plan, trees_cls, x, n, k
     )
     species._table_cap(trees_cls, table.n_max)  # a cap lowered after the plan was cached
     # 0-based size indices: the sizes total n exactly when these total n - k
-    idx, attempts = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects, first)
+    idx = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects, block)
     if idx is None:
-        raise _budget_error(table, p, n, k, attempts)
+        raise _budget_error(table.x, p, n, max_rejects + 1)
     sizes = [i + 1 for i in idx]
     blocks = _partition(sizes, rng)
     return LabeledForest(n=n, blocks=blocks, trees=_forest_trees(sizes, blocks, rng))
 
 
-def _budget_error(table, p, n, k, attempts):
-    """RetryBudgetError naming the exact per-attempt acceptance p (None: not yet
-    computed) and a budget that succeeds with probability 0.95."""
-    if p is None:
-        p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
-    message = f"no size vector with total {n} in {attempts} attempts at x = {table.x}"
+def _budget_error(x, p, n, attempts):
+    """RetryBudgetError naming the exact per-attempt acceptance p and a budget
+    that succeeds with probability 0.95."""
+    message = f"no size vector with total {n} in {attempts} attempts at x = {x}"
     budget = None
     if p > 0.0:
         # (1 - p)^(budget + 1) <= 0.05 for the smallest such budget

@@ -231,14 +231,13 @@ def _poly_spec(tail):
         # (c t^d) t: at a root far below 1 the power t^(d+1) alone underflows
         return sum(float(c) * t**d * t / (d + 1) for d, c in enumerate(tail, start=1))
 
-    def Bp(t):
-        return sum(float(c) * t**d for d, c in enumerate(tail, start=1))
+    def derivative(r):
+        # sum_{d >= r} c_d d ... (d - r + 1) t^(d - r): float(c_d) times d, then d - 1
+        terms = [(math.prod(range(d, d - r, -1), start=float(c)), d - r)
+                 for d, c in enumerate(tail, start=1) if d >= r]
+        return lambda t: sum(a * t**e for a, e in terms)
 
-    def Bpp(t):
-        return sum(float(c) * d * t ** (d - 1) for d, c in enumerate(tail, start=1))
-
-    def Bppp(t):
-        return sum(float(c) * d * (d - 1) * t ** (d - 2) for d, c in enumerate(tail, start=1) if d >= 2)
+    Bp, Bpp, Bppp = (derivative(r) for r in range(3))
 
     # B'(t) - B(t)/t = sum_d c_d d/(d+1) t^d
     gap_coeffs = [float(c * d / (d + 1)) for d, c in enumerate(tail, start=1)]

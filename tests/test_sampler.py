@@ -340,16 +340,23 @@ class TestForests:
             sampler.sample_forest(8, 6, rng=np.random.default_rng(1))
 
     def test_retry_budget_with_more_than_128_sizes(self):
-        # the plan holds no acceptance, and the error computes it as a plan would
+        # the plan holds the exact acceptance for any number of sizes
         n, k = 300, 200
         x = _default_x(n, k)
-        table, p, first = sampler._forest_plan(species.builtin("trees"), x, n, k)
-        assert p is None and first == max(1, 256 // k)
+        table, p, _block = sampler._forest_plan(species.builtin("trees"), x, n, k)
+        assert p == math.exp(weights._log_power_coefficient(table.pmf, k, n - k))
         with pytest.raises(RetryBudgetError) as info:
             sampler.sample_forest(n, k, x=x * 0.5, rng=np.random.default_rng(0), max_rejects=0)
         half = sampler.size_distribution(species.builtin("trees"), x * 0.5, n_max=n - k + 1)
         want = math.exp(weights._log_power_coefficient(half.pmf, k, n - k))
         assert info.value.expected_acceptance == want
+
+    @pytest.mark.parametrize("n,k,x,p,block", [(6, 6, None, 1.0, 1), (8, 1, 1e-200, 0.0, 8192)])
+    def test_block_when_the_acceptance_is_one_or_underflows(self, n, k, x, p, block):
+        # one attempt always hits at n = k; an acceptance of 0 leaves the cap
+        x = _default_x(n, k) if x is None else x
+        _table, plan_p, plan_block = sampler._forest_plan(species.builtin("trees"), x, n, k)
+        assert (plan_p, plan_block) == (p, block)
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, 0), (0, 1), (2.5, 1)])
     def test_domain(self, n, k):
@@ -514,7 +521,10 @@ class TestBlockRejection:
     @pytest.mark.parametrize(
         "n,k",
         # (2000, 1100) draws about 140 trees of 3 or more vertices per forest
-        [(2000, 1600), (2000, 1200), (2000, 1100), (200, 150), (8, 6), (7, 3), (4, 2), (1, 1)],
+        [
+            (2000, 1990), (2000, 1600), (2000, 1200), (2000, 1100), (200, 150),
+            (40, 39), (8, 6), (7, 3), (6, 6), (4, 2), (1, 1),
+        ],
     )
     def test_generator_ends_where_one_attempt_at_a_time_does(self, bit_generator, n, k):
         x = _default_x(n, k)
