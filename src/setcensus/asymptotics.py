@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     NotSubcriticalError,
+    PrecisionError,
     check_int,
     check_real,
 )
@@ -253,7 +254,7 @@ def _egf_values(cls, x):
         # head long enough that the coefficient-rounding tail 0.5*x^n/n! is dwarfed
         head = max(_HEAD_TERMS, int(3 * cls.growth.rho) + 48)
         return _egf_head_tail(cls, x, species.coefficients(cls, head))
-    if cls.coeff_source is species.CoeffSource.EXPLICIT_LIST:
+    if cls.coeff_source is species.CoeffSource.EXPLICIT_LIST and cls.growth is not None:
         return _egf_head_tail(cls, x, species.coefficients(cls, len(cls._memo)))
     raise DomainError(f"class {cls.name} supports no scalar EGF evaluation")
 
@@ -284,20 +285,21 @@ def _check_radius(x, rho):
 
 
 def _egf_head_tail(cls, x, head_coeffs):
-    growth = cls.growth
     sC = sA = sD = 0.0
     lx = math.log(x)
     for n, c in enumerate(head_coeffs, start=1):
         if c == 0:
             continue
-        term = math.exp(math.log(c) + n * lx - math.lgamma(n + 1))
+        try:
+            term = math.exp(math.log(c) + n * lx - math.lgamma(n + 1))
+        except OverflowError:
+            raise PrecisionError(
+                f"the weight of size {n} at x = {x} exceeds the float64 range"
+            ) from None
         sC += term
         sA += n * term
         sD += n * (n - 1) * term
-    if growth is None:
-        # bare list: the stored coefficients are the whole model
-        return (sC, sA, sD)
-    b, rho, alpha = growth.b, growth.rho, growth.alpha
+    b, rho, alpha = cls.growth.b, cls.growth.rho, cls.growth.alpha
     _check_radius(x, rho)
     z = x / rho
     if z > 1.0 - 1e-12:

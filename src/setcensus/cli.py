@@ -392,9 +392,7 @@ def main(argv=None):
             payload["suggested"] = e.suggested
         if isinstance(e, RetryBudgetError):
             payload["attempts"] = e.attempts
-            payload["acceptance_rate"] = _real(e.acceptance_rate)
-            if e.expected_acceptance is not None:
-                payload["expected_acceptance"] = _real(e.expected_acceptance)
+            payload["expected_acceptance"] = _real(e.expected_acceptance)
         print(json.dumps({"error": payload}), file=sys.stderr)
         return e.exit_status
     return 0

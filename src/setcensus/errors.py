@@ -115,19 +115,17 @@ class PrecisionError(SetCensusError):
 class RetryBudgetError(SetCensusError):
     """Rejection sampling exhausted its budget.
 
-    ``acceptance_rate`` is the observed acceptance estimate, ``attempts`` the
-    number of proposals made.  ``expected_acceptance`` is the exact
-    per-attempt acceptance and ``suggested`` a budget that succeeds with
-    probability 0.95, when known.
+    ``attempts`` is the number of proposals made, every one of which missed.
+    ``expected_acceptance`` is the exact per-attempt acceptance, and
+    ``suggested`` a budget that succeeds with probability 0.95 (None when the
+    acceptance underflows to 0).
     """
 
     code = "retry-budget"
     exit_status = 4
 
-    def __init__(self, message, acceptance_rate=0.0, attempts=0, expected_acceptance=None,
-                 suggested=None):
+    def __init__(self, message, attempts=0, expected_acceptance=None, suggested=None):
         super().__init__(message)
-        self.acceptance_rate = acceptance_rate
         self.attempts = attempts
         self.expected_acceptance = expected_acceptance
         self.suggested = suggested

@@ -135,9 +135,8 @@ def count_log(cls, n, k, precision_bits=DEFAULT_PRECISION_BITS):
         value = _tilted_count_log(cls, n, k)
         if value is not None:
             return value
-    raise PrecisionError(
-        f"count({n}, {k}) evaluated to 0, which has no logarithm", suggested=2 * precision_bits
-    )
+    # no suggested precision: an exact-tier 0 is exact, and the float tier ignores precision_bits
+    raise PrecisionError(f"count({n}, {k}) evaluated to 0, which has no logarithm")
 
 
 def _tilted_count_log(cls, n, k):

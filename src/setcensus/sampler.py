@@ -107,8 +107,9 @@ class SizeDistribution:
 
     pmf[j] is P(size = j + 1) for j = 0..n_max-1.  normalizer is the truncated
     EGF value sum_{j <= n_max} |C_j| x^j / j!; truncated_mass estimates the
-    probability mass of sizes beyond n_max under the untruncated model (nan
-    when the class has no tail model).  guide is the bucket table of cdf
+    probability mass of sizes beyond n_max under the untruncated model (for a
+    list without growth, the mass of the list beyond n_max, 0 at its full
+    length; nan when C(x) is not finite).  guide is the bucket table of cdf
     (_guide_table).  Tables compare and hash by identity, since their array
     fields have no single truth value.
     """
@@ -155,7 +156,7 @@ class MCEstimate:
 
 
 def _full_value(cls, x):
-    """C(x) under the class model, or nan when no tail model exists."""
+    """C(x) under the class model; a list without growth sums its whole list."""
     if cls.coeff_source is species.CoeffSource.EXPLICIT_LIST and cls.growth is None:
         w = _weights(cls, x, len(cls._memo))
         return float(np.sum(w))
@@ -477,7 +478,6 @@ def _budget_error(x, p, n, attempts):
         message += "; the per-attempt acceptance underflows to 0 at this x"
     return RetryBudgetError(
         message,
-        acceptance_rate=0.0,
         attempts=attempts,
         expected_acceptance=p,
         suggested=budget,
@@ -502,21 +502,22 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
     M = n - k + 1 if n_max is None else check_int("n_max", n_max, 1)
     counts = species.coefficients(cls, M)
     total = sum(Fraction(c, math.factorial(j)) * x**j for j, c in enumerate(counts, start=1))
-    if total == 0:
-        raise DomainError("all truncated size weights vanish")
     # x^n k! count_M(n, k) / (n! W^k), count_M on sizes up to min(M, n - k + 1)
     power = ps.pow(exact._labeled_counts(cls, n, min(M, n - k + 1)), k, n)
     return power[n] * x**n / (math.factorial(n) * total**k)
 
 
-def mc_sum_probability(cls, x, k, n, trials, rng, dist=None):
-    """Monte Carlo estimate of P(size_1 + ... + size_k = n) with its stderr."""
+def mc_sum_probability(cls, x, k, n, trials, rng):
+    """Monte Carlo estimate of P(size_1 + ... + size_k = n) with its stderr.
+
+    Sizes are drawn from the class's own table at x, truncated at n - k + 1,
+    the table sum_size_probability_exact uses by default.
+    """
     n, k = exact._check_domain(n, k)
     trials = check_int("trials", trials, 1)
-    if dist is None:
-        dist = _size_table(cls, x, n_max=n - k + 1)
+    dist = _size_table(cls, x, n_max=n - k + 1)
     hits = 0
-    chunk = max(1, min(trials, 10_000_000 // max(k, 1)))
+    chunk = max(1, min(trials, 10_000_000 // k))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)

@@ -529,12 +529,12 @@ def from_file(path):
     return cls
 
 
-def _check_growth_agreement(cls, declared, rel_tol=1e-3):
+def _check_growth_agreement(cls, declared):
     computed = cls.growth
     for field_name in ("b", "rho", "alpha"):
         got = getattr(computed, field_name)
         want = getattr(declared, field_name)
-        if abs(got - want) > rel_tol * max(abs(got), 1e-12):
+        if abs(got - want) > 1e-3 * max(abs(got), 1e-12):
             raise ValidationError(
                 f"declared growth {field_name} = {want} conflicts with the "
                 f"block-derived value {got}"

@@ -23,7 +23,7 @@ import numpy as np
 from . import powerseries as ps
 from . import species
 from .asymptotics import _safe_newton
-from .errors import DomainError, PrecisionError
+from .errors import PrecisionError
 
 _FORMULA_HEAD = 64  # synthetic classes: exact integers at least this far, formula beyond
 
@@ -61,13 +61,8 @@ def _formula_weights(cls, x, M):
     g = cls.growth
     if cls.coeff_source is species.CoeffSource.SYNTHETIC:
         H = _exact_head(g, M)
-    else:  # explicit list
-        H = min(M, len(cls._memo))
-        if M > H and g is None:
-            raise DomainError(
-                f"class {cls.name} defines coefficients only up to n = {H} "
-                "and declares no growth parameters"
-            )
+    else:  # explicit list: without growth, species.coefficients rejects M past the list
+        H = M if g is None else min(M, len(cls._memo))
     w = np.zeros(M)
     for j, c in enumerate(species.coefficients(cls, H)):
         if c:

@@ -8,7 +8,7 @@ import pytest
 from deadline import deadline
 from setcensus import asymptotics as asy
 from setcensus import species
-from setcensus.errors import DomainError
+from setcensus.errors import DomainError, PrecisionError
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -150,6 +150,16 @@ class TestScalarEvaluation:
         # a bare list has no radius of convergence to work with
         with pytest.raises(DomainError):
             asy.lambda_star(species.from_coefficients("bare", [1]))
+
+    def test_bare_list_has_no_scalar_egf(self):
+        with pytest.raises(DomainError, match="supports no scalar EGF evaluation"):
+            asy._egf_at(species.from_coefficients("bare", [1, 1, 3]), 0.3)
+
+    def test_count_past_the_float_range_is_a_precision_error(self):
+        cls = species.from_coefficients("big", [1, 10**400], species.GrowthParams(1, 0.5, 2))
+        with pytest.raises(PrecisionError, match="size 2 at x = 0.5 exceeds") as info:
+            asy.lambda_star(cls)
+        assert info.value.suggested is None
 
     def test_huge_rho_fails_fast(self):
         with deadline(5), pytest.raises(DomainError, match="256"):

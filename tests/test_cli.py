@@ -143,6 +143,28 @@ class TestExact:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [("--k-range", "3"), ("--k-range", "3:2"), ("--mode", "float", "--k-range", "1:3")],
+        ids=["no colon", "reversed", "float mode"],
+    )
+    def test_bad_k_range_is_a_domain_error(self, capsys, args):
+        code, out, err = run_cli(capsys, "exact", "--class", "trees", "-n", "5", *args)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "domain"
+
+    def test_zero_count_row_logs_minus_inf(self, capsys, tmp_path):
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps({"name": "gap", "coefficients": ["1", "0"]}))
+        code, out, _ = run_cli(capsys, "exact", "--class-file", str(path), "-n", "2",
+                               "--k-range", "1:2")
+        (rec,) = records(out)
+        assert code == 0
+        assert [(r["k"], r["count"], r["log_count"]) for r in rec["results"]["rows"]] == [
+            (1, "0", "-inf"),
+            (2, "1", 0.0),
+        ]
+
     def test_k_beyond_n(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--class", "trees", "-n", "3", "-k", "4")
         assert code == 2
@@ -215,6 +237,12 @@ class TestEstimateCompare:
             assert len(cells) == 4
             int(cells[0])
             [float(c) for c in cells[1:]]
+
+    def test_compare_empty_n_list(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--class", "trees", "-n", ",",
+                                 "--lambda", "0.75")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "empty n list"
 
     def test_compare_bad_n_list(self, capsys):
         code, _, err = run_cli(
@@ -399,6 +427,29 @@ class TestPrecisionBits:
         payload = json.loads(err)["error"]
         assert payload["code"] == "domain"
         assert "at most 4096" in payload["message"]
+
+
+# a count of 10**400 at size 2 passes the float64 range at every x these calls use
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("constants",),
+        ("estimate", "-n", "40", "--lambda", "0.5"),
+        ("compare", "-n", "20", "--lambda", "0.5"),
+        ("sample", "--composition", "--x", "0.3", "--seed", "1"),
+    ],
+    ids=["constants", "estimate", "compare", "sample"],
+)
+def test_count_past_the_float_range_exits_3(capsys, tmp_path, args):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "coefficients": ["1", str(10**400)],
+                                "growth": {"b": 1, "rho": 0.5, "alpha": 2}}))
+    code, out, err = run_cli(capsys, *args, "--class-file", str(path))
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    payload = json.loads(line)["error"]
+    assert payload["code"] == "precision"
+    assert "size 2" in payload["message"]
 
 
 # one valid call of each command, and the three flags that only some commands read

@@ -90,7 +90,7 @@ class TestCountLog:
         cls = species.from_coefficients("gap", [1, 0])
         with pytest.raises(PrecisionError) as info:
             exact.count_log(cls, 2, 1)
-        assert info.value.suggested is not None
+        assert info.value.suggested is None
 
     @pytest.mark.parametrize("bits", [0, 4, 7, 8.5, "64"])
     def test_precision_below_minimum_or_not_integer(self, bits):
@@ -145,6 +145,10 @@ class TestCountTable:
         # a non-integer k is an error, not the row of its integer part
         with pytest.raises(DomainError):
             exact.count_table(species.builtin("trees"), 6, [2.5])
+
+    def test_empty_k_list(self):
+        with pytest.raises(DomainError, match="k_range"):
+            exact.count_table(species.builtin("trees"), 5, [])
 
     def test_row_sum_equals_total(self):
         for name in ("trees", "cacti", "husimi"):
@@ -416,7 +420,7 @@ class TestCountLogTiers:
         assert not exact._in_exact_tier(300, 299)
         with pytest.raises(PrecisionError) as info:
             exact.count_log(cls, 300, 299)
-        assert info.value.suggested is not None
+        assert info.value.suggested is None
 
     def test_float_tier_keeps_the_list_reach(self):
         trees = species.builtin("trees")

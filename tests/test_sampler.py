@@ -155,6 +155,13 @@ class TestSizeDistribution:
         with pytest.raises(PrecisionError, match="x = 1000.0"):
             sampler.size_distribution(cls, 1000.0)
 
+    def test_bare_list_table_ends_with_the_list(self):
+        # the list is the whole model: one size past it is the coefficients' own error
+        cls = species.from_coefficients("three", [1, 1, 3])
+        assert sampler.size_distribution(cls, 0.3).truncated_mass == 0.0
+        with pytest.raises(DomainError, match="only up to n = 3$"):
+            sampler.size_distribution(cls, 0.3, n_max=4)
+
     def test_block_table_cap_raises_precision(self, monkeypatch):
         monkeypatch.setattr(species, "_MAX_BLOCK_TABLE", 64)
         cacti = species.builtin("cacti")
@@ -368,7 +375,6 @@ class TestForests:
         with pytest.raises(RetryBudgetError) as info:
             sampler.sample_forest(8, 1, x=1e-12, rng=rng, max_rejects=10)
         assert info.value.attempts == 11
-        assert info.value.acceptance_rate == 0.0
         # 11 attempts of k = 1 uniform each, and not one more
         fresh = np.random.default_rng(0)
         fresh.random(11)
@@ -380,7 +386,7 @@ class TestForests:
         with pytest.raises(RetryBudgetError) as info:
             sampler.sample_forest(n, k, x=x, rng=np.random.default_rng(0), max_rejects=20)
         err = info.value
-        assert err.attempts == 21 and err.acceptance_rate == 0.0
+        assert err.attempts == 21
         # (k!/n!) count(n, k) x^n / C_M(x)^k with the table truncated at M = n - k + 1
         xq = Fraction(x)
         counts = species.coefficients(trees, n - k + 1)
@@ -393,6 +399,16 @@ class TestForests:
         assert -math.expm1((budget + 1) * math.log1p(-p)) >= 0.95
         assert -math.expm1(budget * math.log1p(-p)) < 0.95
         assert f"{budget}" in str(err) and f"{p:.3g}" in str(err)
+
+    def test_retry_budget_when_the_acceptance_underflows(self):
+        with pytest.raises(RetryBudgetError) as info:
+            sampler.sample_forest(8, 1, x=1e-200, max_rejects=0)
+        err = info.value
+        assert (err.attempts, err.expected_acceptance, err.suggested) == (1, 0.0, None)
+        assert str(err).endswith("the per-attempt acceptance underflows to 0 at this x")
+
+    def test_default_rng(self):
+        assert_valid_forest(sampler.sample_forest(6, 2, rng=None))
 
     def test_seed_determinism(self):
         a = sampler.sample_forest(7, 3, rng=np.random.default_rng(123))
@@ -510,7 +526,7 @@ def _one_attempt_forest(n, k, x, rng, max_rejects):
             blocks = _reference_partition((idx + 1).tolist(), rng)
             trees = tuple(_reference_tree_edges(b, rng) for b in blocks)
             return sampler.LabeledForest(n=n, blocks=blocks, trees=trees)
-    raise RetryBudgetError("reference budget", acceptance_rate=0.0, attempts=attempts)
+    raise RetryBudgetError("reference budget", attempts=attempts)
 
 
 _BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
@@ -679,7 +695,7 @@ class TestSumProbability:
         d = sampler.size_distribution(trees, 0.1, n_max=3)
         want = float(d.pmf[2])
         rng = np.random.default_rng(31)
-        mc = sampler.mc_sum_probability(trees, 0.1, 1, 3, 40000, rng, dist=d)
+        mc = sampler.mc_sum_probability(trees, 0.1, 1, 3, 40000, rng)
         assert abs(mc.estimate - want) <= 3 * mc.stderr
 
 

@@ -234,6 +234,11 @@ class TestFiles:
             {"schema_version": "2", "name": "x", "coefficients": ["1"]},
             {"name": "bad name!", "coefficients": ["1"]},
             {"name": "x", "coefficients": ["1"], "growth": {"b": 1}},
+            ["1", "1"],
+            {"name": "x", "coefficients": ["1"],
+             "growth": {"b": 1, "rho": 0.5, "alpha": 2, "beta": 0}},
+            {"name": "x", "block": {"bprime": ["0", "1"]}},
+            {"name": "x", "block": {"kind": "poly", "bprime": ["0", "1/0"]}},
         ],
     )
     def test_schema_rejections(self, tmp_path, doc):
