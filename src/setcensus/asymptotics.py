@@ -25,7 +25,7 @@ these classes comes from a bracketed Newton iteration on x*C'/C.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import species
@@ -58,30 +58,27 @@ class AlphaCase(str, Enum):
     GT2 = "alpha_gt_2"
 
 
-@dataclass(frozen=True)
-class RecipeConstants:
+class RecipeConstants(namedtuple("RecipeConstants", "zeta b rho lambda_star C_rho")):
     """Outputs of the subcritical block recipe."""
 
-    zeta: float
-    b: float
-    rho: float
-    lambda_star: float
-    C_rho: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SupercriticalPoint:
+class SupercriticalPoint(
+    namedtuple("SupercriticalPoint", "lam y_lambda x_lambda C_x_lambda sigma2")
+):
     """Saddle data at a supercritical component density lambda."""
 
-    lam: float
-    y_lambda: float
-    x_lambda: float
-    C_x_lambda: float
-    sigma2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EstimateFactors:
+class EstimateFactors(
+    namedtuple(
+        "EstimateFactors",
+        "log_constant n_power_exponent log_power_exponent log_rho_inv_n N_log_h "
+        "log_factorial_ratio",
+    )
+):
     """Additive decomposition of a log-count estimate.
 
     log_count = log_constant + n_power_exponent*log(n)
@@ -90,24 +87,15 @@ class EstimateFactors:
     (the log-log term is present only in the alpha = 2 critical cell).
     """
 
-    log_constant: float
-    n_power_exponent: float
-    log_power_exponent: float
-    log_rho_inv_n: float
-    N_log_h: float
-    log_factorial_ratio: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RegimeEstimate:
-    regime: Regime
-    alpha_case: AlphaCase
-    n: int
-    N: int
-    lam: float
-    lambda_star: float
-    log_count: float
-    factors: EstimateFactors
+class RegimeEstimate(
+    namedtuple("RegimeEstimate", "regime alpha_case n N lam lambda_star log_count factors")
+):
+    """Regime, alpha case and log-count estimate at (n, N = floor(lam*n))."""
+
+    __slots__ = ()
 
 
 # --- gamma --------------------------------------------------------------------

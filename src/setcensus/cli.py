@@ -10,13 +10,16 @@ reals are rounded to 15 significant digits, so repeated runs with identical
 arguments produce byte-identical output.  ``compare --format tsv`` prints a
 tab-separated table instead.  Errors print a single-line JSON object to
 stderr and exit with status 2 (domain or validation), 3 (precision or
-truncation shortfall) or 4 (sampler retry budget exhausted).
+truncation shortfall) or 4 (sampler retry budget exhausted); a flag of the
+other ``sample`` mode (-n, -k, --max-rejects with --composition,
+--trunc-order without it) is a domain error.  A reader that closes stdout
+early ends the output with status 1 and nothing on stderr.
 """
 
 import argparse
-import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import asymptotics, exact, species
@@ -171,7 +174,7 @@ def _estimate_results(est):
         "lambda_star": _real(est.lambda_star),
         "log_count": _real(est.log_count),
         "log10_count": _real(est.log_count / math.log(10)),
-        "factors": {name: _real(v) for name, v in dataclasses.asdict(est.factors).items()},
+        "factors": {name: _real(v) for name, v in est.factors._asdict().items()},
     }
 
 
@@ -242,6 +245,9 @@ def _cmd_sample(args):
     rng = np.random.default_rng(seed)
     lines = []
     if args.composition:
+        for flag, value in (("-n", args.n), ("-k", args.k), ("--max-rejects", args.max_rejects)):
+            if value is not None:
+                raise DomainError(f"{flag} applies to forest sampling only, without --composition")
         if args.class_name is None and args.class_file is None and args.synthetic is None:
             raise DomainError("composition sampling requires a class")
         cls, desc = _resolve_class(args)
@@ -264,6 +270,8 @@ def _cmd_sample(args):
             results = {"draw": i, "kappa": comp.kappa, "sizes": list(comp.sizes)}
             lines.append(_record("sample", inputs, results))
         return lines
+    if args.trunc_order is not None:
+        raise DomainError("--trunc-order applies to --composition sampling only")
     if args.n is None or args.k is None:
         raise DomainError("forest sampling requires -n and -k")
     if args.class_name not in (None, "trees") or args.class_file or args.synthetic:
@@ -276,8 +284,9 @@ def _cmd_sample(args):
         "seed": args.seed,
         "trials": args.trials,
     }
+    max_rejects = 10_000 if args.max_rejects is None else args.max_rejects
     for i in range(args.trials):
-        f = sampler.sample_forest(args.n, args.k, x=args.x, rng=rng, max_rejects=args.max_rejects)
+        f = sampler.sample_forest(args.n, args.k, x=args.x, rng=rng, max_rejects=max_rejects)
         edges = sorted(e for t in f.trees for e in t)
         results = {
             "draw": i,
@@ -360,7 +369,9 @@ def _build_parser():
     psa.add_argument("-k", type=int, default=None)
     psa.add_argument("--x", type=float, default=None, help="Boltzmann parameter")
     psa.add_argument("--trials", "--count", dest="trials", type=int, default=1)
-    psa.add_argument("--max-rejects", type=int, default=10_000)
+    psa.add_argument(
+        "--max-rejects", type=int, default=None, help="rejection budget per forest (10000)"
+    )
     psa.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
     psa.add_argument(
         "--trunc-order", type=int, default=None, help="size-table length for --composition"
@@ -386,6 +397,11 @@ def main(argv=None):
     try:
         for line in args.fn(args):
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; the devnull target lets the exit flush succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SetCensusError as e:
         payload = {"code": e.code, "message": str(e)}
         if getattr(e, "suggested", None) is not None:

@@ -50,7 +50,7 @@ chosen from (n, k) alone:
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import asymptotics
 from . import powerseries as ps
@@ -75,12 +75,11 @@ def check_precision_bits(bits):
     return int(bits)
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Counts for one vertex count n over a set of component counts k."""
+class CountTable(namedtuple("CountTable", "n rows")):
+    """Counts for one vertex count n over a set of component counts k: rows
+    holds (k, count, log_count) triples, k increasing."""
 
-    n: int
-    rows: tuple  # (k, count, log_count) triples, k increasing
+    __slots__ = ()
 
 
 def _check_domain(n, k):

@@ -70,7 +70,6 @@ the max_rejects that succeeds with probability 0.95.
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -493,6 +492,8 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
     x must be a Fraction (or int); the table is truncated at n_max (default
     n - k + 1, the largest size that can appear in an accepted draw).
     """
+    from fractions import Fraction
+
     if not isinstance(x, (Fraction, int)):
         raise DomainError("exact sum probabilities require a Fraction-valued x")
     x = Fraction(x)

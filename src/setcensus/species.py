@@ -36,9 +36,8 @@ import math
 import numbers
 import re
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 
 from . import powerseries as ps
 from .errors import (
@@ -75,44 +74,39 @@ class CoeffSource(str, Enum):
     SYNTHETIC = "synthetic"
 
 
-@dataclass(frozen=True)
-class GrowthParams:
+class GrowthParams(namedtuple("GrowthParams", "b rho alpha")):
     """Parameters of the coefficient asymptotics |C_n| ~ b n^{-(1+alpha)} rho^{-n} n!."""
 
-    b: float
-    rho: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValidationError(f"growth parameter b must be positive, got {self.b}")
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValidationError(f"growth parameter rho must be positive, got {self.rho}")
-        if not (self.alpha > 1 and math.isfinite(self.alpha)):
-            raise ValidationError(f"growth parameter alpha must exceed 1, got {self.alpha}")
+    def __new__(cls, b, rho, alpha):
+        if not (b > 0 and math.isfinite(b)):
+            raise ValidationError(f"growth parameter b must be positive, got {b}")
+        if not (rho > 0 and math.isfinite(rho)):
+            raise ValidationError(f"growth parameter rho must be positive, got {rho}")
+        if not (alpha > 1 and math.isfinite(alpha)):
+            raise ValidationError(f"growth parameter alpha must exceed 1, got {alpha}")
+        return super().__new__(cls, b, rho, alpha)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check its fields too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(namedtuple("BlockSpec", "kind B Bp Bpp Bppp R gap tail", defaults=((),))):
     """Scalar evaluators of a 2-connected block family B.
 
     kind selects the step of powerseries.BlockTable, the fixed-point solver of
     every arithmetic: "edge" (B = u^2/2), "cactus" (B = u^2/4 - u/2 - log(1-u)/2),
     "complete" (B = e^u - u - 1) or "poly" (B' a finite polynomial, with
-    tail its exact c_1..c_D of B'(u) = sum_d c_d u^d and c_D != 0).  R is
-    the radius of convergence of B, possibly infinite.  gap is
-    g(t) = B'(t) - B(t)/t as a sum of positive terms, or None where B and B'
-    are evaluated directly (edge).
+    tail its exact c_1..c_D of B'(u) = sum_d c_d u^d and c_D != 0; () for the
+    other kinds).  R is the radius of convergence of B, possibly infinite.
+    gap is g(t) = B'(t) - B(t)/t as a sum of positive terms, since the closed
+    forms cancel at small t (e^t - 1 - t, log1p, polynomials), or None where
+    B and B' are evaluated directly (edge).
     """
 
-    kind: str
-    B: object
-    Bp: object
-    Bpp: object
-    Bppp: object
-    R: float
-    gap: object  # the closed forms cancel at small t (e^t - 1 - t, log1p, polynomials)
-    tail: tuple = ()
+    __slots__ = ()
 
 
 class ConnectedClass:
@@ -338,6 +332,8 @@ def _synthetic_coeff(growth, n):
 def _synthetic_vector(growth, lo, hi):
     """|C_lo..hi| of a synthetic class; the running n! and rho^-n start at lo."""
     if float(growth.alpha).is_integer():
+        from fractions import Fraction  # on first use: importing species stays cheap
+
         # b and rho are dyadic rationals, so each value is an exact Fraction
         bq, rinv, a1 = Fraction(growth.b), 1 / Fraction(growth.rho), 1 + int(growth.alpha)
         fact, rpow, out = math.factorial(lo - 1), rinv ** (lo - 1), []
@@ -498,6 +494,8 @@ def from_file(path):
         raw = block.get("bprime")
         if not isinstance(raw, list) or not raw:
             raise ValidationError("poly block needs a non-empty 'bprime' coefficient array")
+        from fractions import Fraction
+
         try:
             coeffs = [Fraction(str(v)) for v in raw]
         except (ValueError, ZeroDivisionError) as e:

@@ -336,6 +336,25 @@ class TestSample:
         assert payload["code"] == "retry-budget"
         assert payload["attempts"] == 6
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("--composition", "--class", "trees", "--x", "0.2", "-n", "5"), "-n"),
+            (("--composition", "--class", "trees", "--x", "0.2", "-k", "2"), "-k"),
+            (("--composition", "--class", "trees", "--x", "0.2", "--max-rejects", "0"),
+             "--max-rejects"),
+            (("-n", "6", "-k", "2", "--trunc-order", "3"), "--trunc-order"),
+        ],
+        ids=["composition -n", "composition -k", "composition --max-rejects",
+             "forest --trunc-order"],
+    )
+    def test_flags_of_the_other_mode_are_domain_errors(self, capsys, args, flag):
+        code, out, err = run_cli(capsys, "sample", "--seed", "1", *args)
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "domain"
+        assert payload["message"].startswith(f"{flag} applies to ")
+
     def test_negative_max_rejects_is_a_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "sample", "-n", "8", "-k", "1", "--seed", "1", "--max-rejects", "-3"
@@ -463,12 +482,17 @@ _CALLS = {
 }
 _READS = {"exact": {"--precision-bits"}, "compare": {"--precision-bits"},
           "sample": {"--seed", "--trunc-order"}}
+# --trunc-order is read by composition sampling only
+_FLAG_CALLS = {
+    ("sample", "--trunc-order"):
+        ("sample", "--composition", "--class", "trees", "--x", "0.25", "--seed", "1"),
+}
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--trunc-order", "--precision-bits"])
 @pytest.mark.parametrize("command", _CALLS)
 def test_flags_only_on_the_commands_that_read_them(capsys, command, flag):
-    args = [*_CALLS[command], flag, "20"]
+    args = [*_FLAG_CALLS.get((command, flag), _CALLS[command]), flag, "20"]
     if flag in _READS.get(command, ()):
         assert cli.main(args) == 0
     else:
@@ -609,6 +633,25 @@ class TestReproducibility:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+def test_early_closed_stdout_ends_quietly():
+    """A reader that stops early (as `| head -c 200` does) gets no traceback."""
+    package_root = str(Path(setcensus.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    args = ["sample", "-n", "6", "-k", "2", "--seed", "1", "--trials", "2000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "setcensus", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    # the 2000 records overrun the pipe buffer, so the child is still writing
+    assert proc.stdout.read(200).startswith(b'{"schema_version": "1"')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def declared_entry_point():

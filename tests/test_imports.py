@@ -1,4 +1,6 @@
-"""Import hygiene: numpy and mpmath load only on the paths that use them.
+"""Import hygiene: numpy and mpmath load only on the paths that use them,
+and the standard library's dataclasses (with inspect) and fractions only on
+the sampling and exact-fraction paths.
 
 Each check runs in a fresh interpreter, because this suite's own process has
 long since imported both libraries.  The child imports the same ``setcensus``
@@ -16,6 +18,7 @@ import pytest
 import setcensus
 
 HEAVY = ("numpy", "mpmath")
+DEFERRED = ("dataclasses", "inspect", "fractions")
 
 
 def run_child(code, cwd=None):
@@ -43,53 +46,73 @@ def test_import_loads_neither_numpy_nor_mpmath():
     assert loaded == []
 
 
-@pytest.mark.parametrize(
-    "argv, expect_loaded",
-    [
-        pytest.param(["constants", "--class", "trees", "--lambda", "0.75"], [], id="constants"),
-        pytest.param(["exact", "--class", "cacti", "-n", "30", "-k", "12"], [], id="exact"),
-        # count_log's exact tier: the decimal log of the integer count
-        pytest.param(
-            ["exact", "--class", "cacti", "-n", "30", "-k", "12", "--mode", "float"],
-            [],
-            id="exact-float",
-        ),
-        pytest.param(
-            ["exact", "--class", "trees", "-n", "6", "--k-range", "1:3"], [], id="exact-range"
-        ),
-        pytest.param(
-            ["estimate", "--class", "husimi", "-n", "200", "--lambda", "0.3"], [], id="estimate"
-        ),
-        pytest.param(
-            ["compare", "--class", "trees", "--lambda", "0.75", "--n-list", "40,80",
-             "--format", "tsv"],
-            [],
-            id="compare",
-        ),
-        pytest.param(["series", "--class", "husimi", "--terms", "6"], [], id="series"),
-        pytest.param(
-            ["series", "--class", "cacti", "--terms", "5", "--export", "cacti5.json"],
-            [],
-            id="series-export",
-        ),
-        # the sampler needs numpy: shows that the child would see a load
-        pytest.param(
-            ["sample", "--class", "trees", "-n", "6", "-k", "2", "--seed", "7"],
-            ["numpy"],
-            id="sample",
-        ),
-    ],
-)
-def test_readme_cli_loads_only_what_it_uses(tmp_path, argv, expect_loaded):
-    result = run_child(
+README_CALLS = [
+    pytest.param(["constants", "--class", "trees", "--lambda", "0.75"], [], id="constants"),
+    pytest.param(["exact", "--class", "cacti", "-n", "30", "-k", "12"], [], id="exact"),
+    # count_log's exact tier: the decimal log of the integer count
+    pytest.param(
+        ["exact", "--class", "cacti", "-n", "30", "-k", "12", "--mode", "float"],
+        [],
+        id="exact-float",
+    ),
+    pytest.param(
+        ["exact", "--class", "trees", "-n", "6", "--k-range", "1:3"], [], id="exact-range"
+    ),
+    pytest.param(
+        ["estimate", "--class", "husimi", "-n", "200", "--lambda", "0.3"], [], id="estimate"
+    ),
+    pytest.param(
+        ["compare", "--class", "trees", "--lambda", "0.75", "--n-list", "40,80",
+         "--format", "tsv"],
+        [],
+        id="compare",
+    ),
+    pytest.param(["series", "--class", "husimi", "--terms", "6"], [], id="series"),
+    pytest.param(
+        ["series", "--class", "cacti", "--terms", "5", "--export", "cacti5.json"],
+        [],
+        id="series-export",
+    ),
+    # the sampler needs numpy: shows that the child would see a load
+    pytest.param(
+        ["sample", "--class", "trees", "-n", "6", "-k", "2", "--seed", "7"],
+        ["numpy"],
+        id="sample",
+    ),
+]
+
+
+def cli_loads(cwd, argv, modules):
+    """[exit status, the modules among ``modules`` loaded] of ``cli.main(argv)``."""
+    return run_child(
         "import contextlib, io, json, sys\n"
         "from setcensus import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
-        f"print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))",
-        cwd=tmp_path,
+        f"print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))",
+        cwd=cwd,
     )
-    assert result == [0, expect_loaded]
+
+
+@pytest.mark.parametrize("argv, expect_loaded", README_CALLS)
+def test_readme_cli_loads_only_what_it_uses(tmp_path, argv, expect_loaded):
+    assert cli_loads(tmp_path, argv, HEAVY) == [0, expect_loaded]
+
+
+def test_import_loads_no_record_or_fraction_machinery():
+    loaded = run_child(
+        "import json, sys, setcensus\n"
+        f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+# sample loads dataclasses with the sampler, and numpy anyway
+@pytest.mark.parametrize(
+    "argv", [pytest.param(p.values[0], id=p.id) for p in README_CALLS if p.id != "sample"]
+)
+def test_readme_cli_other_than_sample_loads_no_record_or_fraction_machinery(tmp_path, argv):
+    assert cli_loads(tmp_path, argv, DEFERRED) == [0, []]
 
 
 def test_sampler_resolves_after_bare_import():
