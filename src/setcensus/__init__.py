@@ -10,10 +10,9 @@ sampler; the three routes cross-validate each other.
 numpy and mpmath load on first use: `sampler` and `cli` are imported when
 first reached as attributes of the package, and only the Lerch and Hurwitz
 tails and synthetic coefficients at fractional alpha import mpmath, when
-called.  So do the standard library's dataclasses (with inspect), which only
-the sampler's records use, and fractions, which only synthetic counts at
-integer alpha, poly block files and the exact sum probability use; the
-records of the other modules are named tuples.
+called.  So does the standard library's fractions, which only synthetic
+counts at integer alpha, poly block files and the exact sum probability
+use.  Every record is a named tuple, so no module imports dataclasses.
 """
 
 import importlib

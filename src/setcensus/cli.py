@@ -145,8 +145,7 @@ def _cmd_exact(args):
     k = args.k
     inputs["k"] = k
     if args.mode == "float":
-        inputs["precision_bits"] = args.precision_bits
-        lg = exact.count_log(cls, n, k, precision_bits=args.precision_bits)
+        lg = exact.count_log(cls, n, k)
         results = {
             "n": n,
             "k": k,
@@ -200,13 +199,11 @@ def _cmd_compare(args):
     cls, desc = _resolve_class(args)
     ns = _parse_n_list(args.n_list)
     inputs = dict(desc)
-    inputs.update(
-        {"n_list": args.n_list, "lambda": _real(args.lam), "precision_bits": args.precision_bits}
-    )
+    inputs.update({"n_list": args.n_list, "lambda": _real(args.lam)})
     rows = []
     for n in ns:
         est = asymptotics.estimate(cls, n, args.lam)
-        lg = exact.count_log(cls, n, est.N, precision_bits=args.precision_bits)
+        lg = exact.count_log(cls, n, est.N)
         diff = est.log_count - lg
         rows.append(
             {
@@ -237,7 +234,8 @@ def _cmd_compare(args):
 def _cmd_sample(args):
     import numpy as np
 
-    from . import sampler
+    # a from-import of names, so that -X importtime shows setcensus.sampler on its own line
+    from .sampler import sample_forest, sample_set, size_distribution
 
     seed = check_int("--seed", args.seed, 0)
     if args.trials < 1:
@@ -253,7 +251,7 @@ def _cmd_sample(args):
         cls, desc = _resolve_class(args)
         if args.x is None:
             raise DomainError("--x is required for composition sampling")
-        dist = sampler.size_distribution(cls, args.x, n_max=args.trunc_order)
+        dist = size_distribution(cls, args.x, n_max=args.trunc_order)
         inputs = dict(desc)
         inputs.update(
             {
@@ -266,7 +264,7 @@ def _cmd_sample(args):
             }
         )
         for i in range(args.trials):
-            comp = sampler.sample_set(cls, args.x, rng, dist=dist)
+            comp = sample_set(cls, args.x, rng, dist=dist)
             results = {"draw": i, "kappa": comp.kappa, "sizes": list(comp.sizes)}
             lines.append(_record("sample", inputs, results))
         return lines
@@ -286,7 +284,7 @@ def _cmd_sample(args):
     }
     max_rejects = 10_000 if args.max_rejects is None else args.max_rejects
     for i in range(args.trials):
-        f = sampler.sample_forest(args.n, args.k, x=args.x, rng=rng, max_rejects=max_rejects)
+        f = sample_forest(args.n, args.k, x=args.x, rng=rng, max_rejects=max_rejects)
         edges = sorted(e for t in f.trees for e in t)
         results = {
             "draw": i,
@@ -354,14 +352,6 @@ def _build_parser():
     pcmp.add_argument("--lambda", "--lam", dest="lam", type=float, required=True)
     pcmp.add_argument("--format", choices=("json", "tsv"), default="json")
     pcmp.set_defaults(fn=_cmd_compare)
-    for q in (pe, pcmp):
-        q.add_argument(
-            "--precision-bits",
-            type=int,
-            default=exact.DEFAULT_PRECISION_BITS,
-            help="bits of precision (8 to 4096) for the decimal log of an exact count "
-            "(exact --mode float and compare); counts beyond the exact tier use float64",
-        )
 
     psa = sub.add_parser("sample", help="draw forests or compositions")
     _add_class_args(psa, required=False)

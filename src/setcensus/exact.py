@@ -7,20 +7,19 @@ by powerseries.pow, where the EGF product is a binomial convolution.
 count_table reuses one running power of C to produce a whole row of counts,
 and total_count takes powerseries.exp.  All three build lists of n + 1
 counts, so an n past species._table_cap raises PrecisionError.
-precision_bits (DEFAULT_PRECISION_BITS unless given, from 8 to
-MAX_PRECISION_BITS) sets the digits of count_log's exact tier.
 
 count_log(n, k) returns log count(n, k) as a float, by one of two tiers
 chosen from (n, k) alone:
 
 * the exact tier, when n <= 200 and n (n - k + 1) <= 12 000: the natural
   log of the integer count(n, k), correctly rounded by the decimal module
-  to max(45, ceil(precision_bits log10 2) + 6) significant digits and then
-  rounded to the nearest float.  Each of the ~2 log2 k binomial convolutions
-  behind count makes about (n - k + 1)^2 / 2 big-integer products, half
-  that for a square, and about as many additions for the binomials of its
-  window.  The bounds stay where they were set for n (n - k + 1) products
-  and full Pascal rows, so that no count_log output moves;
+  to 45 significant digits and then rounded to the nearest float (300
+  digits give the same float at every count the tests compare).  Each of
+  the ~2 log2 k binomial convolutions behind count makes about
+  (n - k + 1)^2 / 2 big-integer products, half that for a square, and
+  about as many additions for the binomials of its window.  The bounds
+  stay where they were set for n (n - k + 1) products and full Pascal
+  rows, so that no count_log output moves;
 * the float tier beyond: the Boltzmann identity of the weights module,
 
       count(n, k) = (n!/k!) W^k x^(-n) P(S_k = n - k),
@@ -44,35 +43,20 @@ chosen from (n, k) alone:
   line up: against the exact tier, on trees, cacti, Husimi graphs, three
   synthetic classes and two lists, the log stayed within a fifth of
   (n - k + 1) max(1, log2 k) 2^-53 max(1, |log count|), and the tests hold
-  it to that bound.  This tier runs in float64 whatever precision_bits
-  says; the argument is still checked.
+  it to that bound.
 """
 
 import math
-import numbers
 from collections import namedtuple
 
 from . import asymptotics
 from . import powerseries as ps
 from . import species
-from .errors import DomainError, InternalConsistencyError, PrecisionError, check_int, shown
+from .errors import DomainError, InternalConsistencyError, PrecisionError, check_int
 
 _EXACT_TIER_MAX_N = 200  # set for full Pascal rows; kept so that no count_log output moves
 _EXACT_TIER_MAX_WORK = 12_000  # bounds n (n - k + 1); the module docstring says why
 _LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm
-DEFAULT_PRECISION_BITS = 128
-# at most this many bits: 65536 makes count_log(trees, 200, 150) take 30 s
-MAX_PRECISION_BITS = 4096
-
-
-def check_precision_bits(bits):
-    """bits as an int; DomainError unless it is an integer from 8 to MAX_PRECISION_BITS."""
-    if not isinstance(bits, numbers.Integral) or not 8 <= bits <= MAX_PRECISION_BITS:
-        raise DomainError(
-            f"precision_bits = {shown(bits)} must be an integer of at least 8 "
-            f"and at most {MAX_PRECISION_BITS}"
-        )
-    return int(bits)
 
 
 class CountTable(namedtuple("CountTable", "n rows")):
@@ -115,26 +99,26 @@ def _in_exact_tier(n, k):
     return n <= _EXACT_TIER_MAX_N and n * (n - k + 1) <= _EXACT_TIER_MAX_WORK
 
 
-def count_log(cls, n, k, precision_bits=DEFAULT_PRECISION_BITS):
+def count_log(cls, n, k, precision_bits=None):
     """log count(n, k) as a float, from the exact count or from float64 weights.
 
-    The module docstring states the rule that picks the tier, the error bound
-    of the float tier and what precision_bits means in each.
+    The module docstring states the rule that picks the tier and the error
+    bound of the float tier.  precision_bits is accepted and ignored: the
+    exact tier always keeps 45 digits.  The keyword stays only because the
+    frozen table of TestFrozenCountLog still passes it.
     """
     n, k = _check_domain(n, k)
-    precision_bits = check_precision_bits(precision_bits)
     if _in_exact_tier(n, k):
         from decimal import Context, Decimal  # on first use: importing exact stays cheap
 
         value = count(cls, n, k)
         if value > 0:
-            digits = max(_LN_DIGITS, math.ceil(precision_bits * math.log10(2)) + 6)
-            return float(Context(prec=digits).ln(Decimal(value)))
+            return float(Context(prec=_LN_DIGITS).ln(Decimal(value)))
     else:
         value = _tilted_count_log(cls, n, k)
         if value is not None:
             return value
-    # no suggested precision: an exact-tier 0 is exact, and the float tier ignores precision_bits
+    # no suggested precision: an exact-tier 0 is exact, and no precision moves the float tier
     raise PrecisionError(f"count({n}, {k}) evaluated to 0, which has no logarithm")
 
 

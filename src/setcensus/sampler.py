@@ -67,9 +67,8 @@ per-attempt acceptance (a truncated convolution power of the size law) and
 the max_rejects that succeeds with probability 0.95.
 """
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -100,8 +99,9 @@ _ONES.setflags(write=False)
 _SCALAR_DRAWS = 3
 
 
-@dataclass(frozen=True, eq=False)
-class SizeDistribution:
+class SizeDistribution(
+    namedtuple("SizeDistribution", "x n_max pmf truncated_mass normalizer cdf guide")
+):
     """Truncated, renormalized component-size law at Boltzmann parameter x.
 
     pmf[j] is P(size = j + 1) for j = 0..n_max-1.  normalizer is the truncated
@@ -110,45 +110,53 @@ class SizeDistribution:
     list without growth, the mass of the list beyond n_max, 0 at its full
     length; nan when C(x) is not finite).  guide is the bucket table of cdf
     (_guide_table).  Tables compare and hash by identity, since their array
-    fields have no single truth value.
+    fields have no single truth value, and their repr leaves out cdf and guide.
     """
 
-    x: float
-    n_max: int
-    pmf: np.ndarray
-    truncated_mass: float
-    normalizer: float
-    cdf: np.ndarray = field(repr=False)
-    guide: np.ndarray = field(repr=False)
+    __slots__ = ()
+
+    def __eq__(self, other):  # False against any other object, a tuple of the same fields too
+        return self is other
+
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __repr__(self):
+        return (
+            f"SizeDistribution(x={self.x!r}, n_max={self.n_max!r}, pmf={self.pmf!r}, "
+            f"truncated_mass={self.truncated_mass!r}, normalizer={self.normalizer!r})"
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class Composition:
+class Composition(namedtuple("Composition", "kappa sizes")):
     """A draw from the unconditioned Boltzmann model: component sizes only."""
 
-    kappa: int
-    sizes: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.sizes) != self.kappa:
+    def __new__(cls, kappa, sizes):
+        if len(sizes) != kappa:
             raise DomainError("composition size list does not match kappa")
+        return super().__new__(cls, kappa, sizes)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check its fields too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledForest:
-    """A labeled forest on vertices 1..n: vertex blocks and tree edges per block."""
+class LabeledForest(namedtuple("LabeledForest", "n blocks trees")):
+    """A labeled forest on vertices 1..n: vertex blocks and tree edges per block.
 
-    n: int
-    blocks: tuple  # tuple of sorted vertex tuples
-    trees: tuple  # tree[i] is a tuple of (u, v) edges with u < v, on blocks[i]
+    blocks is a tuple of sorted vertex tuples; trees[i] is a tuple of (u, v)
+    edges with u < v, on blocks[i].
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    estimate: float
-    stderr: float
-    trials: int
-    hits: int
+class MCEstimate(namedtuple("MCEstimate", "estimate stderr trials hits")):
+    """A Monte Carlo probability with its standard error, trial and hit counts."""
+
+    __slots__ = ()
 
 
 # --- size tables ----------------------------------------------------------------
@@ -171,7 +179,7 @@ def size_distribution(cls, x, n_max=None):
     their full length).  The table is solved once and cached on the class;
     each call returns a new SizeDistribution over the same read-only arrays.
     """
-    return dataclasses.replace(_size_table(cls, x, n_max))
+    return _size_table(cls, x, n_max)._replace()
 
 
 def _size_table(cls, x, n_max=None):

@@ -555,6 +555,9 @@ def export(cls, terms):
 def to_file(cls, terms, path):
     """Write the export document as JSON."""
     doc = export(cls, terms)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise ValidationError(f"cannot write class definition {path}: {e}") from e

@@ -131,7 +131,7 @@ class TestExact:
         )
         (rec,) = records(out)
         assert code == 0
-        assert rec["inputs"]["precision_bits"] == 128
+        assert "precision_bits" not in rec["inputs"]
         assert rec["results"]["log_count"] == pytest.approx(math.log(15), rel=1e-10)
         assert rec["results"]["log10_count"] == pytest.approx(math.log10(15), rel=1e-10)
 
@@ -416,38 +416,6 @@ class TestSizeCap:
         assert json.loads(err)["error"]["code"] == "precision"
 
 
-class TestPrecisionBits:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("exact", "--class", "trees", "-n", "4", "-k", "2", "--mode", "float"),
-            ("compare", "--class", "trees", "--lambda", "0.75", "--n-list", "40,80"),
-        ],
-    )
-    @pytest.mark.parametrize("bits", ["0", "6"])
-    def test_below_minimum_is_a_domain_error(self, capsys, args, bits):
-        code, out, err = run_cli(capsys, *args, "--precision-bits", bits)
-        assert code == 2 and out == ""
-        payload = json.loads(err)["error"]
-        assert payload["code"] == "domain"
-        assert "at least 8" in payload["message"]
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("exact", "--class", "trees", "-n", "8", "-k", "3", "--mode", "float"),
-            ("compare", "--class", "trees", "--lambda", "0.75", "-n", "40"),
-        ],
-    )
-    @pytest.mark.parametrize("bits", ["4097", str(10**20)])
-    def test_above_maximum_is_a_domain_error(self, capsys, args, bits):
-        code, out, err = run_cli(capsys, *args, "--precision-bits", bits)
-        assert code == 2 and out == ""
-        payload = json.loads(err)["error"]
-        assert payload["code"] == "domain"
-        assert "at most 4096" in payload["message"]
-
-
 # a count of 10**400 at size 2 passes the float64 range at every x these calls use
 @pytest.mark.parametrize(
     "args",
@@ -471,7 +439,8 @@ def test_count_past_the_float_range_exits_3(capsys, tmp_path, args):
     assert "size 2" in payload["message"]
 
 
-# one valid call of each command, and the three flags that only some commands read
+# one valid call of each command, the two flags that only sample reads, and
+# --precision-bits, which no command reads any more
 _CALLS = {
     "constants": ("constants", "--class", "trees"),
     "exact": ("exact", "--class", "trees", "-n", "4", "-k", "2"),
@@ -480,8 +449,7 @@ _CALLS = {
     "sample": ("sample", "-n", "6", "-k", "2", "--seed", "1"),
     "series": ("series", "--class", "trees", "--terms", "5"),
 }
-_READS = {"exact": {"--precision-bits"}, "compare": {"--precision-bits"},
-          "sample": {"--seed", "--trunc-order"}}
+_READS = {"sample": {"--seed", "--trunc-order"}}
 # --trunc-order is read by composition sampling only
 _FLAG_CALLS = {
     ("sample", "--trunc-order"):
@@ -507,10 +475,8 @@ def test_flags_only_on_the_commands_that_read_them(capsys, command, flag):
 _INT_FLAG_CALLS = [
     ("exact -n", "exact --class trees -n V -k 3"),
     ("exact -k", "exact --class trees -n 8 -k V"),
-    ("exact --precision-bits", "exact --class trees -n 8 -k 3 --mode float --precision-bits V"),
     ("estimate -n", "estimate --class trees -n V --lambda 0.5"),
     ("compare -n", "compare --class trees --lambda 0.75 -n V"),
-    ("compare --precision-bits", "compare --class trees --lambda 0.75 -n 40 --precision-bits V"),
     ("sample -n", "sample -n V -k 2 --seed 1"),
     ("sample -k", "sample -n 6 -k V --seed 1"),
     ("sample --seed", "sample -n 6 -k 2 --seed V"),
@@ -520,10 +486,9 @@ _INT_FLAG_CALLS = [
      "sample --composition --class trees --x 0.25 --seed 1 --trunc-order V"),
     ("series --terms", "series --class trees --terms V"),
 ]
-# sizes, budgets, seeds and precisions also run far past any table or maximum;
+# sizes, budgets and seeds also run far past any table or maximum;
 # --trials prints one record a draw, so it does not
-_HUGE_OK = ("-n", "-k", "--seed", "--max-rejects", "--trunc-order", "--terms",
-            "--precision-bits")
+_HUGE_OK = ("-n", "-k", "--seed", "--max-rejects", "--trunc-order", "--terms")
 _INT_FLAG_GRID = [
     pytest.param(template, value, id=f"{name} {value_id}")
     for name, template in _INT_FLAG_CALLS
@@ -618,6 +583,18 @@ class TestSeries:
         (rec,) = records(out)
         assert code == 0
         assert rec["results"]["coefficients"] == ["1", "1", "4", "29", "311", "4447"]
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_export_path(self, capsys, tmp_path, where):
+        path = tmp_path / "nope" / "x.json" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, "series", "--class", "trees", "--terms", "3", "--export", str(path)
+        )
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)["error"]
+        assert payload["code"] == "validation"
+        assert payload["message"].startswith(f"cannot write class definition {path}: ")
 
     def test_bad_class_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -92,24 +92,12 @@ class TestCountLog:
             exact.count_log(cls, 2, 1)
         assert info.value.suggested is None
 
-    @pytest.mark.parametrize("bits", [0, 4, 7, 8.5, "64"])
-    def test_precision_below_minimum_or_not_integer(self, bits):
-        with pytest.raises(DomainError, match="at least 8"):
-            exact.count_log(species.builtin("trees"), 4, 2, precision_bits=bits)
-
-    def test_precision_minimum_accepted(self):
-        got = exact.count_log(species.builtin("trees"), 4, 2, precision_bits=8)
-        assert got == pytest.approx(math.log(15), rel=1e-2)
-
-    @pytest.mark.parametrize("bits", [4097, 65536, 10**20, pytest.param(10**5000, id="10**5000")])
-    def test_precision_above_maximum(self, bits):
-        with pytest.raises(DomainError, match="at most 4096"):
-            exact.count_log(species.builtin("trees"), 200, 150, precision_bits=bits)
-
-    def test_precision_maximum_accepted(self):
-        assert exact.MAX_PRECISION_BITS == 4096
-        got = exact.count_log(species.builtin("trees"), 4, 2, precision_bits=4096)
-        assert got == math.log(15)
+    @pytest.mark.parametrize("n, k", [(4, 2), (200, 150), (400, 300)])
+    def test_precision_bits_is_ignored(self, n, k):
+        trees = species.builtin("trees")
+        want = exact.count_log(trees, n, k)
+        for bits in (8, 64, 200, 4096, 65536):
+            assert exact.count_log(trees, n, k, precision_bits=bits) == want
 
     def test_block_class_large(self):
         cacti = species.builtin("cacti")
@@ -445,6 +433,21 @@ class TestCountLogTiers:
         got = exact.count_log(species.builtin("trees"), 2000, 1000)
         assert time.perf_counter() - t0 < 1.0
         assert got == pytest.approx(8594.82836866037, rel=1e-13)
+
+
+class TestExactTierRounding:
+    """The exact tier's 45-digit decimal logarithm rounds to the same float as
+    one of 300 digits: no more digits would change any of these outputs."""
+
+    @pytest.mark.parametrize("name", ["trees", "cacti", "husimi"])
+    def test_matches_300_digits_for_n_up_to_40(self, name):
+        cls = species.builtin(name)
+        wide = Context(prec=300)
+        for n in range(1, 41):
+            for k, cnt, _lg in exact.count_table(cls, n).rows:
+                assert exact._in_exact_tier(n, k)
+                want = float(wide.ln(Decimal(cnt)))
+                assert exact.count_log(cls, n, k) == want, (name, n, k)
 
 
 class TestSizeCap:

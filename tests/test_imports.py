@@ -1,6 +1,6 @@
 """Import hygiene: numpy and mpmath load only on the paths that use them,
-and the standard library's dataclasses (with inspect) and fractions only on
-the sampling and exact-fraction paths.
+fractions only on the exact-fraction paths, and no path loads the standard
+library's dataclasses (numpy loads inspect itself when sampling).
 
 Each check runs in a fresh interpreter, because this suite's own process has
 long since imported both libraries.  The child imports the same ``setcensus``
@@ -107,12 +107,17 @@ def test_import_loads_no_record_or_fraction_machinery():
     assert loaded == []
 
 
-# sample loads dataclasses with the sampler, and numpy anyway
+# sample loads numpy, which imports inspect itself
 @pytest.mark.parametrize(
     "argv", [pytest.param(p.values[0], id=p.id) for p in README_CALLS if p.id != "sample"]
 )
 def test_readme_cli_other_than_sample_loads_no_record_or_fraction_machinery(tmp_path, argv):
     assert cli_loads(tmp_path, argv, DEFERRED) == [0, []]
+
+
+def test_readme_sample_loads_no_dataclasses(tmp_path):
+    (argv,) = [p.values[0] for p in README_CALLS if p.id == "sample"]
+    assert cli_loads(tmp_path, argv, ("dataclasses",)) == [0, []]
 
 
 def test_sampler_resolves_after_bare_import():

@@ -1,7 +1,9 @@
-"""The seven immutable records of the numpy-free modules.
+"""The eleven immutable records of the package.
 
 Each record keeps its field names and order, its repr, value equality and
-hashing, and refuses assignment.  The checks go through the constructor's
+hashing, and refuses assignment; SizeDistribution, whose array fields have
+no single truth value, compares and hashes by identity instead and leaves
+cdf and guide out of its repr.  The checks go through the constructor's
 signature and attribute access only, so they hold for any immutable record
 type with these fields.
 """
@@ -9,11 +11,12 @@ type with these fields.
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 from setcensus import asymptotics as asy
-from setcensus import exact, species
-from setcensus.errors import ValidationError
+from setcensus import exact, sampler, species
+from setcensus.errors import DomainError, ValidationError
 
 
 def _records():
@@ -48,6 +51,15 @@ def _records():
         "BlockSpec": (
             cacti.block_spec,
             ["kind", "B", "Bp", "Bpp", "Bppp", "R", "gap", "tail"],
+        ),
+        "Composition": (sampler.Composition(kappa=2, sizes=(3, 1)), ["kappa", "sizes"]),
+        "LabeledForest": (
+            sampler.sample_forest(6, 2, rng=np.random.default_rng(1)),
+            ["n", "blocks", "trees"],
+        ),
+        "MCEstimate": (
+            sampler.mc_sum_probability(trees, 0.3, 2, 4, 200, np.random.default_rng(1)),
+            ["estimate", "stderr", "trials", "hits"],
         ),
     }
 
@@ -87,11 +99,19 @@ def test_copy_from_the_same_fields_is_equal(record):
     assert repr(copy) == repr(rec)
 
 
+def _changed(value):
+    """A value unequal to value that the record's own checks still accept."""
+    if isinstance(value, float):
+        return value + 1
+    if isinstance(value, tuple) and value:  # Composition checks the length of sizes
+        return tuple(object() for _ in value)
+    return object()
+
+
 def test_a_changed_field_is_unequal(record):
     rec, fields = record
     values = {name: getattr(rec, name) for name in fields}
-    last = values[fields[-1]]
-    values[fields[-1]] = last + 1 if isinstance(last, float) else object()
+    values[fields[-1]] = _changed(values[fields[-1]])
     assert type(rec)(**values) != rec
 
 
@@ -135,3 +155,60 @@ def test_replaced_growth_params_are_checked():
         growth._replace(rho=-1.0)
     with pytest.raises(ValidationError, match="alpha must exceed 1"):
         species.GrowthParams._make([1.0, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("kappa, sizes", [(2, (1,)), (0, (1,)), (1, ())])
+def test_composition_size_list_must_match_kappa(kappa, sizes):
+    with pytest.raises(DomainError, match="does not match kappa"):
+        sampler.Composition(kappa, sizes)
+    with pytest.raises(DomainError, match="does not match kappa"):
+        sampler.Composition(kappa=kappa, sizes=sizes)
+
+
+_SIZE_FIELDS = ["x", "n_max", "pmf", "truncated_mass", "normalizer", "cdf", "guide"]
+
+
+def _size_table():
+    return sampler.size_distribution(species.builtin("trees"), 0.1, n_max=8)
+
+
+def test_size_distribution_fields_and_repr():
+    dist = _size_table()
+    assert _fields(dist) == _SIZE_FIELDS
+    shown = ", ".join(f"{name}={getattr(dist, name)!r}" for name in _SIZE_FIELDS[:5])
+    assert repr(dist) == f"SizeDistribution({shown})"
+
+
+def test_size_distribution_compares_and_hashes_by_identity():
+    dist = _size_table()
+    assert dist == dist and not dist != dist
+    assert hash(dist) == object.__hash__(dist)
+    copy = type(dist)(**{name: getattr(dist, name) for name in _SIZE_FIELDS})
+    assert copy != dist and not copy == dist
+    assert hash(copy) == object.__hash__(copy)
+    assert dist != tuple(getattr(dist, name) for name in _SIZE_FIELDS)
+
+
+def test_size_distribution_calls_share_the_cached_arrays():
+    first, second = _size_table(), _size_table()
+    assert first is not second and first != second
+    for name in ("pmf", "cdf", "guide"):
+        assert getattr(first, name) is getattr(second, name)
+
+
+def test_size_distribution_fields_refuse_assignment():
+    dist = _size_table()
+    for name in _SIZE_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(dist, name, getattr(dist, name))
+    with pytest.raises(AttributeError):
+        dist.no_such_field = 1
+
+
+def test_replaced_composition_is_checked():
+    comp = sampler.Composition(kappa=2, sizes=(3, 1))
+    assert comp._replace(sizes=(1, 3)) == (2, (1, 3))
+    with pytest.raises(DomainError, match="does not match kappa"):
+        comp._replace(kappa=3)
+    with pytest.raises(DomainError, match="does not match kappa"):
+        sampler.Composition._make([1, ()])

@@ -260,6 +260,12 @@ class TestFiles:
         with pytest.raises(ValidationError):
             species.from_file(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_export_path(self, tmp_path, where):
+        path = tmp_path / "nope" / "trees.json" if where == "missing-directory" else tmp_path
+        with pytest.raises(ValidationError, match="cannot write class definition"):
+            species.to_file(species.builtin("trees"), 3, path)
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
