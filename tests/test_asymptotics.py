@@ -210,6 +210,36 @@ class TestFloatTail:
                     assert abs(got - want) <= 1e-12 * want, (z, s, H)
 
 
+def _zeta40(s, H):
+    with mpmath.workdps(40):
+        return float(mpmath.zeta(s, H + 1))
+
+
+_HURWITZ_S = (1 + 1e-6, 1.05, 1.1, 1.5, 2, 2.5, 3, 3.7, 4.7, 6, 10, 30, 60)
+_HURWITZ_H = (0, 1, 2, 10, 47, 48, 64, 65, 240, 1000, 10**5)
+_HURWITZ_HUGE_S = (1e3, 1e6, 1e300)
+
+
+class TestHurwitzTail:
+    """The tail at z = 1 is the double nearest 40-digit mpmath.zeta(s, H + 1), exactly."""
+
+    @pytest.mark.parametrize("s", _HURWITZ_S)
+    def test_grid(self, s):
+        for H in _HURWITZ_H:
+            assert asy._tail(1.0, s, H) == _zeta40(s, H), (s, H)
+
+    @pytest.mark.parametrize(
+        "s, H",
+        [(s, H) for s in _HURWITZ_HUGE_S for H in _HURWITZ_H + (species._MAX_TABLE,)]
+        + [(s, species._MAX_TABLE) for s in _HURWITZ_S],
+    )
+    def test_huge_s_and_longest_head(self, s, H):
+        want = _zeta40(s, H)
+        with deadline(5):
+            got = asy._tail(1.0, s, H)
+        assert got == want
+
+
 # (alpha, lambda, x_lambda, C(x_lambda), sigma2) of synthetic(1, 0.5, alpha),
 # computed by the 70-step bisection and Newton polish the saddle used before;
 # the first lambda of each alpha is lambda* + 1e-6.
