@@ -18,12 +18,15 @@ block classes get these from a closed recipe in scalar values of B alone.
 Scalar values of C, x*C', x^2*C'' for synthetic and list classes are computed
 from a coefficient head plus the growth formula's tail sum_{n>H} n^{-s} z^n,
 z = x/rho.  For z <= 1 - 2^-8 the tail is summed directly in float64 until a
-geometric remainder bound falls below 2^-60 of the sum.  Only where that sum
-would need too many terms does mpmath take over: the Lerch transcendent in the
-band 1 - 2^-8 < z < 1 and the Hurwitz zeta at z = 1.  The saddle x_lambda of
-these classes comes from a bracketed Newton iteration on x*C'/C.
+geometric remainder bound falls below 2^-60 of the sum.  At z = 1 it is the
+Hurwitz zeta(s, H + 1), an Euler-Maclaurin sum in a 34-digit decimal context
+rounded once to the nearest double.  Only in the band 1 - 2^-8 < z < 1, where
+the float sum would need too many terms, does mpmath's Lerch transcendent take
+over.  The saddle x_lambda of these classes comes from a bracketed Newton
+iteration on x*C'/C.
 """
 
+import functools
 import math
 from collections import namedtuple
 from enum import Enum
@@ -43,7 +46,13 @@ _CRITICAL_WINDOW = 1e-9  # the half-width of the closed critical window around l
 _ALPHA_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _HEAD_TERMS = 64
-_TAIL_BAND = 2.0**-8  # the float tail sums z <= 1 - _TAIL_BAND; mpmath takes the band above
+# the float tail sums z <= 1 - _TAIL_BAND; mpmath takes the band above it up to
+# z < 1, and z = 1 is a decimal Hurwitz sum
+_TAIL_BAND = 2.0**-8
+_TAIL_DIGITS = 34  # significant digits of the decimal Hurwitz sum at z = 1
+_TAIL_LOG_EPS = math.log(1e-34)  # its Euler-Maclaurin truncation bound, relative to the sum
+_EM_TERMS = 40  # the most Bernoulli terms it takes
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Regime(str, Enum):
@@ -305,12 +314,7 @@ def _egf_head_tail(cls, x, head_coeffs):
 def _tail(z, s, H):
     """sum_{n > H} n^{-s} z^n for 0 < z <= 1 and s > 0 (inf when z = 1, s <= 1)."""
     if z == 1.0:
-        if s <= 1.0:
-            return math.inf
-        import mpmath
-
-        with mpmath.workdps(40):
-            return float(mpmath.zeta(s, H + 1))
+        return _hurwitz(s, H + 1) if s > 1.0 else math.inf
     if z > 1.0 - _TAIL_BAND:
         import mpmath
 
@@ -324,6 +328,122 @@ def _tail(z, s, H):
     terms = math.ceil((60.0 * math.log(2.0) - math.log1p(-z)) / -lz)
     n = np.arange(H + 1, H + 1 + terms, dtype=float)
     return float(np.exp(n * lz - s * np.log(n)).sum())
+
+
+def _decimal_context(digits):
+    """A decimal context that sets every field, rounding half to even and
+    trapping what decimal's defaults trap, so that neither decimal.DefaultContext
+    nor the thread's context can change what its methods return."""
+    import decimal  # on first use: importing asymptotics stays cheap
+
+    return decimal.Context(
+        prec=digits,
+        rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN,
+        Emax=decimal.MAX_EMAX,
+        capitals=1,
+        clamp=0,
+        flags=[],
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+    )
+
+
+@functools.cache
+def _bernoulli_ratios():
+    """B_2j / (2j)! for j = 1.._EM_TERMS, each an exact integer ratio rounded once.
+
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), where the tangent numbers T_j
+    come from an integer recurrence (Brent and Harvey, Fast computation of
+    Bernoulli, tangent and secant numbers, 2013).
+    """
+    from decimal import Decimal
+
+    ctx = _decimal_context(_TAIL_DIGITS)
+    T = [0, 1] + [0] * (_EM_TERMS - 1)
+    for k in range(2, _EM_TERMS + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, _EM_TERMS + 1):
+        for j in range(k, _EM_TERMS + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return tuple(
+        ctx.divide(
+            Decimal((-1) ** (j - 1) * 2 * j * T[j]),
+            Decimal(4**j * (4**j - 1) * math.factorial(2 * j)),
+        )
+        for j in range(1, _EM_TERMS + 1)
+    )
+
+
+def _hurwitz_plan(s, a):
+    """(N, M) for _hurwitz: the fewest direct terms N, then the fewest Bernoulli
+    terms M <= _EM_TERMS, at which the Euler-Maclaurin remainder at A = a + N,
+
+        |R| <= 4 (s)_2M (2 pi)^-2M A^(1-s-2M) / (s + 2M - 1)
+
+    (Johansson, Rigorous high-precision computation of the Hurwitz zeta
+    function, Numerical Algorithms 2015), is at most 1e-34 times
+    max(a^-s, a^(1-s)/(s-1)) <= zeta(s, a).  Taking logs, the bound holds once
+    log(A/a) >= x = (k - floor - (2M - 1) log a) / (s + 2M - 1), where k is the
+    log of (s)_2M (2 pi)^-2M / (s + 2M - 1) and floor = log(1e-34 / 4) +
+    max(0, log(a/(s-1))).  The factor (A/a)^-s in the bound keeps N at a few
+    terms for large s; for small s, a large a lets the Bernoulli terms converge
+    with N = 0.  x falls with M and then rises again (the series is
+    asymptotic), and the search stops where it rises.
+    """
+    log_a = math.log(a)
+    floor = _TAIL_LOG_EPS - math.log(4.0) + max(0.0, log_a - math.log(s - 1.0))
+    log_poch, last_x, best = 0.0, math.inf, None
+    for M in range(1, _EM_TERMS + 1):
+        log_poch += math.log(s + (2 * M - 2)) + math.log(s + (2 * M - 1))
+        k = log_poch - 2 * M * _LOG_2PI - math.log(s + (2 * M - 1))
+        x = (k - floor - (2 * M - 1) * log_a) / (s + (2 * M - 1))
+        if x >= last_x:
+            break
+        last_x = x
+        N = max(0, math.ceil(a * math.expm1(min(x, 50.0))))
+        if best is None or N < best[0]:
+            best = (N, M)
+            if N == 0:
+                break
+    return best
+
+
+def _hurwitz(s, a):
+    """zeta(s, a) = sum_{k >= 0} (a + k)^-s for s > 1 and an integer a >= 1.
+
+    Euler-Maclaurin at A = a + N with M Bernoulli terms (_hurwitz_plan),
+
+        sum_{k < N} (a + k)^-s + A^(1-s)/(s-1) + A^-s/2
+            + sum_{j <= M} B_2j/(2j)! s(s+1)...(s+2j-2) A^(-s-2j+1),
+
+    summed in a 34-digit decimal context and rounded to a double once.  Only
+    context methods are used, so the thread's decimal context is never read.
+    """
+    from decimal import Decimal
+
+    s = float(s)
+    N, M = _hurwitz_plan(s, a)
+    ctx = _decimal_context(_TAIL_DIGITS)
+    sd, minus_s = Decimal.from_float(s), Decimal.from_float(-s)
+
+    def power(n):
+        # n^-s: libmpdec's power at an integer s; otherwise exp(-s ln n), which
+        # takes half the time of its power at a fractional exponent
+        if s.is_integer():
+            return ctx.power(n, minus_s)
+        return ctx.exp(ctx.multiply(ctx.ln(n), minus_s))
+
+    A = Decimal(a + N)
+    A_s, A2 = power(A), ctx.multiply(A, A)
+    total = ctx.add(ctx.divide(ctx.multiply(A, A_s), ctx.subtract(sd, 1)), ctx.divide(A_s, 2))
+    term = ctx.divide(ctx.multiply(sd, A_s), A)  # (s)_(2j-1) A^(-s-2j+1) at j = 1
+    for j, c in enumerate(_bernoulli_ratios()[:M], start=1):
+        total = ctx.fma(c, term, total)
+        step = ctx.multiply(ctx.add(sd, 2 * j - 1), ctx.add(sd, 2 * j))
+        term = ctx.divide(ctx.multiply(term, step), A2)
+    for n in range(a + N - 1, a - 1, -1):  # the direct terms, smallest first
+        total = ctx.add(total, power(Decimal(n)))
+    return float(total)
 
 
 def lambda_star(cls):

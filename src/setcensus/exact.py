@@ -109,11 +109,12 @@ def count_log(cls, n, k, precision_bits=None):
     """
     n, k = _check_domain(n, k)
     if _in_exact_tier(n, k):
-        from decimal import Context, Decimal  # on first use: importing exact stays cheap
+        from decimal import Decimal  # on first use: importing exact stays cheap
 
         value = count(cls, n, k)
         if value > 0:
-            return float(Context(prec=_LN_DIGITS).ln(Decimal(value)))
+            # every context field set: decimal.DefaultContext cannot change the log
+            return float(asymptotics._decimal_context(_LN_DIGITS).ln(Decimal(value)))
     else:
         value = _tilted_count_log(cls, n, k)
         if value is not None:

@@ -7,8 +7,9 @@ import pytest
 
 from deadline import deadline
 from setcensus import asymptotics as asy
-from setcensus import species
+from setcensus import exact, species
 from setcensus.errors import DomainError, PrecisionError
+from test_imports import run_child
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -211,8 +212,18 @@ class TestFloatTail:
 
 
 def _zeta40(s, H):
+    """float(zeta(s, H + 1)) from mpmath, with 40 of its digits exact.
+
+    For s below half its working precision in bits, mpmath sums the first
+    terms in fixed point, 40 digits after the point and not 40 digits of the
+    sum; a sum below 1 there gets its decimal exponent added to the digits.
+    """
     with mpmath.workdps(40):
-        return float(mpmath.zeta(s, H + 1))
+        value = mpmath.zeta(s, H + 1)
+    if 0 < value < 1 and s < 100:
+        with mpmath.workdps(41 - int(mpmath.log10(value))):
+            value = mpmath.zeta(s, H + 1)
+    return float(value)
 
 
 _HURWITZ_S = (1 + 1e-6, 1.05, 1.1, 1.5, 2, 2.5, 3, 3.7, 4.7, 6, 10, 30, 60)
@@ -238,6 +249,28 @@ class TestHurwitzTail:
         with deadline(5):
             got = asy._tail(1.0, s, H)
         assert got == want
+
+    def test_no_decimal_context_setting_reaches_the_sums(self):
+        # the tail and count_log's exact tier set every field of their decimal
+        # contexts, so odd defaults and an odd thread context change nothing
+        cells = [(1.5, 0), (1.5, 1), (2.5, 64), (3.0, 64), (30.0, 47), (1e300, 1)]
+        code = (
+            "import decimal, json\n"
+            "from setcensus import asymptotics, exact, species\n"
+            "odd = dict(prec=3, rounding=decimal.ROUND_FLOOR, Emin=-9, Emax=9)\n"
+            "for field, value in odd.items():\n"
+            "    setattr(decimal.DefaultContext, field, value)\n"
+            "decimal.DefaultContext.traps[decimal.Inexact] = True\n"
+            "decimal.setcontext(decimal.Context(**odd, traps=[decimal.Inexact, "
+            "decimal.Underflow, decimal.FloatOperation]))\n"
+            "trees = species.builtin('trees')\n"
+            "print(json.dumps([exact.count_log(trees, 10, 3), exact.count_log(trees, 40, 30)]\n"
+            f"    + [asymptotics._tail(1.0, s, H) for s, H in {cells!r}]))"
+        )
+        trees = species.builtin("trees")
+        want = [exact.count_log(trees, 10, 3), exact.count_log(trees, 40, 30)]
+        want += [asy._tail(1.0, s, H) for s, H in cells]
+        assert run_child(code) == want
 
 
 # (alpha, lambda, x_lambda, C(x_lambda), sigma2) of synthetic(1, 0.5, alpha),

@@ -149,3 +149,32 @@ def test_synthetic_class_loads_nothing_heavy():
         f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
     )
     assert loaded == []
+
+
+# the Hurwitz tail at the radius is a decimal sum: classes whose head needs no
+# mpmath (integer alpha, explicit lists) reach lambda* and the estimates without it
+SCALAR_CLASSES = {
+    "synthetic": "species.synthetic(1, 0.5, 2)",
+    "list-growth": (
+        "species.from_coefficients('trees-list', "
+        "species.coefficients(species.builtin('trees'), 240), species.builtin('trees').growth)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CLASSES))
+def test_lambda_star_and_estimates_at_the_radius_load_no_mpmath(name):
+    loaded = run_child(
+        "import json, sys\n"
+        "from setcensus import asymptotics, species\n"
+        f"cls = {SCALAR_CLASSES[name]}\n"
+        "for lam in (0.3, asymptotics.lambda_star(cls)):\n"
+        "    asymptotics.estimate(cls, 300, lam)\n"
+        "print(json.dumps([m for m in ('mpmath',) if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+def test_constants_of_an_integer_alpha_synthetic_class_load_no_mpmath(tmp_path):
+    argv = ["constants", "--synthetic", "1", "0.5", "2", "--lambda", "0.3"]
+    assert cli_loads(tmp_path, argv, HEAVY) == [0, []]
