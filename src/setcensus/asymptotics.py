@@ -46,9 +46,7 @@ _CRITICAL_WINDOW = 1e-9  # the half-width of the closed critical window around l
 _ALPHA_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _HEAD_TERMS = 64
-# the float tail sums z <= 1 - _TAIL_BAND; mpmath takes the band above it up to
-# z < 1, and z = 1 is a decimal Hurwitz sum
-_TAIL_BAND = 2.0**-8
+_TAIL_BAND = 2.0**-8  # the float tail sums z <= 1 - _TAIL_BAND; mpmath the band up to z < 1
 _TAIL_DIGITS = 34  # significant digits of the decimal Hurwitz sum at z = 1
 _TAIL_LOG_EPS = math.log(1e-34)  # its Euler-Maclaurin truncation bound, relative to the sum
 _EM_TERMS = 40  # the most Bernoulli terms it takes
