@@ -147,11 +147,12 @@ def _tilt(cls, n, k):
     is above the critical window (asymptotics._regime), else rho, and for a
     class without growth parameters the x where the size law truncated to
     n - k + 1 sizes has mean n/k.  Any x gives the same count; this one keeps
-    the weights near the sizes a composition of n into k parts uses."""
+    the weights near the sizes a composition of n into k parts uses.  The
+    class without growth parameters keeps its tilt in the class's cache."""
     if cls.growth is None:
         from . import weights
 
-        return weights._mean_tilt(cls, n - k + 1, n / k)
+        return species.cached(cls, ("tilt", n, k), weights._mean_tilt, cls, n - k + 1, n / k)
     lam, lam_star = k / n, asymptotics.lambda_star(cls)
     if lam < 1.0 and asymptotics._regime(lam, lam_star) is asymptotics.Regime.ABOVE:
         return asymptotics.solve_supercritical(cls, lam).x_lambda

@@ -27,9 +27,9 @@ entries of any longer one.
 
 Each size table is solved once per class, x and n_max and kept in the
 class's one bounded cache (species.cached); every size_distribution call
-returns a new SizeDistribution over the cached read-only arrays, and forest
-and cross-check draws read the same cache.  A cap of species._table_cap
-lowered after a table was cached still applies to it.
+returns a new SizeDistribution over the cached read-only arrays, and
+composition and cross-check draws read the same cache.  A cap of
+species._table_cap lowered after a table was cached still applies to it.
 
 All randomness flows through a caller-supplied numpy Generator; a fixed seed
 fixes every sample exactly.  sample_set draws each size with one scalar
@@ -39,32 +39,36 @@ no component and of one component of size j return shared immutable
 Compositions; the one-component ones are made on first use and kept by j
 alone, so they are at most as many as the distinct sizes ever drawn.
 
-sample_forest conditions on total n a block of rejection attempts at a
-time: it saves the bit generator's state, draws every uniform of the block
-in one call and maps them to sizes.  A block of at most 512 uniforms is
-looked up with one cdf.searchsorted call; a longer one goes through a
-4096-bucket guide table (Chen and Asau, 1974), where a bucket whose index
-is constant holds it and the others fall back to searchsorted.  u * 4096
-is exact, so both give the sizes of the inverse-CDF search bit for bit.
-On a hit before the block's last attempt the state is restored and only
-the attempts up to the hit are drawn again, so forests, attempt counts
-and every later draw from the same Generator are what testing one attempt
-at a time gives, whatever the block size.  Every block holds the fewest
-attempts that hit with probability 0.9, from the exact acceptance p, and
-at most about 8192 uniforms: one attempt when p = 1 (n = k), the cap when
-p underflows to 0.  Each (x, n, k) keeps p and the block size in a plan in
-the trees class's cache (_forest_plan).  This needs rng to be a
-numpy.random.Generator.  An accepted size vector is dressed with one
-shuffle of the labels 1..n, which makes the swaps and draws of
-rng.permutation(n), and one Pruefer draw per forest: the sequences of all
-blocks of m >= 3 vertices come from one rng.integers call with bound m
-repeated m - 2 times, in block order, which gives the integers of one
-rng.integers(0, m, m - 2) call per block.  Sequences of at most three
-integers in all are drawn one scalar call each, which is cheaper and gives
-the same integers.  Blocks of one or two vertices take no sort, no draw and
-no call.  When the budget runs out, RetryBudgetError carries the exact
-per-attempt acceptance (a truncated convolution power of the size law) and
-the max_rejects that succeeds with probability 0.95.
+sample_composition conditions k sizes of any class on total n, a block of
+rejection attempts at a time: it saves the bit generator's state, draws
+every uniform of the block in one call and maps them to sizes.  A block of
+at most 512 uniforms is looked up with one cdf.searchsorted call; a longer
+one goes through a 4096-bucket guide table (Chen and Asau, 1974), where a
+bucket whose index is constant holds it and the others fall back to
+searchsorted.  u * 4096 is exact, so both give the sizes of the inverse-CDF
+search bit for bit.  On a hit before the block's last attempt the state is
+restored and only the attempts up to the hit are drawn again, so sizes,
+attempt counts and every later draw from the same Generator are what
+testing one attempt at a time gives, whatever the block size.
+mc_sum_probability tests its attempts with the same kernel (_attempts).
+Every block holds the fewest attempts that hit with probability 0.9, from
+the exact acceptance p, and at most about 8192 uniforms: one attempt when
+p = 1 (n = k), the cap when p underflows to 0.  Each (x, n, k) keeps p and
+the block size in a plan in the drawn class's own cache (_forest_plan).
+This needs rng to be a numpy.random.Generator.  sample_forest is the trees
+composition, dressed with one shuffle of the labels 1..n, which makes the
+swaps and draws of rng.permutation(n), and one Pruefer draw per forest: the
+sequences of all blocks of m >= 3 vertices come from one rng.integers call
+with bound m repeated m - 2 times, in block order, which gives the integers
+of one rng.integers(0, m, m - 2) call per block.  Sequences of at most
+three integers in all are drawn one scalar call each, which is cheaper and
+gives the same integers.  Blocks of one or two vertices take no sort, no
+draw and no call.  When the budget runs out, RetryBudgetError carries the
+exact per-attempt acceptance (a truncated convolution power of the size
+law) and the max_rejects that succeeds with probability 0.95.  An
+acceptance of exactly 0 whose cause is the span of the class (every size
+is 1 plus a multiple of d, and d does not divide n - k) is a count of 0,
+and raises DomainError instead.
 """
 
 import math
@@ -129,14 +133,16 @@ class SizeDistribution(
 
 
 class Composition(namedtuple("Composition", "kappa sizes")):
-    """A draw from the unconditioned Boltzmann model: component sizes only."""
+    """A Boltzmann draw of component sizes only: from the unconditioned model
+    (sample_set), or conditioned on kappa = k and sizes that total n
+    (sample_composition)."""
 
     __slots__ = ()
 
     def __new__(cls, kappa, sizes):
         if len(sizes) != kappa:
             raise DomainError("composition size list does not match kappa")
-        return super().__new__(cls, kappa, sizes)
+        return tuple.__new__(cls, (kappa, sizes))  # a Python call fewer than super().__new__
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make: check its fields too
@@ -386,19 +392,37 @@ def _forest_trees(sizes, blocks, rng):
     return tuple(trees)
 
 
-def _forest_plan(trees_cls, x, n, k):
+def _forest_plan(cls, x, n, k):
     """(size table, exact per-attempt acceptance p, attempts per block) for k
     sizes that total n at x.  A block holds the fewest attempts that hit with
     probability 0.9, at most max(1, _BLOCK_MAX // k): one when p = 1, the cap
-    when p underflows to 0."""
-    table = _size_table(trees_cls, x, n - k + 1)
+    when p underflows to 0.  DomainError when the count is 0 because every
+    size is 1 plus a multiple of a span d that n - k is not."""
+    table = _size_table(cls, x, n - k + 1)
     p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
     block = max(1, _BLOCK_MAX // k)
     if p >= 1:  # n = k: every attempt hits
         block = 1
     elif p > 0:
         block = math.ceil(min(math.log(0.1) / math.log1p(-p), block))
+    else:
+        # read at the default tilt (mean size n/k): at a tiny x, weights of sizes that
+        # have objects underflow to 0, as size 4 of a list of sizes 1, 3, 4 at x = 1e-100
+        pmf = _size_table(cls, exact._tilt(cls, n, k), n - k + 1).pmf
+        d = math.gcd(*np.flatnonzero(pmf).tolist())  # 0 when size 1 alone has objects
+        if d == 0 or (n - k) % d:
+            raise DomainError(
+                f"no object of class {cls.name} has {n} vertices and {k} components: each "
+                f"component size up to {n - k + 1} is 1 plus a multiple of {d}, and n - k is not"
+            )
     return table, p, block
+
+
+def _attempts(cdf, guide, k, total, u):
+    """Size indices for the uniforms u, k to a row, and whether each row sums to total."""
+    idx = _size_indices(cdf, guide, u).reshape(-1, k)
+    sums = idx @ _ONES[:k] if k <= _MATMUL_MAX_K else np.add.reduce(idx, axis=1)
+    return idx, sums == total
 
 
 def _first_hit(cdf, guide, k, total, rng, max_rejects, block):
@@ -411,61 +435,75 @@ def _first_hit(cdf, guide, k, total, rng, max_rejects, block):
     only, so it stands where testing one attempt at a time would leave it.
     """
     bits = rng.bit_generator
-    ones = _ONES[:k] if k <= _MATMUL_MAX_K else None
     left = max_rejects + 1
     while left:
         b = min(block, left)
         state = bits.state
-        idx = _size_indices(cdf, guide, rng.random(b * k))
-        if ones is not None:
-            sums = idx.reshape(b, k) @ ones
-        else:
-            sums = np.add.reduce(idx.reshape(b, k), axis=1)
-        hit = sums == total
+        idx, hit = _attempts(cdf, guide, k, total, rng.random(b * k))
         j = int(hit.argmax())
         if hit[j]:
             if j < b - 1:
                 bits.state = state
                 rng.random((j + 1) * k)
-            return idx[j * k : (j + 1) * k].tolist()
+            return idx[j].tolist()
         left -= b
     return None
+
+
+def _check_rng(rng):
+    """rng itself, or a fresh Generator for None; DomainError for anything else."""
+    if rng is None:
+        return np.random.default_rng()
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(
+            f"rng must be a numpy.random.Generator, not {type(rng).__name__}; "
+            "pass numpy.random.default_rng(seed)"
+        )
+    return rng
+
+
+def sample_composition(cls, n, k, x=None, rng=None, max_rejects=10_000):
+    """Boltzmann composition of exactly k components with sizes that total n.
+
+    The k sizes are iid from the class's size law at x, truncated at
+    n - k + 1, and conditioned on total n by rejection, so a size vector
+    comes with probability proportional to the number of objects that have
+    those component sizes in that order.  The default x is the tilt of
+    exact.count_log's float tier (exact._tilt).  rng must be a
+    numpy.random.Generator (default: a fresh unseeded one).  RetryBudgetError
+    when all max_rejects + 1 attempts miss; DomainError when the span of the
+    class's sizes makes count(n, k) = 0.
+    """
+    n, k = exact._check_domain(n, k)
+    max_rejects = check_int("max_rejects", max_rejects, 0)
+    rng = _check_rng(rng)
+    # a class with growth tilts its default x afresh on every draw; a plan's solve checks x > 0
+    x = exact._tilt(cls, n, k) if x is None else check_real("boltzmann parameter x", x)
+    table, p, block = species.cached(cls, ("forest", x, n, k), _forest_plan, cls, x, n, k)
+    species._table_cap(cls, table.n_max)  # a cap lowered after the plan was cached
+    # 0-based size indices: the sizes total n exactly when these total n - k
+    idx = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects, block)
+    if idx is None:
+        raise _budget_error(table.x, p, n, max_rejects + 1)
+    return Composition(k, tuple([i + 1 for i in idx]))
 
 
 def sample_forest(n, k, x=None, rng=None, max_rejects=10_000):
     """Uniform labeled forest of exactly k trees on vertices 1..n.
 
-    Component sizes come from the Boltzmann size law conditioned on total n by
-    rejection (at parameter x; the default is the tilt of exact.count_log's
-    float tier: the saddle x_lambda for lambda = k/n above the threshold 1/2
-    and its critical window, the radius e^{-1} otherwise), the
-    vertex partition is uniform given the sizes, and each component is a
-    uniform labeled tree via a Pruefer draw.  rng must be a
-    numpy.random.Generator (default: a fresh unseeded one).
+    The component sizes are sample_composition's draw for the trees class
+    (at parameter x; the default is the tilt of exact.count_log's float
+    tier: the saddle x_lambda for lambda = k/n above the threshold 1/2 and
+    its critical window, the radius e^{-1} otherwise), the vertex partition
+    is uniform given the sizes, and each component is a uniform labeled tree
+    via a Pruefer draw.  rng must be a numpy.random.Generator (default: a
+    fresh unseeded one).
     """
-    n, k = exact._check_domain(n, k)
-    max_rejects = check_int("max_rejects", max_rejects, 0)
-    if rng is None:
-        rng = np.random.default_rng()
-    elif not isinstance(rng, np.random.Generator):
-        raise DomainError(
-            f"rng must be a numpy.random.Generator, not {type(rng).__name__}; "
-            "pass numpy.random.default_rng(seed)"
-        )
-    trees_cls = species.builtin("trees")
-    # the default x is tilted afresh on every draw; a plan's solve checks x > 0
-    x = exact._tilt(trees_cls, n, k) if x is None else check_real("boltzmann parameter x", x)
-    table, p, block = species.cached(
-        trees_cls, ("forest", x, n, k), _forest_plan, trees_cls, x, n, k
-    )
-    species._table_cap(trees_cls, table.n_max)  # a cap lowered after the plan was cached
-    # 0-based size indices: the sizes total n exactly when these total n - k
-    idx = _first_hit(table.cdf, table.guide, k, n - k, rng, max_rejects, block)
-    if idx is None:
-        raise _budget_error(table.x, p, n, max_rejects + 1)
-    sizes = [i + 1 for i in idx]
+    rng = _check_rng(rng)  # the sizes and their dressing share one generator
+    sizes = sample_composition(species.builtin("trees"), n, k, x, rng, max_rejects).sizes
     blocks = _partition(sizes, rng)
-    return LabeledForest(n=n, blocks=blocks, trees=_forest_trees(sizes, blocks, rng))
+    # the sizes total n as sample_composition checked it: an int, also for n = 6.0
+    return LabeledForest(n=sum(sizes), blocks=blocks, trees=_forest_trees(sizes, blocks, rng))
 
 
 def _budget_error(x, p, n, attempts):
@@ -524,14 +562,15 @@ def mc_sum_probability(cls, x, k, n, trials, rng):
     """
     n, k = exact._check_domain(n, k)
     trials = check_int("trials", trials, 1)
+    rng = _check_rng(rng)
     dist = _size_table(cls, x, n_max=n - k + 1)
     hits = 0
     chunk = max(1, min(trials, 10_000_000 // k))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        idx = _size_indices(dist.cdf, dist.guide, rng.random(m * k)).reshape(m, k)
-        hits += int(np.count_nonzero(idx.sum(axis=1) == n - k))
+        _idx, hit = _attempts(dist.cdf, dist.guide, k, n - k, rng.random(m * k))
+        hits += int(np.count_nonzero(hit))
         done += m
     p = hits / trials
     stderr = math.sqrt(p * (1.0 - p) / trials)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -690,6 +691,14 @@ class TestSumProbability:
         sizes = d.cdf.searchsorted(np.random.default_rng(8).random(15000), side="right") + 1
         assert mc.hits == int(np.count_nonzero(sizes.reshape(5000, 3).sum(axis=1) == 7))
 
+    def test_mc_takes_a_generator_or_none(self):
+        trees = species.builtin("trees")
+        mc = sampler.mc_sum_probability(trees, 0.3, 3, 7, 50, None)
+        assert mc.trials == 50 and 0 <= mc.hits <= 50
+        for rng in (random.Random(1), np.random.RandomState(0), 7):
+            with pytest.raises(DomainError, match=r"numpy\.random\.default_rng\(seed\)"):
+                sampler.mc_sum_probability(trees, 0.3, 3, 7, 50, rng)
+
     def test_mc_single_component_matches_pmf(self):
         trees = species.builtin("trees")
         d = sampler.size_distribution(trees, 0.1, n_max=3)
@@ -697,6 +706,152 @@ class TestSumProbability:
         rng = np.random.default_rng(31)
         mc = sampler.mc_sum_probability(trees, 0.1, 1, 3, 40000, rng)
         assert abs(mc.estimate - want) <= 3 * mc.stderr
+
+
+def _partitions(n, k, most):
+    """Partitions of n into k parts of at most most each, parts decreasing."""
+    if k == 0:
+        return [()] if n == 0 else []
+    return [
+        (m, *rest)
+        for m in range(min(n - k + 1, most), 0, -1)
+        for rest in _partitions(n - m, k - 1, m)
+    ]
+
+
+def _sorted_size_law(cls, n, k):
+    """P(sorted sizes = m) for every partition m of n into k parts with a non-zero
+    count: n!/(prod m_i! prod mu_r!) prod |C_{m_i}| / count(n, k), as a Fraction."""
+    counts = species.coefficients(cls, n - k + 1)
+    total = exact.count(cls, n, k)
+    law = {}
+    for m in _partitions(n, k, n - k + 1):
+        ways = math.factorial(n)
+        for size in m:
+            ways = ways * counts[size - 1] // math.factorial(size)
+        for mu in Counter(m).values():
+            ways //= math.factorial(mu)
+        if ways:
+            law[m] = Fraction(ways, total)
+    assert sum(law.values()) == 1
+    return law
+
+
+_BARE_LIST = [1 if j <= 2 else j ** (j - 2) for j in range(1, 14)]
+_BARE_LIST[1] = _BARE_LIST[4] = 0  # no components of 2 or 5 vertices
+
+
+class TestComposition:
+    @pytest.mark.parametrize("n,k", [(12, 4), (20, 8)])
+    @pytest.mark.parametrize("name", ["cacti", "husimi", "poly", "synthetic", "bare-list"])
+    def test_sorted_sizes_follow_the_exact_law(self, frozen_classes, name, n, k):
+        if name == "synthetic":
+            cls = species.synthetic(1, 0.5, 2.5)
+        elif name == "bare-list":
+            cls = species.from_coefficients("gapped-cayley-13", _BARE_LIST)
+        else:
+            cls = frozen_classes[name]  # "poly" is c4: blocks of 2, 3 and 4 vertices
+        law = _sorted_size_law(cls, n, k)
+        draws = 4000
+        rng = np.random.default_rng(n * 100 + k)
+        seen = Counter()
+        for _ in range(draws):
+            comp = sampler.sample_composition(cls, n, k, rng=rng)
+            assert comp.kappa == k and sum(comp.sizes) == n
+            seen[tuple(sorted(comp.sizes, reverse=True))] += 1
+        assert set(seen) <= set(law)
+        # cells expected fewer than 5 times are pooled into one
+        cells, pooled = [], [0, 0.0]
+        for m, p in law.items():
+            if draws * p >= 5:
+                cells.append((seen[m], draws * float(p)))
+            else:
+                pooled[0] += seen[m]
+                pooled[1] += draws * float(p)
+        if pooled[1] > 0:
+            cells.append(tuple(pooled))
+        chi2 = sum((o - e) ** 2 / e for o, e in cells)
+        assert len(cells) >= 3
+        assert chi_square_sf(chi2, len(cells) - 1) > 1e-3
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (8, 6), (2000, 1200), (2000, 1990)])
+    def test_forest_sizes_are_the_trees_composition(self, monkeypatch, n, k):
+        trees = species.builtin("trees")
+        before_dressing = []
+        partition = sampler._partition
+
+        def recording(sizes, rng):
+            before_dressing.append((tuple(sizes), rng.bit_generator.state))
+            return partition(sizes, rng)
+
+        monkeypatch.setattr(sampler, "_partition", recording)
+        ours, ref = np.random.default_rng(n + k), np.random.default_rng(n + k)
+        for _ in range(3):
+            comp = sampler.sample_composition(trees, n, k, rng=ours)
+            forest = sampler.sample_forest(n, k, rng=ref)
+            assert before_dressing.pop() == (comp.sizes, ours.bit_generator.state)
+            assert tuple(len(b) for b in forest.blocks) == comp.sizes
+            blocks = partition(comp.sizes, ours)
+            edges = sampler._forest_trees(comp.sizes, blocks, ours)
+            assert forest == sampler.LabeledForest(n=n, blocks=blocks, trees=edges)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_sizes_are_python_ints(self):
+        comp = sampler.sample_composition(
+            species.builtin("cacti"), 12.0, np.int64(4), rng=np.random.default_rng(3)
+        )
+        assert type(comp) is sampler.Composition and comp.kappa == 4
+        assert all(type(s) is int for s in comp.sizes)
+        forest = sampler.sample_forest(6.0, 2, rng=np.random.default_rng(3))
+        assert type(forest.n) is int and forest.n == 6
+
+    @pytest.mark.parametrize(
+        "bprime,n,k", [(None, 5, 2), (["0", "0", "1/2"], 11, 4), (["0", "0", "1/2"], 401, 200),
+                       (["0", "0", "1/2"], 2001, 1000)],
+    )
+    def test_a_count_of_zero_is_a_domain_error(self, tmp_path, bprime, n, k):
+        # odd sizes only: every component has 1 plus a multiple of 2 vertices
+        if bprime is None:
+            cls = species.from_coefficients("odd", [1, 0, 6, 0, 120, 0, 5040])
+        else:
+            path = tmp_path / "triangles.json"
+            doc = {"name": "triangles", "block": {"kind": "poly", "bprime": bprime}}
+            path.write_text(json.dumps(doc))
+            cls = species.from_file(path)
+        if n <= 12:
+            assert exact.count(cls, n, k) == 0
+        message = f"no object of class .* has {n} vertices and {k} components"
+        with pytest.raises(DomainError, match=message):
+            sampler.sample_composition(cls, n, k, rng=np.random.default_rng(0))
+        # one vertex more is a count that is not 0
+        comp = sampler.sample_composition(cls, n + 1, k, rng=np.random.default_rng(0))
+        assert sum(comp.sizes) == n + 1
+
+    def test_weights_lost_to_underflow_do_not_make_a_count_of_zero(self):
+        # at x = 1e-100 sizes 1 and 3 keep a weight and size 4 underflows to 0
+        cls = species.from_coefficients("one-three-four", [1, 0, 6, 24])
+        assert exact.count(cls, 4, 1) == 24
+        assert np.flatnonzero(sampler.size_distribution(cls, 1e-100).pmf).tolist() == [0, 2]
+        with pytest.raises(RetryBudgetError, match="underflows to 0"):
+            sampler.sample_composition(cls, 4, 1, x=1e-100, rng=np.random.default_rng(0))
+
+    def test_a_class_without_growth_solves_its_tilt_once(self, monkeypatch):
+        cls = species.from_coefficients("cayley-13", _CAYLEY[:13])
+        want = weights._mean_tilt(cls, 9, 3.0)
+        solves = []
+        solve = weights._mean_tilt
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(weights, "_mean_tilt", counting)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            sampler.sample_composition(cls, 12, 4, rng=rng)
+        assert exact._tilt(cls, 12, 4).hex() == want.hex()
+        assert len(solves) == 1
+        assert ("forest", want, 12, 4) in cls._scalar_cache
 
 
 class TestChiSquare:
