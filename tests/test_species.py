@@ -359,6 +359,64 @@ class TestFrozenGrowth:
         assert _digest(species.y_series(species.builtin("husimi"), 200)) == _FROZEN_HUSIMI_Y
 
 
+_SYNTHETIC_B = {"1": 1.0, "1/sqrt(2pi)": 1 / math.sqrt(2 * math.pi)}
+_SYNTHETIC_RHO = {"0.5": 0.5, "2": 2.0, "0.05": 0.05, "1/e": math.exp(-1), "0.999": 0.999}
+_SYNTHETIC_ALPHA = (1.5, 2, 2.5, 3, 3.5)
+
+# SHA-256 prefixes of the decimal counts |C_1..300| of synthetic(b, rho, alpha),
+# comma-joined, one per alpha of _SYNTHETIC_ALPHA, as the Fraction running
+# product (integer alpha) and mpmath (half-integer alpha) gave them
+_FROZEN_SYNTHETIC = {
+    ("1", "0.5"): ("e486b7bcf9e6986c", "2fcd84e0cc4fec52", "f8edf4e95f44ae5e",
+                   "73554abdf1c38cf7", "ed176328fe390bf8"),
+    ("1", "2"): ("8e641dcc1e4b8124", "e10505fed8d61713", "84505980472b91ed",
+                 "336e8a183323df8e", "4cbcea6e918256e3"),
+    ("1", "0.05"): ("13c5303805f9b74e", "6585354796156fb1", "31ac0995e2381cb2",
+                    "4792d67f5d7ddc10", "579ea71bd73a48ba"),
+    ("1", "1/e"): ("757782d1b5d31bf2", "a967f55c5e0c4f72", "a1f627ea133877ac",
+                   "6fa3b42a04578831", "61bd07bb3466b799"),
+    ("1", "0.999"): ("f444e86126a7d1ff", "ec859a9a4bf8e028", "66afb45f95459d78",
+                     "68c1aa919300f22e", "ad1d204a2a15e4aa"),
+    ("1/sqrt(2pi)", "0.5"): ("e74646c5202e5e55", "7f95daa00bfb26dd", "33cdae2b2570ccff",
+                             "49d31fa27cdced34", "b5bda83e09153a75"),
+    ("1/sqrt(2pi)", "2"): ("db6741d2951f6ee1", "5bd9249b0a44d9b4", "572f49524e9f94f5",
+                           "1a45edd1e4b76cc4", "8ad5bda803d5a5be"),
+    ("1/sqrt(2pi)", "0.05"): ("5b0b8c4ef907d13e", "4c5a838123607c3d", "fe3c9e83ead36694",
+                              "3202d96cc2816138", "3ba095235b3724f9"),
+    ("1/sqrt(2pi)", "1/e"): ("64ec006713a5f746", "fb15556e6eafc447", "d7c01401295430d9",
+                             "9c9047bbfc69e8a8", "639fe5c6119fc570"),
+    ("1/sqrt(2pi)", "0.999"): ("81a3e640d3a64d6d", "a20ee4d70ccce1ab", "d32d87184a652469",
+                               "f20cb2fe916ef018", "d90702c1d9aa2185"),
+}
+
+
+class TestFrozenSynthetic:
+    """Synthetic counts at integer and half-integer alpha, frozen before they
+    moved to one integer route."""
+
+    @pytest.mark.parametrize(
+        "b, rho", [pytest.param(*key, id=f"b={key[0]},rho={key[1]}") for key in _FROZEN_SYNTHETIC]
+    )
+    def test_grid(self, b, rho):
+        got = tuple(
+            _digest(species.coefficients(
+                species.synthetic(_SYNTHETIC_B[b], _SYNTHETIC_RHO[rho], alpha), 300))
+            for alpha in _SYNTHETIC_ALPHA
+        )
+        assert got == _FROZEN_SYNTHETIC[b, rho]
+
+    def test_grown_from_137(self):
+        cls = species.synthetic(1 / math.sqrt(2 * math.pi), math.exp(-1), 2.5)
+        for t in (136, 137, 200, 300):
+            got = species.coefficients(cls, t)
+        assert _digest(got) == _FROZEN_SYNTHETIC["1/sqrt(2pi)", "1/e"][2]
+
+    @pytest.mark.parametrize("b, alpha", [(0.125, 1.5), (0.25, 2)])
+    def test_exact_tie_rounds_away_from_zero(self, b, alpha):
+        # b 2^n n! / n^(1+alpha) is exactly 3/2 at n = 4 (4^2.5 = 32, 4^3 = 64)
+        assert species.coefficients(species.synthetic(b, 0.5, alpha), 4) == [1, 0, 0, 2]
+
+
 # (kind, B' tail) of each block file for the recurrence oracle
 _ORACLE_SPECS = {
     "cacti": ("cactus", ()),
