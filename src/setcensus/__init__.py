@@ -9,11 +9,11 @@ sampler; the three routes cross-validate each other.
 
 numpy and mpmath load on first use: `sampler` and `cli` are imported when
 first reached as attributes of the package, and only the Lerch tail in the
-band just below the radius and synthetic coefficients at fractional alpha
-import mpmath, when called (the Hurwitz tail at the radius is a decimal
-sum).  So does the standard library's fractions, which only synthetic
-counts at integer alpha, poly block files and the exact sum probability
-use.  Every record is a named tuple, so no module imports dataclasses.
+band just below the radius and synthetic counts where 2 alpha is not an
+integer import mpmath, when called (the Hurwitz tail at the radius is a
+decimal sum).  The standard library's fractions loads only for poly block
+files and the exact sum probability.  Every record is a named tuple, so no
+module imports dataclasses.
 """
 
 import importlib

@@ -66,9 +66,8 @@ gives the same integers.  Blocks of one or two vertices take no sort, no
 draw and no call.  When the budget runs out, RetryBudgetError carries the
 exact per-attempt acceptance (a truncated convolution power of the size
 law) and the max_rejects that succeeds with probability 0.95.  An
-acceptance of exactly 0 whose cause is the span of the class (every size
-is 1 plus a multiple of d, and d does not divide n - k) is a count of 0,
-and raises DomainError instead.
+acceptance of exactly 0 where no k sizes of the class total n is a count of
+0, and raises DomainError instead.
 """
 
 import math
@@ -396,8 +395,8 @@ def _forest_plan(cls, x, n, k):
     """(size table, exact per-attempt acceptance p, attempts per block) for k
     sizes that total n at x.  A block holds the fewest attempts that hit with
     probability 0.9, at most max(1, _BLOCK_MAX // k): one when p = 1, the cap
-    when p underflows to 0.  DomainError when the count is 0 because every
-    size is 1 plus a multiple of a span d that n - k is not."""
+    when p underflows to 0.  DomainError when the count is 0 because no k
+    sizes with objects total n."""
     table = _size_table(cls, x, n - k + 1)
     p = math.exp(_log_power_coefficient(table.pmf, k, n - k))
     block = max(1, _BLOCK_MAX // k)
@@ -409,13 +408,21 @@ def _forest_plan(cls, x, n, k):
         # read at the default tilt (mean size n/k): at a tiny x, weights of sizes that
         # have objects underflow to 0, as size 4 of a list of sizes 1, 3, 4 at x = 1e-100
         pmf = _size_table(cls, exact._tilt(cls, n, k), n - k + 1).pmf
-        d = math.gcd(*np.flatnonzero(pmf).tolist())  # 0 when size 1 alone has objects
-        if d == 0 or (n - k) % d:
-            raise DomainError(
-                f"no object of class {cls.name} has {n} vertices and {k} components: each "
-                f"component size up to {n - k + 1} is 1 plus a multiple of {d}, and n - k is not"
-            )
+        if not _in_sumset(pmf > 0, k, n - k):
+            raise DomainError(f"no object of class {cls.name} has {n} vertices and {k} "
+                              f"components: no {k} sizes of its components total {n}")
     return table, p, block
+
+
+def _in_sumset(support, k, total):
+    """Whether k indices where the boolean support holds sum to total: binary
+    powering of a boolean convolution, truncated at total as _log_power_coefficient."""
+    have, base = np.arange(total + 1) == 0, support
+    while k:
+        if k & 1:
+            have = np.convolve(have, base)[: total + 1]
+        base, k = np.convolve(base, base)[: total + 1], k >> 1
+    return bool(have[total])
 
 
 def _attempts(cdf, guide, k, total, u):
@@ -471,8 +478,8 @@ def sample_composition(cls, n, k, x=None, rng=None, max_rejects=10_000):
     those component sizes in that order.  The default x is the tilt of
     exact.count_log's float tier (exact._tilt).  rng must be a
     numpy.random.Generator (default: a fresh unseeded one).  RetryBudgetError
-    when all max_rejects + 1 attempts miss; DomainError when the span of the
-    class's sizes makes count(n, k) = 0.
+    when all max_rejects + 1 attempts miss; DomainError when count(n, k) = 0
+    because no k sizes of the class's components total n.
     """
     n, k = exact._check_domain(n, k)
     max_rejects = check_int("max_rejects", max_rejects, 0)

@@ -7,7 +7,8 @@ four ways:
 * built-ins: labeled trees, cactus graphs, Husimi trees (blocks are single
   edges, edges-or-cycles, and complete graphs respectively);
 * synthetic classes whose counts are defined directly by the growth formula
-  |C_n| = round(b * n^{-(1+alpha)} * rho^{-n} * n!);
+  |C_n| = round(b * n^{-(1+alpha)} * rho^{-n} * n!), exact in Python integers
+  where 2 alpha is an integer and in mpmath otherwise;
 * explicit coefficient lists, optionally with declared growth parameters;
 * definition files (JSON) covering the two previous forms plus named or
   polynomial block specifications.
@@ -298,52 +299,49 @@ def _cayley(n):
     return 1 if n <= 2 else n ** (n - 2)
 
 
-def _round_half_away(q):
-    """Round a positive Fraction half away from zero."""
-    quot, rem = divmod(q.numerator, q.denominator)
-    return quot + (1 if 2 * rem >= q.denominator else 0)
-
-
 def _synthetic_coeff(growth, n):
-    """max(round(b n^{-(1+alpha)} rho^{-n} n!), [n=1]) at fractional alpha, half away from 0."""
+    """round(b n^{-(1+alpha)} rho^{-n} n!), half away from 0, in mpmath."""
     b, rho, alpha = growth.b, growth.rho, growth.alpha
-    bits = (
-        math.log2(b)
-        - (1 + alpha) * math.log2(n)
-        - n * math.log2(rho)
-        + (math.lgamma(n + 1) / math.log(2))
-    )
-    prec = max(96, int(bits) + 96)
+    bits = math.log2(b) - (1 + alpha) * math.log2(n) - n * math.log2(rho)
+    bits += math.lgamma(n + 1) / math.log(2)
     import mpmath
 
-    with mpmath.workprec(prec):
-        v = (
-            mpmath.mpf(b)
-            * mpmath.power(n, -(1 + alpha))
-            * mpmath.power(mpmath.mpf(rho), -n)
-            * mpmath.factorial(n)
-        )
-        val = int(mpmath.floor(v + mpmath.mpf("0.5")))
-    if n == 1:
-        val = max(val, 1)
-    return val
+    with mpmath.workprec(max(96, int(bits) + 96)):
+        v = mpmath.mpf(b) * mpmath.power(n, -(1 + alpha)) * mpmath.power(mpmath.mpf(rho), -n)
+        return int(mpmath.floor(v * mpmath.factorial(n) + mpmath.mpf("0.5")))
 
 
-def _synthetic_vector(growth, lo, hi):
-    """|C_lo..hi| of a synthetic class; the running n! and rho^-n start at lo."""
-    if float(growth.alpha).is_integer():
-        from fractions import Fraction  # on first use: importing species stays cheap
+def _synthetic_vector(growth, lo, hi, g=64):
+    """|C_lo..hi| of a synthetic class, max(round(V), [n = 1]) half away from 0.
 
-        # b and rho are dyadic rationals, so each value is an exact Fraction
-        bq, rinv, a1 = Fraction(growth.b), 1 / Fraction(growth.rho), 1 + int(growth.alpha)
-        fact, rpow, out = math.factorial(lo - 1), rinv ** (lo - 1), []
+    Where 2 alpha is an integer: with b = bn/bd and 1/rho = pd/pn, V = A / (B
+    n^(1+alpha)) for A = bn pd^n n! and B = bd pn^n, kept as A/B = Q + R/B with
+    0 <= R < B, so each step divides by B with a small quotient.  For x = 2A /
+    (B n^j), j = floor(1 + alpha), and q = floor(2^g x), floor(2V) is floor(x),
+    or at half-integer alpha isqrt(q^2 // n) >> g, one more by full squares
+    when x / sqrt(n) may be within 2^-g below the next integer."""
+    e = 2 * (1 + float(growth.alpha))
+    if not e.is_integer():
+        out = [_synthetic_coeff(growth, n) for n in range(lo, hi + 1)]
+    else:
+        j, odd = divmod(int(e), 2)
+        bn, bd = growth.b.as_integer_ratio()
+        pn, pd = growth.rho.as_integer_ratio()
+        B = bd * pn ** (lo - 1)
+        Q, R = divmod(bn * pd ** (lo - 1) * math.factorial(lo - 1), B)
+        out = []
         for n in range(lo, hi + 1):
-            fact *= n
-            rpow *= rinv
-            val = _round_half_away(bq * rpow * fact / n**a1)
-            out.append(max(val, 1) if n == 1 else val)
-        return out
-    return [_synthetic_coeff(growth, n) for n in range(lo, hi + 1)]
+            Q, r = divmod(Q * n * pd, pn)
+            d, R = divmod(r * B + R * n * pd, B * pn)
+            Q, B, C = Q + d, B * pn, n**j
+            q = ((Q << g + 1) + (R << g + 1) // B) // C
+            t = math.isqrt(q * q // n) >> g if odd else q >> g
+            if odd and ((t + 1) << g) ** 2 * n < (q + 1) ** 2:
+                t += 4 * (Q * B + R) ** 2 >= (t + 1) ** 2 * (B * C) ** 2 * n
+            out.append((t + 1) // 2)
+    if lo == 1:
+        out[0] = max(out[0], 1)
+    return out
 
 
 def check_synthetic_rho(growth):

@@ -152,9 +152,11 @@ def test_synthetic_class_loads_nothing_heavy():
 
 
 # the Hurwitz tail at the radius is a decimal sum: classes whose head needs no
-# mpmath (integer alpha, explicit lists) reach lambda* and the estimates without it
+# mpmath (2 alpha an integer, explicit lists) reach lambda* and the estimates without it
 SCALAR_CLASSES = {
     "synthetic": "species.synthetic(1, 0.5, 2)",
+    "synthetic-1.5": "species.synthetic(1, 0.5, 1.5)",
+    "synthetic-2.5": "species.synthetic(1, 0.5, 2.5)",
     "list-growth": (
         "species.from_coefficients('trees-list', "
         "species.coefficients(species.builtin('trees'), 240), species.builtin('trees').growth)"
@@ -178,3 +180,19 @@ def test_lambda_star_and_estimates_at_the_radius_load_no_mpmath(name):
 def test_constants_of_an_integer_alpha_synthetic_class_load_no_mpmath(tmp_path):
     argv = ["constants", "--synthetic", "1", "0.5", "2", "--lambda", "0.3"]
     assert cli_loads(tmp_path, argv, HEAVY) == [0, []]
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2, 2.5, 3])
+def test_synthetic_counts_at_integer_or_half_integer_alpha_load_no_mpmath_or_fractions(alpha):
+    loaded = run_child(
+        "import json, sys\n"
+        "from setcensus import species\n"
+        f"species.coefficients(species.synthetic(1, 0.5, {alpha}), 300)\n"
+        "print(json.dumps([m for m in ('mpmath', 'fractions') if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+def test_constants_of_a_half_integer_alpha_synthetic_class_load_no_mpmath_or_fractions(tmp_path):
+    argv = ["constants", "--synthetic", "1", "0.5", "2.5", "--lambda", "0.9"]
+    assert cli_loads(tmp_path, argv, ("mpmath", "fractions")) == [0, []]

@@ -827,6 +827,19 @@ class TestComposition:
         comp = sampler.sample_composition(cls, n + 1, k, rng=np.random.default_rng(0))
         assert sum(comp.sizes) == n + 1
 
+    def test_a_count_of_zero_inside_the_span_is_a_domain_error(self):
+        # sizes 1, 4 and 6 have span 1, but no two of them total 9
+        cls = species.from_coefficients("one-four-six", [1, 0, 0, 24, 0, 720, 0, 0])
+        assert exact.count(cls, 9, 2) == 0
+        message = "no object of class one-four-six has 9 vertices and 2 components"
+        with pytest.raises(DomainError, match=message):
+            sampler.sample_composition(cls, 9, 2, rng=np.random.default_rng(0))
+        # (10, 2) needs sizes up to 9, and 4 + 6 = 10 is the one way to make it
+        cls = species.from_coefficients("one-four-six", [1, 0, 0, 24, 0, 720, 0, 0, 0])
+        assert exact.count(cls, 10, 2) > 0
+        comp = sampler.sample_composition(cls, 10, 2, rng=np.random.default_rng(0))
+        assert sorted(comp.sizes) == [4, 6]
+
     def test_weights_lost_to_underflow_do_not_make_a_count_of_zero(self):
         # at x = 1e-100 sizes 1 and 3 keep a weight and size 4 underflows to 0
         cls = species.from_coefficients("one-three-four", [1, 0, 6, 24])

@@ -112,6 +112,22 @@ class TestSynthetic:
                 want = int(mpmath.floor(v + mpmath.mpf("0.5")))
                 assert got[n - 1] == want
 
+    @pytest.mark.parametrize("guard", [0, 64])
+    @pytest.mark.parametrize(
+        "b, rho",
+        [(1 / 64, 0.25), (1 / math.sqrt(2 * math.pi), math.exp(-1))],
+        ids=["dyadic", "trees"],
+    )
+    @pytest.mark.parametrize("alpha", [1.5, 2, 2.5])
+    def test_integer_route_matches_exact_squares(self, guard, b, rho, alpha):
+        # with no guard bits, floor(2V) at half-integer alpha often takes the full-square test
+        got = species._synthetic_vector(species.synthetic(b, rho, alpha).growth, 1, 80, guard)
+        for n in range(2, 81):
+            # (2V)^2 = 4 b^2 (n!)^2 rho^(-2n) / n^(2 + 2 alpha), exactly
+            x = (2 * Fraction(b) * math.factorial(n) / Fraction(rho) ** n) ** 2
+            x /= n ** int(2 + 2 * alpha)
+            assert got[n - 1] == (math.isqrt(x.numerator // x.denominator) + 1) // 2
+
     @pytest.mark.parametrize("b,rho,alpha", [(0, 1, 2), (1, 0, 2), (1, 1, 1), (1, 1, 0.5)])
     def test_parameter_validation(self, b, rho, alpha):
         with pytest.raises(ValidationError):
