@@ -3,12 +3,13 @@ import json
 import math
 import time
 from decimal import Context, Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from deadline import deadline
-from setcensus import asymptotics, exact, species
+from setcensus import asymptotics, exact, sampler, species
 from setcensus import powerseries as ps
 from setcensus.errors import DomainError, InternalConsistencyError, PrecisionError
 
@@ -196,6 +197,26 @@ class TestFrozenExact:
 
     def test_total_count_husimi(self):
         assert _digest(exact.total_count(species.builtin("husimi"), 120)) == "86348850fd530793"
+
+
+class TestFrozenOddPower:
+    """Odd k, whose last product multiplies by C, recorded from the full power
+    chain (every TestFrozenExact count has an even k)."""
+
+    @pytest.mark.parametrize(
+        "name,n,k,want",
+        [
+            ("cacti", 121, 61, "003b9a07457aedd1"),
+            ("husimi", 120, 41, "75f851a514e8e8fe"),
+            ("trees", 151, 31, "7a5389f4fc199080"),
+        ],
+    )
+    def test_count(self, name, n, k, want):
+        assert _digest(exact.count(species.builtin(name), n, k)) == want
+
+    def test_sum_size_probability(self):
+        p = sampler.sum_size_probability_exact(species.builtin("husimi"), Fraction(1, 5), 31, 90)
+        assert _digest(p) == "0824fe918fc2ed0a"
 
 
 _LIST = [1, 2, 9, 64, 625, 7776, 117649, 2097152]
