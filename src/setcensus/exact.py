@@ -2,8 +2,10 @@
 
 count(n, k) is the number of labeled objects on n vertices made of exactly k
 connected components: count(n, k) = (n!/k!) * [x^n] C(x)^k, a non-negative
-integer computed on the labeled counts |C_m| = m! [x^m] C in Python integers
-by powerseries.pow, where the EGF product is a binomial convolution.
+integer computed on the labeled counts |C_m| = m! [x^m] C in Python integers,
+where the EGF product is a binomial convolution.  count reads the one
+coefficient n! [x^n] C^k from powerseries.pow_top, which forms the power
+before the last through powerseries.pow and the last product only at n.
 count_table reuses one running power of C to produce a whole row of counts,
 and total_count takes powerseries.exp.  All three build lists of n + 1
 counts, so an n past species._table_cap raises PrecisionError.
@@ -15,9 +17,10 @@ chosen from (n, k) alone:
   log of the integer count(n, k), correctly rounded by the decimal module
   to 45 significant digits and then rounded to the nearest float (300
   digits give the same float at every count the tests compare).  Each of
-  the ~2 log2 k binomial convolutions behind count makes about
-  (n - k + 1)^2 / 2 big-integer products, half that for a square, and
-  about as many additions for the binomials of its window.  The bounds
+  the ~2 log2 k binomial convolutions behind count but the last makes
+  about (n - k + 1)^2 / 2 big-integer products, half that for a square,
+  and about as many additions for the binomials of its window; the last
+  is one dot of about n - k + 1 products.  The bounds
   stay where they were set for n (n - k + 1) products and full Pascal
   rows, so that no count_log output moves;
 * the float tier beyond: the Boltzmann identity of the weights module,
@@ -90,8 +93,8 @@ def _divide_exact(value, k_fact, what):
 def count(cls, n, k):
     """Number of objects with n vertices and exactly k components, exactly."""
     n, k = _check_domain(n, k)
-    power = ps.pow(_labeled_counts(cls, n, n - k + 1), k, n)
-    return _divide_exact(power[n], math.factorial(k), f"count({n}, {k})")
+    top = ps.pow_top(_labeled_counts(cls, n, n - k + 1), k, n)
+    return _divide_exact(top, math.factorial(k), f"count({n}, {k})")
 
 
 def _in_exact_tier(n, k):

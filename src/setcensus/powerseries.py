@@ -8,8 +8,11 @@ an integer.  mul skips the leading zeros of both factors, keeps only the
 binomials of its window and sums each pair of a square once, and pow forms
 each power of its binary chain only through the sizes that can still reach n,
 so C^k through n, with C from size 1, costs about (n - k + 1)^2 / 2 products
-and as many binomial additions per convolution, half that per square.  The
-exact routes of the package (exact.count, count_table, total_count and
+and as many binomial additions per convolution, half that per square.
+pow_top returns the entry n of C^k alone: it takes the last product of the
+chain as one binomial dot at n, about n - k + 1 products (half for a
+square) in place of that whole convolution.  The exact routes of the
+package (exact.count, count_table, total_count and
 sampler.sum_size_probability_exact) run on them.
 
 The module also holds the package's one solver of the block-decomposition
@@ -32,7 +35,7 @@ ModelViolationError naming the size.
 import math
 import numbers
 import operator
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import ModelViolationError
 
@@ -97,6 +100,27 @@ def pow(c, k, n):  # noqa: A001 - deliberate shadow, mirrors mul/exp naming
     half = pow(c, h, n - (k - h) * v)
     square = mul(half, half, n - (k & 1) * v)
     return mul(square, c, n) if k & 1 else square
+
+
+def pow_top(c, k, n):
+    """n! [x^n] C^k, the entry n of pow(c, k, n), without the rest of its last
+    product: C^(k-1) through n - v (k odd) or C^(k/2) through n - (k/2) v
+    (k even) comes from pow, and the product of it by C or by itself is the
+    one binomial dot sum_j C(n, j) f_j g_{n-j}, each pair of a square once."""
+    c = [*c, *[0] * (n + 1 - len(c))]
+    if not isinstance(k, numbers.Integral) or k < 2:
+        return pow(c, k, n)[n]  # raises for a bad k; C^0 = 1 and C^1 = c
+    v = next((j for j, x in enumerate(c) if x), n + 1)
+    if k * v > n:
+        return 0
+    b = v if k & 1 else k // 2 * v  # g starts at size b and f at a = k v - b
+    f = pow(c, k - 1, n - v) if k & 1 else pow(c, k // 2, n - b)
+    g, a, hi = (c, k * v - b, n - b) if k & 1 else (f, b, n // 2)
+    row = [*accumulate(range(a + 1, hi + 1), lambda r, j: r * (n - j + 1) // j, initial=math.comb(n, a))]
+    if k & 1:
+        return _dot(row, f[a : n - b + 1], reversed(g[b : n - a + 1]))
+    pairs = _dot(row, f[a : (n + 1) // 2], reversed(f[n // 2 + 1 : n - a + 1]))
+    return 2 * pairs + (0 if n & 1 else row[-1] * f[n // 2] ** 2)
 
 
 def exp(c, n):

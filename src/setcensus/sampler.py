@@ -557,8 +557,8 @@ def sum_size_probability_exact(cls, x, k, n, n_max=None):
     counts = species.coefficients(cls, M)
     total = sum(Fraction(c, math.factorial(j)) * x**j for j, c in enumerate(counts, start=1))
     # x^n k! count_M(n, k) / (n! W^k), count_M on sizes up to min(M, n - k + 1)
-    power = ps.pow(exact._labeled_counts(cls, n, min(M, n - k + 1)), k, n)
-    return power[n] * x**n / (math.factorial(n) * total**k)
+    top = ps.pow_top(exact._labeled_counts(cls, n, min(M, n - k + 1)), k, n)
+    return top * x**n / (math.factorial(n) * total**k)
 
 
 def mc_sum_probability(cls, x, k, n, trials, rng):

@@ -338,7 +338,7 @@ class TestAgainstOracle:
     def test_bad_product_raises(self, monkeypatch, corrupt):
         trees = species.builtin("trees")
         assert exact.count(trees, 6, 3) == forest_counts_oracle(species.coefficients(trees, 6))(6, 3)
-        product = ps.mul
+        product, top = ps.mul, ps.pow_top
 
         def corrupted(f, g, n):
             # only the product through the requested n: pow forms the inner
@@ -349,9 +349,11 @@ class TestAgainstOracle:
                 h[n] = corrupt(h[n])
             return h
 
-        monkeypatch.setattr(ps, "mul", corrupted)
+        # count takes its last product as one dot in pow_top, past any mul
+        monkeypatch.setattr(ps, "pow_top", lambda c, k, n: corrupt(top(c, k, n)))
         with pytest.raises(InternalConsistencyError):
             exact.count(trees, 6, 3)
+        monkeypatch.setattr(ps, "mul", corrupted)
         with pytest.raises(InternalConsistencyError):
             exact.count_table(trees, 6, [3])
 

@@ -93,6 +93,35 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="non-negative integer"):
             ps.pow([1, 1, 0, 0], k, 3)
 
+    @pytest.mark.parametrize("name", ["trees", "cacti", "husimi"])
+    def test_pow_top_matches_pow(self, name):
+        c = [0, *species.coefficients(species.builtin(name), 44)]
+        for n in range(1, 45):
+            for k in range(1, n + 1):
+                assert ps.pow_top(c, k, n) == ps.pow(c, k, n)[n], (n, k)
+
+    @pytest.mark.parametrize(
+        "c", [[0, 1, 0, 0, 24, 0, 720, 0, 0], [0, 0, 2, 0, 5, 7, 0, 1, 0, 0, 0], [0, 0, 0, 6, *[1] * 9]]
+    )
+    def test_pow_top_on_gapped_lists(self, c):
+        # leading zeros: C^k starts at k v, so k v > n gives 0 without a product
+        v = next(j for j, x in enumerate(c) if x)
+        beyond = 0
+        for n in range(len(c)):
+            for k in range(1, n + 2):
+                got = ps.pow_top(c, k, n)
+                assert got == ps.pow(c, k, n)[n], (n, k)
+                if k * v > n:
+                    beyond += 1
+                    assert got == 0, (n, k)
+        assert beyond > 0
+        assert [ps.pow_top(c, 1, n) for n in range(len(c))] == c
+
+    @pytest.mark.parametrize("k", [-1, 2.5, "2"])
+    def test_pow_top_rejects_bad_exponents(self, k):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ps.pow_top([0, 1, 1, 0], k, 3)
+
     def test_exp_of_x(self):
         # m! [x^m] e^x = 1; C = x has one structure of size 1
         got = ps.exp([1], 8)
