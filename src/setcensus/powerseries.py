@@ -106,8 +106,8 @@ def pow_top(c, k, n):
     """n! [x^n] C^k, the entry n of pow(c, k, n), without the rest of its last
     product: C^(k-1) through n - v (k odd) or C^(k/2) through n - (k/2) v
     (k even) comes from pow, and the product of it by C or by itself is the
-    one binomial dot sum_j C(n, j) f_j g_{n-j}, each pair of a square once."""
-    c = [*c, *[0] * (n + 1 - len(c))]
+    one binomial dot sum_j C(n, j) f_j g_{n-j}, each pair of a square once.
+    c holds at least the sizes 0..n."""
     if not isinstance(k, numbers.Integral) or k < 2:
         return pow(c, k, n)[n]  # raises for a bad k; C^0 = 1 and C^1 = c
     v = next((j for j, x in enumerate(c) if x), n + 1)
@@ -115,10 +115,10 @@ def pow_top(c, k, n):
         return 0
     b = v if k & 1 else k // 2 * v  # g starts at size b and f at a = k v - b
     f = pow(c, k - 1, n - v) if k & 1 else pow(c, k // 2, n - b)
-    g, a, hi = (c, k * v - b, n - b) if k & 1 else (f, b, n // 2)
+    a, hi = (k * v - b, n - b) if k & 1 else (b, n // 2)
     row = [*accumulate(range(a + 1, hi + 1), lambda r, j: r * (n - j + 1) // j, initial=math.comb(n, a))]
     if k & 1:
-        return _dot(row, f[a : n - b + 1], reversed(g[b : n - a + 1]))
+        return _dot(row, f[a : n - b + 1], reversed(c[b : n - a + 1]))
     pairs = _dot(row, f[a : (n + 1) // 2], reversed(f[n // 2 + 1 : n - a + 1]))
     return 2 * pairs + (0 if n & 1 else row[-1] * f[n // 2] ** 2)
 
