@@ -473,6 +473,49 @@ class TestExactTierRounding:
                 assert exact.count_log(cls, n, k) == want, (name, n, k)
 
 
+# k spread over each row, with k = n (count 1) and, at n = 120 and 200, the
+# float-tier cell just outside the exact tier beside the first one inside it
+_EXACT_TIER_ROWS = {
+    1: (1,),
+    2: (1, 2),
+    30: (1, 2, 8, 15, 23, 29, 30),
+    60: (1, 2, 18, 30, 45, 59, 60),
+    120: (20, 21, 40, 66, 90, 119, 120),
+    200: (140, 141, 160, 180, 199, 200),
+}
+
+
+def _exact_tier_cells(name):
+    if name == "bare-list":  # 8 coefficients reach n - k = 7
+        return [(n, k) for n in _EXACT_TIER_ROWS for k in sorted({max(1, n - j) for j in (7, 4, 1, 0)})]
+    return [(n, k) for n, ks in _EXACT_TIER_ROWS.items() for k in ks]
+
+
+class TestFrozenExactTierLog:
+    """SHA-256 prefixes of count_log(...).hex() over exact-tier cells, recorded
+    from the 45-digit decimal logarithm."""
+
+    @pytest.mark.parametrize(
+        "name,want",
+        [
+            ("trees", "b77ef2b930ee2018"),
+            ("cacti", "c638a3ecfc51422f"),
+            ("husimi", "b741ffc95d2c5f14"),
+            ("syn2", "aac987b9156de72f"),
+            ("syn25", "0e33f5f5465251a2"),
+            ("list-growth", "b77ef2b930ee2018"),
+            ("bare-list", "b63ea1835b6174ce"),
+        ],
+    )
+    def test_cells(self, name, want):
+        cls = _tier_classes()[name]
+        cells = _exact_tier_cells(name)
+        assert exact._in_exact_tier(120, 21) and not exact._in_exact_tier(120, 20)
+        assert exact._in_exact_tier(200, 141) and not exact._in_exact_tier(200, 140)
+        logs = ",".join(exact.count_log(cls, n, k).hex() for n, k in cells)
+        assert hashlib.sha256(logs.encode()).hexdigest()[:16] == want
+
+
 class TestSizeCap:
     """count, count_table and total_count build lists of n + 1 counts, so an n
     past species._table_cap raises PrecisionError before any is built."""
