@@ -13,16 +13,26 @@ counts, so an n past species._table_cap raises PrecisionError.
 count_log(n, k) returns log count(n, k) as a float, by one of two tiers
 chosen from (n, k) alone:
 
-* the exact tier, when n <= 200 and n (n - k + 1) <= 12 000: the natural
-  log of the integer count(n, k), correctly rounded by the decimal module
-  to 45 significant digits and then rounded to the nearest float (300
-  digits give the same float at every count the tests compare).  Each of
-  the ~2 log2 k binomial convolutions behind count but the last makes
-  about (n - k + 1)^2 / 2 big-integer products, half that for a square,
-  and about as many additions for the binomials of its window; the last
-  is one dot of about n - k + 1 products.  The bounds
-  stay where they were set for n (n - k + 1) products and full Pascal
-  rows, so that no count_log output moves;
+* the exact tier, when n <= 200 and n (n - k + 1) <= 12 000: log count(n, k)
+  as the float its 45-digit decimal logarithm rounds to (300 digits give the
+  same float at every count the tests compare), tried first in fixed point
+  (Ziv's rounding test; Brent and Zimmermann, Modern Computer Arithmetic, ch.
+  4).  For value = 2^(s-Q) y, 2^Q <= y < 2^(Q+1), Q = 128, and c = 2^Q (1 +
+  i/2^B) the leading B + 1 bits of y, ln value = s ln 2 + ln(1 + i/2^B) + 2
+  atanh((y - c) / (y + c)): ln 2 and the table, built on first use, are each
+  within one unit 2^-Q, the bits of value below y cost under one, and the
+  series, summed in truncated integers until its J-th term is 0, is low by
+  under 6 J + 8.  So the sum X is within s + 6 J + 10 units of 2^Q ln value,
+  and the 45-digit logarithm, rounded within 2^-147 of its size, within E = s
+  + 6 J + 12 + X 2^-147.  When (X - E) / 2^Q and (X + E) / 2^Q round to one
+  double, monotone rounding sends X / 2^Q (int division rounds correctly) and
+  that logarithm to it too; else, as at value = 1, the decimal logarithm is
+  rounded itself.  Each of the ~2 log2 k binomial convolutions behind count
+  but the last makes about (n - k + 1)^2 / 2 big-integer products, half that
+  for a square, and about as many additions for the binomials of its window;
+  the last is one dot of about n - k + 1 products.  The bounds stay where they
+  were set for n (n - k + 1) products and full Pascal rows, so that no
+  count_log output moves;
 * the float tier beyond: the Boltzmann identity of the weights module,
 
       count(n, k) = (n!/k!) W^k x^(-n) P(S_k = n - k),
@@ -49,6 +59,7 @@ chosen from (n, k) alone:
   it to that bound.
 """
 
+import functools
 import math
 from collections import namedtuple
 
@@ -59,7 +70,8 @@ from .errors import DomainError, InternalConsistencyError, PrecisionError, check
 
 _EXACT_TIER_MAX_N = 200  # set for full Pascal rows; kept so that no count_log output moves
 _EXACT_TIER_MAX_WORK = 12_000  # bounds n (n - k + 1); the module docstring says why
-_LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm
+_LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm, the fallback
+_LN_Q, _LN_B = 128, 4  # fraction bits of the fixed-point logarithm, index bits of its table
 
 
 class CountTable(namedtuple("CountTable", "n rows")):
@@ -105,25 +117,56 @@ def _in_exact_tier(n, k):
 def count_log(cls, n, k, precision_bits=None):
     """log count(n, k) as a float, from the exact count or from float64 weights.
 
-    The module docstring states the rule that picks the tier and the error
-    bound of the float tier.  precision_bits is accepted and ignored: the
-    exact tier always keeps 45 digits.  The keyword stays only because the
-    frozen table of TestFrozenCountLog still passes it.
+    The module docstring states the rule that picks the tier, the exact
+    tier's rounding test and the float tier's error bound.  precision_bits is
+    accepted and ignored: the exact tier always gives the 45-digit log's float.
+    The keyword stays only because TestFrozenCountLog still passes it.
     """
     n, k = _check_domain(n, k)
     if _in_exact_tier(n, k):
-        from decimal import Decimal  # on first use: importing exact stays cheap
-
         value = count(cls, n, k)
         if value > 0:
-            # every context field set: decimal.DefaultContext cannot change the log
-            return float(asymptotics._decimal_context(_LN_DIGITS).ln(Decimal(value)))
+            log = _ln_fast(value)
+            if log is None:
+                from decimal import Decimal  # on fallback only: importing exact stays cheap
+                # every context field set: decimal.DefaultContext cannot change the log
+                log = float(asymptotics._decimal_context(_LN_DIGITS).ln(Decimal(value)))
+            return log
     else:
         value = _tilted_count_log(cls, n, k)
         if value is not None:
             return value
     # no suggested precision: an exact-tier 0 is exact, and no precision moves the float tier
     raise PrecisionError(f"count({n}, {k}) evaluated to 0, which has no logarithm")
+
+
+def _atanh2(a, b, q):
+    """(2 atanh(a/b) 2^q rounded down, its number of series terms), 0 <= a/b < 1/2."""
+    t = (a << q) // b
+    t2, total, j = t * t >> q, 0, 1
+    while t:
+        total, t, j = total + t // j, t * t2 >> q, j + 2
+    return 2 * total, j // 2
+
+
+@functools.cache
+def _ln_table():
+    """ln(1 + i/2^B) 2^Q for 0 <= i <= 2^B (the last is ln 2), to the nearest unit."""
+    q, b = _LN_Q + 32, 1 << _LN_B
+    return [(_atanh2(i, 2 * b + i, q)[0] + (1 << 31)) >> 32 for i in range(b + 1)]
+
+
+def _ln_fast(value):
+    """ln value as the nearest double, or None where the rounding test fails."""
+    q, b, s = _LN_Q, _LN_B, value.bit_length() - 1
+    y = value << q - s if s <= q else value >> s - q  # 2^q <= y < 2^(q+1)
+    c = y >> q - b << q - b  # 2^q (1 + i/2^b): the leading b + 1 bits of y
+    series, terms = _atanh2(y - c, y + c, q)
+    table = _ln_table()
+    x = s * table[-1] + table[(c >> q - b) - (1 << b)] + series
+    err = s + 6 * terms + 12 + (x >> 147)  # the module docstring's E
+    low = (x - err) / (1 << q)
+    return low if low == (x + err) / (1 << q) else None
 
 
 def _tilted_count_log(cls, n, k):

@@ -318,8 +318,8 @@ def _synthetic_vector(growth, lo, hi, g=64):
     n^(1+alpha)) for A = bn pd^n n! and B = bd pn^n, kept as A/B = Q + R/B with
     0 <= R < B, so each step divides by B with a small quotient.  For x = 2A /
     (B n^j), j = floor(1 + alpha), and q = floor(2^g x), floor(2V) is floor(x),
-    or at half-integer alpha isqrt(q^2 // n) >> g, one more by full squares
-    when x / sqrt(n) may be within 2^-g below the next integer."""
+    or at half-integer alpha u >> g for u = isqrt(q^2 // n) = floor(q / sqrt(n)),
+    one more by full squares when x / sqrt(n) < (u + 2) 2^-g may reach it."""
     e = 2 * (1 + float(growth.alpha))
     if not e.is_integer():
         out = [_synthetic_coeff(growth, n) for n in range(lo, hi + 1)]
@@ -335,8 +335,8 @@ def _synthetic_vector(growth, lo, hi, g=64):
             d, R = divmod(r * B + R * n * pd, B * pn)
             Q, B, C = Q + d, B * pn, n**j
             q = ((Q << g + 1) + (R << g + 1) // B) // C
-            t = math.isqrt(q * q // n) >> g if odd else q >> g
-            if odd and ((t + 1) << g) ** 2 * n < (q + 1) ** 2:
+            t = (u := math.isqrt(q * q // n)) >> g if odd else q >> g
+            if odd and (u + 2) >> g > t:
                 t += 4 * (Q * B + R) ** 2 >= (t + 1) ** 2 * (B * C) ** 2 * n
             out.append((t + 1) // 2)
     if lo == 1:

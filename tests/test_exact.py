@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -514,6 +515,51 @@ class TestFrozenExactTierLog:
         assert exact._in_exact_tier(200, 141) and not exact._in_exact_tier(200, 140)
         logs = ",".join(exact.count_log(cls, n, k).hex() for n, k in cells)
         assert hashlib.sha256(logs.encode()).hexdigest()[:16] == want
+
+
+def _fast_logs_against_300_digits(values):
+    """The values at which exact._ln_fast falls back; every other log must be
+    the float of the 300-digit decimal logarithm."""
+    wide, fallbacks = Context(prec=300), []
+    for v in values:
+        got = exact._ln_fast(v)
+        if got is None:
+            fallbacks.append(v)
+        else:
+            assert got == float(wide.ln(Decimal(v))), v
+    return fallbacks
+
+
+class TestFixedPointLog:
+    """The exact tier's fixed-point logarithm against 300 digits.  Its rounding
+    test passes everywhere here except at 1, whose log 0 sits on a double."""
+
+    def test_every_integer_to_ten_thousand(self):
+        assert _fast_logs_against_300_digits(range(1, 10_001)) == [1]
+
+    def test_random_integers_of_up_to_4000_bits(self):
+        rng = random.Random(34)
+        bits = [rng.randint(2, 4000) for _ in range(2000)]
+        assert _fast_logs_against_300_digits(rng.getrandbits(b) | 1 << b - 1 for b in bits) == []
+
+    def test_counts_of_the_rounding_grid(self):
+        counts = [
+            cnt
+            for name in ("trees", "cacti", "husimi")
+            for n in range(1, 41)
+            for _k, cnt, _lg in exact.count_table(species.builtin(name), n).rows
+        ]
+        assert set(_fast_logs_against_300_digits(counts)) == {1}
+
+    def test_a_failed_rounding_test_takes_the_decimal_log(self, monkeypatch):
+        # a series bound J of 2^200 terms widens E past every double's spacing
+        atanh2 = exact._atanh2
+        monkeypatch.setattr(exact, "_atanh2", lambda a, b, q: (atanh2(a, b, q)[0], 1 << 200))
+        cacti = species.builtin("cacti")
+        value = exact.count(cacti, 30, 12)
+        assert exact._ln_fast(value) is None
+        want = float(asymptotics._decimal_context(45).ln(Decimal(value)))
+        assert exact.count_log(cacti, 30, 12) == want
 
 
 class TestSizeCap:

@@ -49,7 +49,7 @@ def test_import_loads_neither_numpy_nor_mpmath():
 README_CALLS = [
     pytest.param(["constants", "--class", "trees", "--lambda", "0.75"], [], id="constants"),
     pytest.param(["exact", "--class", "cacti", "-n", "30", "-k", "12"], [], id="exact"),
-    # count_log's exact tier: the decimal log of the integer count
+    # count_log's exact tier: the log of the integer count
     pytest.param(
         ["exact", "--class", "cacti", "-n", "30", "-k", "12", "--mode", "float"],
         [],
@@ -97,6 +97,15 @@ def cli_loads(cwd, argv, modules):
 @pytest.mark.parametrize("argv, expect_loaded", README_CALLS)
 def test_readme_cli_loads_only_what_it_uses(tmp_path, argv, expect_loaded):
     assert cli_loads(tmp_path, argv, HEAVY) == [0, expect_loaded]
+
+
+# count_log's exact tier takes its log in Python integers, decimal only as its fallback
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(p.values[0], id=p.id) for p in README_CALLS if p.id in ("exact-float", "compare")],
+)
+def test_readme_count_log_calls_load_no_decimal(tmp_path, argv):
+    assert cli_loads(tmp_path, argv, ("decimal",)) == [0, []]
 
 
 def test_import_loads_no_record_or_fraction_machinery():
