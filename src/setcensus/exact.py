@@ -16,23 +16,22 @@ chosen from (n, k) alone:
 * the exact tier, when n <= 200 and n (n - k + 1) <= 12 000: log count(n, k)
   as the float its 45-digit decimal logarithm rounds to (300 digits give the
   same float at every count the tests compare), tried first in fixed point
-  (Ziv's rounding test; Brent and Zimmermann, Modern Computer Arithmetic, ch.
-  4).  For value = 2^(s-Q) y, 2^Q <= y < 2^(Q+1), Q = 128, and c = 2^Q (1 +
-  i/2^B) the leading B + 1 bits of y, ln value = s ln 2 + ln(1 + i/2^B) + 2
-  atanh((y - c) / (y + c)): ln 2 and the table, built on first use, are each
-  within one unit 2^-Q, the bits of value below y cost under one, and the
+  with Ziv's rounding test.  With value = 2^(s-Q) y, 2^Q <= y < 2^(Q+1), Q =
+  128, and c = 2^Q (1 + i/2^B) the leading B + 1 bits of y, ln value = s ln 2
+  + ln(1 + i/2^B) + 2 atanh((y - c) / (y + c)) (Brent and Zimmermann, Modern
+  Computer Arithmetic, ch. 4).  ln 2 and the table, built on first use, are
+  each within a unit 2^-Q, the bits of value below y cost under one, and the
   series, summed in truncated integers until its J-th term is 0, is low by
-  under 6 J + 8.  So the sum X is within s + 6 J + 10 units of 2^Q ln value,
-  and the 45-digit logarithm, rounded within 2^-147 of its size, within E = s
-  + 6 J + 12 + X 2^-147.  When (X - E) / 2^Q and (X + E) / 2^Q round to one
-  double, monotone rounding sends X / 2^Q (int division rounds correctly) and
-  that logarithm to it too; else, as at value = 1, the decimal logarithm is
-  rounded itself.  Each of the ~2 log2 k binomial convolutions behind count
-  but the last makes about (n - k + 1)^2 / 2 big-integer products, half that
-  for a square, and about as many additions for the binomials of its window;
-  the last is one dot of about n - k + 1 products.  The bounds stay where they
-  were set for n (n - k + 1) products and full Pascal rows, so that no
-  count_log output moves;
+  under 6 J + 8; so the sum X is within E = s + 6 J + 12 + X 2^-147 units of
+  2^Q times ln value and the 45-digit logarithm, rounded within 2^-147 of its
+  size.  If (X - E) / 2^Q and (X + E) / 2^Q round to one double, monotone
+  rounding sends X / 2^Q (int division rounds correctly) and that logarithm
+  to it too; else, as at value = 1, the decimal logarithm is rounded itself.
+  Each of the ~2 log2 k binomial convolutions behind count but the last makes
+  about (n - k + 1)^2 / 2 big-integer products, half that for a square, and
+  about as many additions for the binomials of its window; the last is one
+  dot of about n - k + 1 products.  The bounds stay where they were set for
+  n (n - k + 1) products and full Pascal rows: no count_log output moves;
 * the float tier beyond: the Boltzmann identity of the weights module,
 
       count(n, k) = (n!/k!) W^k x^(-n) P(S_k = n - k),
@@ -126,8 +125,7 @@ def count_log(cls, n, k, precision_bits=None):
     if _in_exact_tier(n, k):
         value = count(cls, n, k)
         if value > 0:
-            log = _ln_fast(value)
-            if log is None:
+            if (log := _ln_fast(value)) is None:
                 from decimal import Decimal  # on fallback only: importing exact stays cheap
                 # every context field set: decimal.DefaultContext cannot change the log
                 log = float(asymptotics._decimal_context(_LN_DIGITS).ln(Decimal(value)))
@@ -151,7 +149,7 @@ def _atanh2(a, b, q):
 
 @functools.cache
 def _ln_table():
-    """ln(1 + i/2^B) 2^Q for 0 <= i <= 2^B (the last is ln 2), to the nearest unit."""
+    """ln(1 + i/2^B) 2^Q for 0 <= i <= 2^B (the last is ln 2), each within one unit."""
     q, b = _LN_Q + 32, 1 << _LN_B
     return [(_atanh2(i, 2 * b + i, q)[0] + (1 << 31)) >> 32 for i in range(b + 1)]
 
