@@ -11,9 +11,8 @@ numpy and mpmath load on first use: `sampler` and `cli` are imported when
 first reached as attributes of the package, and only the Lerch tail in the
 band just below the radius and synthetic counts where 2 alpha is not an
 integer import mpmath, when called.  decimal loads only for the Hurwitz tail
-at the radius and count_log's exact-tier fallback, fractions only for poly
-block files and the exact sum probability.  Every record is a named tuple, so no
-module imports dataclasses.
+at the radius, fractions only for poly block files and the exact sum
+probability.  Every record is a named tuple, so no module imports dataclasses.
 """
 
 import importlib

@@ -158,7 +158,7 @@ def _cmd_exact(args):
         "n": n,
         "k": k,
         "count": str(c),
-        "log_count": _real(math.log(c)) if c > 0 else "-inf",
+        "log_count": _real(exact._ln(c)) if c > 0 else "-inf",
     }
     return [_record("exact", inputs, results)]
 

@@ -14,19 +14,18 @@ count_log(n, k) returns log count(n, k) as a float, by one of two tiers
 chosen from (n, k) alone:
 
 * the exact tier, when n <= 200 and n (n - k + 1) <= 12 000: log count(n, k)
-  as the float its 45-digit decimal logarithm rounds to (300 digits give the
-  same float at every count the tests compare), tried first in fixed point
-  with Ziv's rounding test.  With value = 2^(s-Q) y, 2^Q <= y < 2^(Q+1), Q =
-  128, and c = 2^Q (1 + i/2^B) the leading B + 1 bits of y, ln value = s ln 2
-  + ln(1 + i/2^B) + 2 atanh((y - c) / (y + c)) (Brent and Zimmermann, Modern
-  Computer Arithmetic, ch. 4).  ln 2 and the table, built on first use, are
-  each within a unit 2^-Q, the bits of value below y cost under one, and the
+  as the nearest double, from _ln, which gives count_table's logs too.  _ln
+  works in fixed point with Ziv's rounding test.  With v = 2^(s-Q) y, 2^Q <=
+  y < 2^(Q+1), and c = 2^Q (1 + i/2^B) the leading B + 1 bits of y, ln v =
+  s ln 2 + ln(1 + i/2^B) + 2 atanh((y - c) / (y + c)) (Brent and Zimmermann,
+  Modern Computer Arithmetic, ch. 4).  ln 2 and the table, built once per Q,
+  are each within a unit 2^-Q, the bits of v below y cost under one, and the
   series, summed in truncated integers until its J-th term is 0, is low by
-  under 6 J + 8; so the sum X is within E = s + 6 J + 12 + X 2^-147 units of
-  2^Q times ln value and the 45-digit logarithm, rounded within 2^-147 of its
-  size.  If (X - E) / 2^Q and (X + E) / 2^Q round to one double, monotone
-  rounding sends X / 2^Q (int division rounds correctly) and that logarithm
-  to it too; else, as at value = 1, the decimal logarithm is rounded itself.
+  under 6 J + 8; so the sum X is within E = s + 6 J + 12 units of 2^Q ln v.
+  If (X - E) / 2^Q and (X + E) / 2^Q round to one double (int division rounds
+  correctly), monotone rounding sends ln v there too; else Q, first 128,
+  doubles.  For v > 1 this ends: ln v is transcendental (Lindemann), so not a
+  double nor a midpoint, and E 2^-Q falls to 0, as J grows like Q / 10.
   Each of the ~2 log2 k binomial convolutions behind count but the last makes
   about (n - k + 1)^2 / 2 big-integer products, half that for a square, and
   about as many additions for the binomials of its window; the last is one
@@ -69,8 +68,7 @@ from .errors import DomainError, InternalConsistencyError, PrecisionError, check
 
 _EXACT_TIER_MAX_N = 200  # set for full Pascal rows; kept so that no count_log output moves
 _EXACT_TIER_MAX_WORK = 12_000  # bounds n (n - k + 1); the module docstring says why
-_LN_DIGITS = 45  # significant digits of the exact tier's decimal logarithm, the fallback
-_LN_Q, _LN_B = 128, 4  # fraction bits of the fixed-point logarithm, index bits of its table
+_LN_Q, _LN_B = 128, 4  # first fraction bits of the fixed-point logarithm, index bits of its table
 
 
 class CountTable(namedtuple("CountTable", "n rows")):
@@ -117,19 +115,15 @@ def count_log(cls, n, k, precision_bits=None):
     """log count(n, k) as a float, from the exact count or from float64 weights.
 
     The module docstring states the rule that picks the tier, the exact
-    tier's rounding test and the float tier's error bound.  precision_bits is
-    accepted and ignored: the exact tier always gives the 45-digit log's float.
-    The keyword stays only because TestFrozenCountLog still passes it.
+    tier's logarithm and the float tier's error bound.  precision_bits is
+    accepted and ignored: the exact tier always gives the nearest double to
+    the log.  The keyword stays only because TestFrozenCountLog still passes it.
     """
     n, k = _check_domain(n, k)
     if _in_exact_tier(n, k):
         value = count(cls, n, k)
         if value > 0:
-            if (log := _ln_fast(value)) is None:
-                from decimal import Decimal  # on fallback only: importing exact stays cheap
-                # every context field set: decimal.DefaultContext cannot change the log
-                log = float(asymptotics._decimal_context(_LN_DIGITS).ln(Decimal(value)))
-            return log
+            return _ln(value)
     else:
         value = _tilted_count_log(cls, n, k)
         if value is not None:
@@ -148,23 +142,28 @@ def _atanh2(a, b, q):
 
 
 @functools.cache
-def _ln_table():
-    """ln(1 + i/2^B) 2^Q for 0 <= i <= 2^B (the last is ln 2), each within one unit."""
-    q, b = _LN_Q + 32, 1 << _LN_B
-    return [(_atanh2(i, 2 * b + i, q)[0] + (1 << 31)) >> 32 for i in range(b + 1)]
+def _ln_table(q):
+    """ln(1 + i/2^B) 2^q for 0 <= i <= 2^B (the last is ln 2), each within one unit."""
+    b = 1 << _LN_B
+    return [(_atanh2(i, 2 * b + i, q + 32)[0] + (1 << 31)) >> 32 for i in range(b + 1)]
 
 
-def _ln_fast(value):
-    """ln value as the nearest double, or None where the rounding test fails."""
+def _ln(value):
+    """ln value as the nearest double, for an integer value >= 1 (ln 1 is 0.0)."""
+    if value == 1:
+        return 0.0
     q, b, s = _LN_Q, _LN_B, value.bit_length() - 1
-    y = value << q - s if s <= q else value >> s - q  # 2^q <= y < 2^(q+1)
-    c = y >> q - b << q - b  # 2^q (1 + i/2^b): the leading b + 1 bits of y
-    series, terms = _atanh2(y - c, y + c, q)
-    table = _ln_table()
-    x = s * table[-1] + table[(c >> q - b) - (1 << b)] + series
-    err = s + 6 * terms + 12 + (x >> 147)  # the module docstring's E
-    low = (x - err) / (1 << q)
-    return low if low == (x + err) / (1 << q) else None
+    while True:  # the module docstring says why this ends
+        y = value << q - s if s <= q else value >> s - q  # 2^q <= y < 2^(q+1)
+        c = y >> q - b << q - b  # 2^q (1 + i/2^b): the leading b + 1 bits of y
+        series, terms = _atanh2(y - c, y + c, q)
+        table = _ln_table(q)
+        x = s * table[-1] + table[(c >> q - b) - (1 << b)] + series
+        err = s + 6 * terms + 12  # the module docstring's E
+        low = (x - err) / (1 << q)
+        if low == (x + err) / (1 << q):
+            return low
+        q *= 2
 
 
 def _tilted_count_log(cls, n, k):
@@ -207,7 +206,7 @@ def count_table(cls, n, k_range=None):
     """CountTable of (k, count, log count) built from one running power of C.
 
     k_range is an iterable of component counts within [1, n]; default all.
-    log_count is the natural log of the exact integer (-inf for zero counts).
+    log_count is ln of the exact integer as the nearest double (-inf for 0).
     """
     n = check_int("n", n, 1)
     ks = list(range(1, n + 1) if k_range is None else k_range)
@@ -225,7 +224,7 @@ def count_table(cls, n, k_range=None):
             k_fact *= k
         if k in wanted:
             cnt = _divide_exact(power[n], k_fact, f"count({n}, {k})")
-            rows.append((k, cnt, math.log(cnt) if cnt > 0 else -math.inf))
+            rows.append((k, cnt, _ln(cnt) if cnt > 0 else -math.inf))
     return CountTable(n=n, rows=tuple(rows))
 
 

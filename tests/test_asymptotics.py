@@ -251,8 +251,8 @@ class TestHurwitzTail:
         assert got == want
 
     def test_no_decimal_context_setting_reaches_the_sums(self):
-        # the tail and count_log's exact tier set every field of their decimal
-        # contexts, so odd defaults and an odd thread context change nothing
+        # the tail sets every field of its decimal context and count_log's exact
+        # tier uses no decimal, so odd defaults and an odd thread context change nothing
         cells = [(1.5, 0), (1.5, 1), (2.5, 64), (3.0, 64), (30.0, 47), (1e300, 1)]
         code = (
             "import decimal, json\n"

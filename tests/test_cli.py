@@ -11,7 +11,7 @@ import pytest
 
 import setcensus
 from deadline import deadline
-from setcensus import asymptotics, cli, species
+from setcensus import asymptotics, cli, exact, species
 
 try:
     import tomllib
@@ -124,6 +124,20 @@ class TestExact:
             (2, "3"),
             (3, "1"),
         ]
+
+    @pytest.mark.parametrize("name", ["trees", "cacti", "husimi"])
+    def test_log_count_is_count_log(self, capsys, name):
+        # the exact mode's log is the exact tier's one logarithm, on
+        # TestExactTierRounding's grid, for one k and for a k range
+        for n in range(1, 41):
+            want = [cli._real(exact.count_log(species.builtin(name), n, k)) for k in range(1, n + 1)]
+            got = []
+            for k in range(1, n + 1):
+                _, out, _ = run_cli(capsys, "exact", "--class", name, "-n", str(n), "-k", str(k))
+                got.append(records(out)[0]["results"]["log_count"])
+            assert got == want, (name, n)
+            _, out, _ = run_cli(capsys, "exact", "--class", name, "-n", str(n), "--k-range", f"1:{n}")
+            assert [r["log_count"] for r in records(out)[0]["results"]["rows"]] == want, (name, n)
 
     def test_float_mode(self, capsys):
         code, out, _ = run_cli(

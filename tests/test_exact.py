@@ -517,49 +517,60 @@ class TestFrozenExactTierLog:
         assert hashlib.sha256(logs.encode()).hexdigest()[:16] == want
 
 
-def _fast_logs_against_300_digits(values):
-    """The values at which exact._ln_fast falls back; every other log must be
-    the float of the 300-digit decimal logarithm."""
-    wide, fallbacks = Context(prec=300), []
+def _assert_ln_is_the_300_digit_double(values):
+    wide = Context(prec=300)
     for v in values:
-        got = exact._ln_fast(v)
-        if got is None:
-            fallbacks.append(v)
-        else:
-            assert got == float(wide.ln(Decimal(v))), v
-    return fallbacks
+        assert exact._ln(v) == float(wide.ln(Decimal(v))), v
 
 
 class TestFixedPointLog:
-    """The exact tier's fixed-point logarithm against 300 digits.  Its rounding
-    test passes everywhere here except at 1, whose log 0 sits on a double."""
+    """exact._ln, the one logarithm of exact counts, against 300 digits: it
+    widens its fixed point until Ziv's rounding test passes, so it is total."""
 
     def test_every_integer_to_ten_thousand(self):
-        assert _fast_logs_against_300_digits(range(1, 10_001)) == [1]
+        assert exact._ln(1) == 0.0
+        _assert_ln_is_the_300_digit_double(range(1, 10_001))
 
     def test_random_integers_of_up_to_4000_bits(self):
         rng = random.Random(34)
         bits = [rng.randint(2, 4000) for _ in range(2000)]
-        assert _fast_logs_against_300_digits(rng.getrandbits(b) | 1 << b - 1 for b in bits) == []
+        _assert_ln_is_the_300_digit_double(rng.getrandbits(b) | 1 << b - 1 for b in bits)
 
     def test_counts_of_the_rounding_grid(self):
-        counts = [
+        _assert_ln_is_the_300_digit_double(
             cnt
             for name in ("trees", "cacti", "husimi")
             for n in range(1, 41)
             for _k, cnt, _lg in exact.count_table(species.builtin(name), n).rows
-        ]
-        assert set(_fast_logs_against_300_digits(counts)) == {1}
+        )
 
-    def test_a_failed_rounding_test_takes_the_decimal_log(self, monkeypatch):
-        # a series bound J of 2^200 terms widens E past every double's spacing
-        atanh2 = exact._atanh2
-        monkeypatch.setattr(exact, "_atanh2", lambda a, b, q: (atanh2(a, b, q)[0], 1 << 200))
+    def test_a_failed_rounding_test_widens_the_fixed_point(self, monkeypatch):
+        # a series bound J of 2^200 terms widens E past every double's spacing at Q = 128
+        atanh2, qs = exact._atanh2, []
+
+        def wide_bound(a, b, q):
+            qs.append(q)
+            return atanh2(a, b, q)[0], 1 << 200
+
+        monkeypatch.setattr(exact, "_atanh2", wide_bound)
         cacti = species.builtin("cacti")
         value = exact.count(cacti, 30, 12)
-        assert exact._ln_fast(value) is None
-        want = float(asymptotics._decimal_context(45).ln(Decimal(value)))
+        want = float(Context(prec=300).ln(Decimal(value)))
+        assert exact._ln(value) == want
+        assert exact._LN_Q in qs and max(qs) > exact._LN_Q + 32  # past the first table's q
         assert exact.count_log(cacti, 30, 12) == want
+
+
+class TestOneLogarithm:
+    """count_table's log column is count_log's exact-tier log, cell by cell, on
+    TestExactTierRounding's grid."""
+
+    @pytest.mark.parametrize("name", ["trees", "cacti", "husimi"])
+    def test_count_table_logs_are_count_log(self, name):
+        cls = species.builtin(name)
+        for n in range(1, 41):
+            for k, _cnt, lg in exact.count_table(cls, n).rows:
+                assert lg == exact.count_log(cls, n, k), (name, n, k)
 
 
 class TestSizeCap:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import setcensus
+from setcensus import exact, species
 
 HEAVY = ("numpy", "mpmath")
 DEFERRED = ("dataclasses", "inspect", "fractions")
@@ -99,13 +100,32 @@ def test_readme_cli_loads_only_what_it_uses(tmp_path, argv, expect_loaded):
     assert cli_loads(tmp_path, argv, HEAVY) == [0, expect_loaded]
 
 
-# count_log's exact tier takes its log in Python integers, decimal only as its fallback
+# count_log's exact tier takes its log in Python integers, with no decimal
 @pytest.mark.parametrize(
     "argv",
     [pytest.param(p.values[0], id=p.id) for p in README_CALLS if p.id in ("exact-float", "compare")],
 )
 def test_readme_count_log_calls_load_no_decimal(tmp_path, argv):
     assert cli_loads(tmp_path, argv, ("decimal",)) == [0, []]
+
+
+def test_a_failed_rounding_test_widens_without_decimal():
+    # a series bound of 2^200 terms at the first Q fails its rounding test
+    code = (
+        "import json, sys\n"
+        "from setcensus import exact, species\n"
+        "atanh2, qs = exact._atanh2, []\n"
+        "def wide_first(a, b, q):\n"
+        "    qs.append(q)\n"
+        "    total, terms = atanh2(a, b, q)\n"
+        "    return total, 1 << 200 if q == exact._LN_Q else terms\n"
+        "exact._atanh2 = wide_first\n"
+        "log = exact.count_log(species.builtin('cacti'), 30, 12)\n"
+        "print(json.dumps([log.hex(), exact._LN_Q in qs, max(qs) > exact._LN_Q + 32,\n"
+        "                  'decimal' in sys.modules]))"
+    )
+    want = exact.count_log(species.builtin("cacti"), 30, 12).hex()
+    assert run_child(code) == [want, True, True, False]
 
 
 def test_import_loads_no_record_or_fraction_machinery():
