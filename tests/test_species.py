@@ -3,6 +3,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import recurrences
@@ -431,6 +432,50 @@ class TestFrozenSynthetic:
     def test_exact_tie_rounds_away_from_zero(self, b, alpha):
         # b 2^n n! / n^(1+alpha) is exactly 3/2 at n = 4 (4^2.5 = 32, 4^3 = 64)
         assert species.coefficients(species.synthetic(b, 0.5, alpha), 4) == [1, 0, 0, 2]
+
+
+@lru_cache(maxsize=None)
+def _synthetic_oracle(b, rho, alpha, T):
+    """max(round(b n^-(1+alpha) rho^-n n!), [n = 1]) half away from 0, at 3000 bits."""
+    import mpmath
+
+    out, factorial = [], 1
+    with mpmath.workprec(3000):
+        scale, e = mpmath.mpf(b), -(1 + mpmath.mpf(alpha))
+        for n in range(1, T + 1):
+            factorial *= n
+            scale /= rho
+            out.append(int(mpmath.floor(scale * factorial * mpmath.power(n, e) + 0.5)))
+    out[0] = max(out[0], 1)
+    return out
+
+
+_ORACLE_B_RHO = [(1.0, 0.5), (1 / math.sqrt(2 * math.pi), math.exp(-1))]
+
+
+class TestSyntheticOracle:
+    """Synthetic counts at alpha where 2 alpha is not an integer, to n = 300,
+    against a 3000-bit evaluation of the formula of the declared alpha."""
+
+    @pytest.mark.parametrize("b, rho", _ORACLE_B_RHO, ids=["1,0.5", "1/sqrt(2pi),1/e"])
+    @pytest.mark.parametrize("alpha", [1.1, 4.7])
+    def test_grid(self, b, rho, alpha):
+        got = species.coefficients(species.synthetic(b, rho, alpha), 300)
+        assert got == _synthetic_oracle(b, rho, alpha, 300)
+
+    @pytest.mark.parametrize("alpha", [1.1])
+    def test_grown_from_137(self, alpha):
+        b, rho = _ORACLE_B_RHO[1]
+        cls = species.synthetic(b, rho, alpha)
+        for t in (137, 300):
+            got = species.coefficients(cls, t)
+        assert got == _synthetic_oracle(b, rho, alpha, 300)
+
+    def test_exact_tie_rounds_away_from_zero(self):
+        # 2^-7 16! / 16^2.25 = 16! / 2^16 is exactly 319256437.5
+        got = species.coefficients(species.synthetic(2**-7, 1.0, 1.25), 16)
+        assert got == _synthetic_oracle(2**-7, 1.0, 1.25, 16)
+        assert got[15] == 319256438
 
 
 # (kind, B' tail) of each block file for the recurrence oracle
