@@ -7,8 +7,9 @@ four ways:
 * built-ins: labeled trees, cactus graphs, Husimi trees (blocks are single
   edges, edges-or-cycles, and complete graphs respectively);
 * synthetic classes whose counts are defined directly by the growth formula
-  |C_n| = round(b * n^{-(1+alpha)} * rho^{-n} * n!), exact in Python integers
-  where 2 alpha is an integer and in mpmath otherwise;
+  |C_n| = round(b * n^{-(1+alpha)} * rho^{-n} * n!) of the declared alpha, from
+  one exact running quotient b rho^{-n} n! (floor(2V) by a shift, an isqrt, or
+  one mpmath product at 96 guard bits with a 160-bit remainder);
 * explicit coefficient lists, optionally with declared growth parameters;
 * definition files (JSON) covering the two previous forms plus named or
   polynomial block specifications.
@@ -299,46 +300,44 @@ def _cayley(n):
     return 1 if n <= 2 else n ** (n - 2)
 
 
-def _synthetic_coeff(growth, n):
-    """round(b n^{-(1+alpha)} rho^{-n} n!), half away from 0, in mpmath."""
-    b, rho, alpha = growth.b, growth.rho, growth.alpha
-    bits = math.log2(b) - (1 + alpha) * math.log2(n) - n * math.log2(rho)
-    bits += math.lgamma(n + 1) / math.log(2)
-    import mpmath
-
-    with mpmath.workprec(max(96, int(bits) + 96)):
-        v = mpmath.mpf(b) * mpmath.power(n, -(1 + alpha)) * mpmath.power(mpmath.mpf(rho), -n)
-        return int(mpmath.floor(v * mpmath.factorial(n) + mpmath.mpf("0.5")))
-
-
 def _synthetic_vector(growth, lo, hi, g=64):
     """|C_lo..hi| of a synthetic class, max(round(V), [n = 1]) half away from 0.
 
-    Where 2 alpha is an integer: with b = bn/bd and 1/rho = pd/pn, V = A / (B
-    n^(1+alpha)) for A = bn pd^n n! and B = bd pn^n, kept as A/B = Q + R/B with
-    0 <= R < B, so each step divides by B with a small quotient.  For x = 2A /
-    (B n^j), j = floor(1 + alpha), and q = floor(2^g x), floor(2V) is floor(x),
-    or at half-integer alpha u >> g for u = isqrt(q^2 // n) = floor(q / sqrt(n)),
-    one more by full squares when x / sqrt(n) < (u + 2) 2^-g may reach it."""
-    e = 2 * (1 + float(growth.alpha))
-    if not e.is_integer():
-        out = [_synthetic_coeff(growth, n) for n in range(lo, hi + 1)]
+    With b = bn/bd and 1/rho = pd/pn, V = A / (B n^(1+alpha)) for A = bn pd^n n!
+    and B = bd pn^n, kept as A/B = Q + R/B with 0 <= R < B, so each step
+    divides by B with a small quotient; only floor(2V) depends on alpha.  For
+    x = 2A / (B n^j), j = floor(1 + alpha), and q = floor(2^g x), it is floor(x)
+    at integer alpha, or at half-integer alpha u >> g for u = isqrt(q^2 // n) =
+    floor(q / sqrt(n)), one more by full squares when x / sqrt(n) < (u + 2) 2^-g
+    may reach it.  Otherwise it is 2 (Q + (R >> s) / (B >> s)) n^-(1+alpha) in
+    mpmath, at 96 guard bits past Q with 1 + alpha exact; s = max(0, |B| - 160)
+    moves V by under 2^-150."""
+    twice = 2 * float(growth.alpha)
+    if twice.is_integer():
+        (j, odd), p = divmod(int(twice) + 2, 2), None
     else:
-        j, odd = divmod(int(e), 2)
-        bn, bd = growth.b.as_integer_ratio()
-        pn, pd = growth.rho.as_integer_ratio()
-        B = bd * pn ** (lo - 1)
-        Q, R = divmod(bn * pd ** (lo - 1) * math.factorial(lo - 1), B)
-        out = []
-        for n in range(lo, hi + 1):
-            Q, r = divmod(Q * n * pd, pn)
-            d, R = divmod(r * B + R * n * pd, B * pn)
-            Q, B, C = Q + d, B * pn, n**j
-            q = ((Q << g + 1) + (R << g + 1) // B) // C
+        import mpmath
+
+        p = mpmath.fsub(-1, growth.alpha, exact=True)
+    bn, bd = growth.b.as_integer_ratio()
+    pn, pd = growth.rho.as_integer_ratio()
+    B = bd * pn ** (lo - 1)
+    Q, R = divmod(bn * pd ** (lo - 1) * math.factorial(lo - 1), B)
+    out = []
+    for n in range(lo, hi + 1):
+        Q, r = divmod(Q * n * pd, pn)
+        d, R = divmod(r * B + R * n * pd, B * pn)
+        Q, B = Q + d, B * pn
+        if p is not None:
+            s = max(0, B.bit_length() - 160)
+            with mpmath.workprec(Q.bit_length() + 96):
+                t = int(2 * (mpmath.mpf(Q) + mpmath.mpf(R >> s) / (B >> s)) * mpmath.power(n, p))
+        else:
+            q = ((Q << g + 1) + (R << g + 1) // B) // (C := n**j)
             t = (u := math.isqrt(q * q // n)) >> g if odd else q >> g
             if odd and (u + 2) >> g > t:
                 t += 4 * (Q * B + R) ** 2 >= (t + 1) ** 2 * (B * C) ** 2 * n
-            out.append((t + 1) // 2)
+        out.append((t + 1) // 2)
     if lo == 1:
         out[0] = max(out[0], 1)
     return out

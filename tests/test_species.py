@@ -435,17 +435,26 @@ class TestFrozenSynthetic:
 
 
 @lru_cache(maxsize=None)
+def _oracle_powers(alpha, T):
+    """n^-(1+alpha) for n = 1..T at 3000 bits, shared by every (b, rho)."""
+    import mpmath
+
+    with mpmath.workprec(3000):
+        e = -(1 + mpmath.mpf(alpha))
+        return [mpmath.power(n, e) for n in range(1, T + 1)]
+
+
 def _synthetic_oracle(b, rho, alpha, T):
     """max(round(b n^-(1+alpha) rho^-n n!), [n = 1]) half away from 0, at 3000 bits."""
     import mpmath
 
     out, factorial = [], 1
     with mpmath.workprec(3000):
-        scale, e = mpmath.mpf(b), -(1 + mpmath.mpf(alpha))
-        for n in range(1, T + 1):
+        scale = mpmath.mpf(b)
+        for n, power in enumerate(_oracle_powers(alpha, T), start=1):
             factorial *= n
             scale /= rho
-            out.append(int(mpmath.floor(scale * factorial * mpmath.power(n, e) + 0.5)))
+            out.append(int(mpmath.floor(scale * factorial * power + 0.5)))
     out[0] = max(out[0], 1)
     return out
 
@@ -458,12 +467,12 @@ class TestSyntheticOracle:
     against a 3000-bit evaluation of the formula of the declared alpha."""
 
     @pytest.mark.parametrize("b, rho", _ORACLE_B_RHO, ids=["1,0.5", "1/sqrt(2pi),1/e"])
-    @pytest.mark.parametrize("alpha", [1.1, 4.7])
+    @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.3, 1.7, 4.7])
     def test_grid(self, b, rho, alpha):
         got = species.coefficients(species.synthetic(b, rho, alpha), 300)
         assert got == _synthetic_oracle(b, rho, alpha, 300)
 
-    @pytest.mark.parametrize("alpha", [1.1])
+    @pytest.mark.parametrize("alpha", [1.1, 1.3])
     def test_grown_from_137(self, alpha):
         b, rho = _ORACLE_B_RHO[1]
         cls = species.synthetic(b, rho, alpha)
@@ -476,6 +485,13 @@ class TestSyntheticOracle:
         got = species.coefficients(species.synthetic(2**-7, 1.0, 1.25), 16)
         assert got == _synthetic_oracle(2**-7, 1.0, 1.25, 16)
         assert got[15] == 319256438
+
+    def test_alpha_next_to_a_half_integer(self):
+        # 1 + alpha rounds to 2.5 in float64, but 2 alpha is not an integer
+        alpha = 1.5 - 2**-52
+        got = species.coefficients(species.synthetic(1.0, 0.5, alpha), 100)
+        assert got == _synthetic_oracle(1.0, 0.5, alpha, 100)
+        assert got != species.coefficients(species.synthetic(1.0, 0.5, 1.5), 100)
 
 
 # (kind, B' tail) of each block file for the recurrence oracle
