@@ -460,8 +460,9 @@ class TestCountLogTiers:
 
 
 class TestExactTierRounding:
-    """The exact tier's 45-digit decimal logarithm rounds to the same float as
-    one of 300 digits: no more digits would change any of these outputs."""
+    """The exact tier's logarithm, exact._ln's nearest double, rounds to the
+    same float as one of 300 digits: no more digits would change any of these
+    outputs."""
 
     @pytest.mark.parametrize("name", ["trees", "cacti", "husimi"])
     def test_matches_300_digits_for_n_up_to_40(self, name):
@@ -493,8 +494,8 @@ def _exact_tier_cells(name):
 
 
 class TestFrozenExactTierLog:
-    """SHA-256 prefixes of count_log(...).hex() over exact-tier cells, recorded
-    from the 45-digit decimal logarithm."""
+    """SHA-256 prefixes of count_log(...).hex() over exact-tier cells, each
+    exact._ln's nearest double, and the float-tier cells beside them."""
 
     @pytest.mark.parametrize(
         "name,want",
@@ -523,13 +524,30 @@ def _assert_ln_is_the_300_digit_double(values):
         assert exact._ln(v) == float(wide.ln(Decimal(v))), v
 
 
+def _300_digit_logs(T):
+    """ln v to 300 digits at index v = 1..T: a prime's from Context(prec=300).ln,
+    any other v's the sum of its smallest prime factor's and its cofactor's."""
+    wide, spf = Context(prec=300), list(range(T + 1))
+    for p in range(2, math.isqrt(T) + 1):
+        if spf[p] == p:
+            for m in range(p * p, T + 1, p):
+                spf[m] = min(spf[m], p)
+    logs = [None, Decimal(0)]
+    for v in range(2, T + 1):
+        p = spf[v]
+        logs.append(wide.ln(Decimal(v)) if p == v else wide.add(logs[p], logs[v // p]))
+    return logs
+
+
 class TestFixedPointLog:
     """exact._ln, the one logarithm of exact counts, against 300 digits: it
     widens its fixed point until Ziv's rounding test passes, so it is total."""
 
     def test_every_integer_to_ten_thousand(self):
         assert exact._ln(1) == 0.0
-        _assert_ln_is_the_300_digit_double(range(1, 10_001))
+        logs = _300_digit_logs(10_000)
+        for v in range(1, 10_001):
+            assert exact._ln(v) == float(logs[v]), v
 
     def test_random_integers_of_up_to_4000_bits(self):
         rng = random.Random(34)
