@@ -310,8 +310,8 @@ def _synthetic_vector(growth, lo, hi, g=64):
     at integer alpha, or at half-integer alpha u >> g for u = isqrt(q^2 // n) =
     floor(q / sqrt(n)), one more by full squares when x / sqrt(n) < (u + 2) 2^-g
     may reach it.  Otherwise it is 2 (Q + (R >> s) / (B >> s)) n^-(1+alpha) in
-    mpmath, at 96 guard bits past Q with 1 + alpha exact; s = max(0, |B| - 160)
-    moves V by under 2^-150."""
+    mpmath at 96 guard bits past Q, 1 + alpha exact, where s keeps 160 bits of
+    B and so moves V by under 2^-150."""
     twice = 2 * float(growth.alpha)
     if twice.is_integer():
         (j, odd), p = divmod(int(twice) + 2, 2), None
