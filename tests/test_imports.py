@@ -7,16 +7,18 @@ long since imported both libraries.  The child imports the same ``setcensus``
 package as the suite, with its ``src/`` first on ``PYTHONPATH``.
 """
 
+import builtins
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import setcensus
-from setcensus import exact, species
+from setcensus import asymptotics, exact, sampler, species
 
 HEAVY = ("numpy", "mpmath")
 DEFERRED = ("dataclasses", "inspect", "fractions")
@@ -225,3 +227,51 @@ def test_synthetic_counts_at_integer_or_half_integer_alpha_load_no_mpmath_or_fra
 def test_constants_of_a_half_integer_alpha_synthetic_class_load_no_mpmath_or_fractions(tmp_path):
     argv = ["constants", "--synthetic", "1", "0.5", "2.5", "--lambda", "0.9"]
     assert cli_loads(tmp_path, argv, ("mpmath", "fractions")) == [0, []]
+
+
+# An import statement calls builtins.__import__ each time it runs, even when the
+# module is loaded: about 0.5 us, which an import inside exact._tilt added to
+# every forest draw.  So once warm, the draw, count and estimate paths run none.
+def _warm_paths():
+    cacti = species.builtin("cacti")
+    x = 0.6 * asymptotics.recipe_constants(cacti).rho
+    rng = np.random.default_rng(5)
+    return {
+        "sample_forest": lambda: [sampler.sample_forest(8, 6, rng=rng) for _ in range(200)],
+        "sample_set": lambda: [sampler.sample_set(cacti, x, rng) for _ in range(200)],
+        "sample_composition": lambda: [
+            sampler.sample_composition(cacti, 30, 10, rng=rng) for _ in range(50)
+        ],
+        "count": lambda: exact.count(cacti, 30, 12),
+        "count_log": lambda: exact.count_log(cacti, 30, 12),  # the exact tier
+        "estimate": lambda: [asymptotics.estimate(cacti, 200, lam) for lam in (0.3, 0.8)],
+        "lambda_star": lambda: asymptotics.lambda_star(cacti),
+    }
+
+
+def imports_during(monkeypatch, fn):
+    """The names that import statements ask for while fn runs."""
+    names, real_import = [], builtins.__import__
+
+    def counting(name, *args, **kwargs):
+        names.append(name)
+        return real_import(name, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "__import__", counting)
+        fn()
+    return names
+
+
+def test_the_import_counter_sees_an_import_of_a_loaded_module(monkeypatch):
+    def f():
+        import math  # noqa: F401
+
+    assert imports_during(monkeypatch, f) == ["math"]
+
+
+@pytest.mark.parametrize("name", sorted(_warm_paths()))
+def test_warm_hot_paths_import_nothing(monkeypatch, name):
+    fn = _warm_paths()[name]
+    fn()  # warm: memos, size tables and the modules a first call loads
+    assert imports_during(monkeypatch, fn) == []
