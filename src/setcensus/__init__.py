@@ -7,17 +7,18 @@ extraction), estimates the counts through the three asymptotic regimes of the
 component density lambda, and draws uniform objects through a Boltzmann
 sampler; the three routes cross-validate each other.
 
-numpy and mpmath load on first use: `sampler` and `cli` are imported when
-first reached as attributes of the package, and only the Lerch tail in the
-band just below the radius and synthetic counts where 2 alpha is not an
-integer import mpmath, when called.  decimal loads only for the Hurwitz tail
-at the radius, fractions only for poly block files and the exact sum
-probability.  Every record is a named tuple, so no module imports dataclasses.
+`import setcensus` loads only `errors`, whose exceptions it re-exports; each
+submodule loads when first reached as an attribute of the package, and the
+CLI loads `asymptotics` and `exact` only in the commands that call them.
+Once warm, exact counts, estimates and draws at a given or growth-derived x
+run no import statement.  numpy loads only with the sampler and count_log's
+float tier; mpmath only for the Lerch tail just below the radius and for
+synthetic counts where 2 alpha is not an integer; decimal only for the
+Hurwitz tail at the radius; fractions only for poly block files and the
+exact sum probability.  Every record is a named tuple, so no module imports
+dataclasses.
 """
 
-import importlib
-
-from . import asymptotics, exact, powerseries, species
 from .errors import (
     DivergenceError,
     DomainError,
@@ -53,11 +54,13 @@ __all__ = [
     "__version__",
 ]
 
-_LAZY_MODULES = ("cli", "sampler")
+_LAZY_MODULES = ("asymptotics", "cli", "exact", "powerseries", "sampler", "species")
 
 
 def __getattr__(name):
-    # sampler (numpy) and cli (argparse) load on first access, not on import
+    # every submodule loads on first access, not on import; __import__ and not
+    # importlib.import_module, whose loads -X importtime does not show
     if name in _LAZY_MODULES:
-        return importlib.import_module(f".{name}", __name__)
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 
-from . import asymptotics, exact, species
+from . import species
 from .errors import DomainError, RetryBudgetError, SetCensusError, check_int
 
 SCHEMA_VERSION = "1"
@@ -86,6 +86,8 @@ def _resolve_class(args):
 
 
 def _cmd_constants(args):
+    from . import asymptotics
+
     cls, desc = _resolve_class(args)
     b, rho, alpha, lam_star, C_rho = asymptotics._growth_constants(cls)
     results = {"name": cls.name, "source": cls.coeff_source.value,
@@ -126,6 +128,8 @@ def _parse_k_range(text, n):
 
 
 def _cmd_exact(args):
+    from . import exact
+
     cls, desc = _resolve_class(args)
     n = args.n
     inputs = dict(desc)
@@ -178,6 +182,8 @@ def _estimate_results(est):
 
 
 def _cmd_estimate(args):
+    from . import asymptotics
+
     cls, desc = _resolve_class(args)
     est = asymptotics.estimate(cls, args.n, args.lam)
     inputs = dict(desc)
@@ -196,6 +202,8 @@ def _parse_n_list(text):
 
 
 def _cmd_compare(args):
+    from . import asymptotics, exact
+
     cls, desc = _resolve_class(args)
     ns = _parse_n_list(args.n_list)
     inputs = dict(desc)
@@ -232,16 +240,9 @@ def _cmd_compare(args):
 
 
 def _cmd_sample(args):
-    import numpy as np
-
-    # a from-import of names, so that -X importtime shows setcensus.sampler on its own line
-    from .sampler import sample_forest, sample_set, size_distribution
-
     seed = check_int("--seed", args.seed, 0)
     if args.trials < 1:
         raise DomainError("--trials must be positive")
-    rng = np.random.default_rng(seed)
-    lines = []
     if args.composition:
         for flag, value in (("-n", args.n), ("-k", args.k), ("--max-rejects", args.max_rejects)):
             if value is not None:
@@ -251,6 +252,21 @@ def _cmd_sample(args):
         cls, desc = _resolve_class(args)
         if args.x is None:
             raise DomainError("--x is required for composition sampling")
+    else:
+        if args.trunc_order is not None:
+            raise DomainError("--trunc-order applies to --composition sampling only")
+        if args.n is None or args.k is None:
+            raise DomainError("forest sampling requires -n and -k")
+        if args.class_name not in (None, "trees") or args.class_file or args.synthetic:
+            raise DomainError("forest sampling is defined for the trees class")
+    # numpy and the sampler load after the checks, so a refused call skips them; a
+    # from-import of names, so that -X importtime shows setcensus.sampler on its own line
+    import numpy as np
+    from .sampler import sample_forest, sample_set, size_distribution
+
+    rng = np.random.default_rng(seed)
+    lines = []
+    if args.composition:
         dist = size_distribution(cls, args.x, n_max=args.trunc_order)
         inputs = dict(desc)
         inputs.update(
@@ -268,12 +284,6 @@ def _cmd_sample(args):
             results = {"draw": i, "kappa": comp.kappa, "sizes": list(comp.sizes)}
             lines.append(_record("sample", inputs, results))
         return lines
-    if args.trunc_order is not None:
-        raise DomainError("--trunc-order applies to --composition sampling only")
-    if args.n is None or args.k is None:
-        raise DomainError("forest sampling requires -n and -k")
-    if args.class_name not in (None, "trees") or args.class_file or args.synthetic:
-        raise DomainError("forest sampling is defined for the trees class")
     inputs = {
         "class": "trees",
         "n": args.n,

@@ -41,7 +41,6 @@ import threading
 from collections import namedtuple
 from enum import Enum
 
-from . import powerseries as ps
 from .errors import (
     DomainError,
     ModelViolationError,
@@ -258,6 +257,8 @@ def y_series(cls, T):
     table whose step raised is dropped (its kernel has opened that step's
     Pascal row), so every later call through that size raises again.
     """
+    from . import powerseries as ps  # runs only when a block class's memo grows
+
     spec = cls.block_spec
     if spec is None:
         raise DomainError(f"class {cls.name} carries no block specification")

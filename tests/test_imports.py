@@ -49,6 +49,47 @@ def test_import_loads_neither_numpy_nor_mpmath():
     assert loaded == []
 
 
+def test_import_loads_only_the_errors_submodule():
+    loaded = run_child(
+        "import json, sys, setcensus\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('setcensus'))))"
+    )
+    assert loaded == ["setcensus", "setcensus.errors"]
+
+
+def test_submodules_load_on_first_access_after_bare_import():
+    result = run_child(
+        "import json, sys, setcensus\n"
+        "names = ('exact', 'powerseries', 'species', 'asymptotics')\n"
+        "before = [n for n in names if 'setcensus.' + n in sys.modules]\n"
+        "fns = [setcensus.exact.count, setcensus.powerseries.mul, setcensus.species.builtin,\n"
+        "       setcensus.asymptotics.estimate]\n"
+        "print(json.dumps([before, [f.__module__ + '.' + f.__name__ for f in fns]]))"
+    )
+    assert result == [
+        [],
+        [
+            "setcensus.exact.count",
+            "setcensus.powerseries.mul",
+            "setcensus.species.builtin",
+            "setcensus.asymptotics.estimate",
+        ],
+    ]
+
+
+def test_importtime_shows_a_submodule_loaded_on_first_access():
+    package_root = str(Path(setcensus.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import setcensus; setcensus.species"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "setcensus.species" in [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
+
+
 README_CALLS = [
     pytest.param(["constants", "--class", "trees", "--lambda", "0.75"], [], id="constants"),
     pytest.param(["exact", "--class", "cacti", "-n", "30", "-k", "12"], [], id="exact"),
@@ -100,6 +141,31 @@ def cli_loads(cwd, argv, modules):
 @pytest.mark.parametrize("argv, expect_loaded", README_CALLS)
 def test_readme_cli_loads_only_what_it_uses(tmp_path, argv, expect_loaded):
     assert cli_loads(tmp_path, argv, HEAVY) == [0, expect_loaded]
+
+
+SIBLINGS = ("setcensus.exact", "setcensus.powerseries")
+
+
+# each command loads only the siblings it calls
+@pytest.mark.parametrize(
+    "call_id, expect_loaded",
+    [("constants", []), ("estimate", []), ("series", ["setcensus.powerseries"])],
+)
+def test_readme_cli_loads_only_the_siblings_it_calls(tmp_path, call_id, expect_loaded):
+    (argv,) = [p.values[0] for p in README_CALLS if p.id == call_id]
+    assert cli_loads(tmp_path, argv, SIBLINGS) == [0, expect_loaded]
+
+
+# the argument checks that need no sampler refuse the call before numpy loads
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sample", "-n", "5", "-k", "2"], id="no-seed"),
+        pytest.param(["sample", "--composition", "-n", "3", "--seed", "1"], id="composition-n"),
+    ],
+)
+def test_refused_sample_calls_load_no_numpy(tmp_path, argv):
+    assert cli_loads(tmp_path, argv, HEAVY + ("setcensus.sampler",)) == [2, []]
 
 
 # count_log's exact tier takes its log in Python integers, with no decimal
