@@ -376,6 +376,22 @@ class TestFrozenGrowth:
         assert _digest(species.y_series(species.builtin("husimi"), 200)) == _FROZEN_HUSIMI_Y
 
 
+# SHA-256 prefix of the decimal counts |C_1..400| of cacti, comma-joined, as
+# the labeled block fixed point gave them
+_FROZEN_CACTI_400 = "d89ae6352f401e56"
+
+
+class TestFrozenCactusCounts:
+    """Cactus counts to 400, frozen before they left the block fixed point."""
+
+    def test_file_loaded_class(self, tmp_path):
+        cls = _block_file_class(tmp_path, {"name": "cacti", "block": {"kind": "cactus"}})
+        assert _digest(species.coefficients(cls, 400)) == _FROZEN_CACTI_400
+
+    def test_builtin(self):
+        assert _digest(species.coefficients(species.builtin("cacti"), 400)) == _FROZEN_CACTI_400
+
+
 _SYNTHETIC_B = {"1": 1.0, "1/sqrt(2pi)": 1 / math.sqrt(2 * math.pi)}
 _SYNTHETIC_RHO = {"0.5": 0.5, "2": 2.0, "0.05": 0.05, "1/e": math.exp(-1), "0.999": 0.999}
 _SYNTHETIC_ALPHA = (1.5, 2, 2.5, 3, 3.5)
