@@ -73,12 +73,14 @@ acceptance of exactly 0 where no k sizes of the class total n is a count of
 import math
 from collections import namedtuple
 
-import numpy as np
-
+# The siblings load before numpy: a process without a bytecode cache then
+# compiles them before numpy's memory is in place, and its peak stays lower.
 from . import asymptotics, exact, species
 from . import powerseries as ps
 from .errors import DomainError, PrecisionError, RetryBudgetError, check_int, check_real
 from .weights import _log_power_coefficient, _weight_table, _weights
+
+import numpy as np
 
 _MASS_TOL = 1e-6  # a grown table leaves less than this share of C(x) beyond it
 _GUIDE_BUCKETS = 4096  # a power of two, so u * _GUIDE_BUCKETS is exact

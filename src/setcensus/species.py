@@ -14,23 +14,28 @@ four ways:
 * definition files (JSON) covering the two previous forms plus named or
   polynomial block specifications.
 
-Block-specified classes get their coefficients from the fixed point
-y = x*exp(B'(y)), solved by powerseries.BlockTable on labeled counts in
-Python integers (n! times each coefficient, so no common denominator), and
-their growth parameters from the subcritical recipe in the asymptotics
+Block-specified classes get their coefficients from y = x*exp(B'(y)).
+Cactus classes invert it by Lagrange, n |C_n| = (n-1)! [u^(n-1)] e^(n B'(u)),
+one size at a time by a three-term integer recurrence (_cactus_count); the
+other kinds solve it as a fixed point, by powerseries.BlockTable on labeled
+counts in Python integers (n! times each coefficient, so no common
+denominator), which stays the reference the cactus route is tested against.
+Their growth parameters come from the subcritical recipe in the asymptotics
 module; every block class of this kind has alpha = 3/2.  A poly block file
 must give integer block counts d! [u^d] B' (the blocks on d + 1 vertices)
 that fit a float, or it does not load.  Every class has |C_1| >= 1 by
 construction (Cayley; y_1 = x e^0 for blocks; max(count, 1) for synthetic
 classes; from_coefficients refuses a leading 0), so sizes never live on a
 sublattice.  coefficients grows each memo in place (an explicit list's memo
-is the list itself), and a block class solves its fixed point once, in one
-labeled table that it extends.  A block kind is defined in two places: its
-BlockSpec here (the scalar B, B', B'', B''', the radius and the gap series
-of the saddle solve) and its step in powerseries.BlockTable.  cached is
-the one bounded cache of a class's scalars and size tables, and _table_cap
-the one cap on how many sizes a class computes: its coefficients here, the
-lists of n + 1 labeled counts behind exact counts, and its size tables.
+is the list itself), and a block class other than cacti solves its fixed
+point once, in one labeled table that it extends.  A block kind is defined
+in two places: its BlockSpec here (the scalar B, B', B'', B''', the radius
+and the gap series of the saddle solve) and its step in
+powerseries.BlockTable; the cactus kind also has its recurrence here, which
+follows from its B''.  cached is the one bounded cache of a class's scalars
+and size tables, and _table_cap the one cap on how many sizes a class
+computes: its coefficients here, the lists of n + 1 labeled counts behind
+exact counts, and its size tables.
 """
 
 import json
@@ -43,6 +48,7 @@ from enum import Enum
 
 from .errors import (
     DomainError,
+    InternalConsistencyError,
     ModelViolationError,
     PrecisionError,
     UnknownClassError,
@@ -257,7 +263,7 @@ def y_series(cls, T):
     table whose step raised is dropped (its kernel has opened that step's
     Pascal row), so every later call through that size raises again.
     """
-    from . import powerseries as ps  # runs only when a block class's memo grows
+    from . import powerseries as ps  # runs only when a fixed point is asked for
 
     spec = cls.block_spec
     if spec is None:
@@ -278,7 +284,8 @@ def y_series(cls, T):
 def coefficients(cls, n_max):
     """|C_1..n_max| as exact integers, computing only sizes past the memo and
     up to _table_cap; an explicit list's memo is the whole list, and
-    DomainError lies beyond it."""
+    DomainError lies beyond it.  A cactus class takes each new size from
+    _cactus_count, other block classes from the fixed point of y_series."""
     n_max = check_int("n_max", n_max, 1)
     with cls._lock:
         memo, lo = cls._memo, len(cls._memo) + 1
@@ -286,7 +293,9 @@ def coefficients(cls, n_max):
             if cls.coeff_source is CoeffSource.EXPLICIT_LIST:
                 raise DomainError(f"class {cls.name} defines coefficients only up to n = {lo - 1}")
             _table_cap(cls, n_max)
-            if cls.coeff_source is CoeffSource.BLOCK_DERIVED:
+            if cls.coeff_source is CoeffSource.BLOCK_DERIVED and cls.block_spec.kind == "cactus":
+                memo += [_cactus_count(n) for n in range(lo, n_max + 1)]
+            elif cls.coeff_source is CoeffSource.BLOCK_DERIVED:
                 y = y_series(cls, n_max)
                 memo += [y[n] // n for n in range(lo, n_max + 1)]
             elif cls.coeff_source is CoeffSource.SYNTHETIC:
@@ -294,6 +303,23 @@ def coefficients(cls, n_max):
             else:
                 memo += [_cayley(n) for n in range(lo, n_max + 1)]
         return memo[:n_max]
+
+
+def _cactus_count(n):
+    """|C_n| of cacti by Lagrange inversion of y = x e^(B'(y)), in O(n) integer steps.
+
+    n |C_n| = (n-1)! [u^(n-1)] e^(n B'(u)), and E_j = 2^j j! [u^j] e^(n B'(u))
+    obeys E_(j+1) = (4j + 2n) E_j - 4j (j - 1 + n) E_(j-1) + 4nj (j - 1) E_(j-2)
+    from E_0 = 1, because B''(u) = 1/2 + 1/(2 (1-u)^2).  So |C_n| is
+    E_(n-1) / (n 2^(n-1)), and InternalConsistencyError if that does not divide.
+    """
+    e2, e1, e0 = 0, 0, 1  # E_(j-2), E_(j-1), E_j
+    for j in range(n - 1):
+        e2, e1, e0 = e1, e0, (4 * j + 2 * n) * e0 - 4 * j * (j - 1 + n) * e1 + 4 * n * j * (j - 1) * e2
+    count, r = divmod(e0, d := n << n - 1)
+    if r or count < 0:
+        raise InternalConsistencyError(f"|C_{n}| = {e0}/{d} is not a non-negative integer")
+    return count
 
 
 def _cayley(n):

@@ -18,12 +18,14 @@ exact.count_log imports it only when it needs the float tier.
 
 import math
 
-import numpy as np
-
+# The siblings load before numpy, as in the sampler: compiled without a
+# bytecode cache, they then add nothing to the peak that numpy sets.
 from . import powerseries as ps
 from . import species
 from .asymptotics import _safe_newton
 from .errors import PrecisionError
+
+import numpy as np
 
 _FORMULA_HEAD = 64  # synthetic classes: exact integers at least this far, formula beyond
 

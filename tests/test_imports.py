@@ -156,6 +156,12 @@ def test_readme_cli_loads_only_the_siblings_it_calls(tmp_path, call_id, expect_l
     assert cli_loads(tmp_path, argv, SIBLINGS) == [0, expect_loaded]
 
 
+# cactus counts come from their own recurrence, not from the block fixed point
+def test_cacti_series_loads_no_powerseries(tmp_path):
+    argv = ["series", "--class", "cacti", "--terms", "5"]
+    assert cli_loads(tmp_path, argv, SIBLINGS) == [0, []]
+
+
 # the argument checks that need no sampler refuse the call before numpy loads
 @pytest.mark.parametrize(
     "argv",

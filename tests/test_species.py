@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 import recurrences
+from deadline import deadline
 
 from setcensus import powerseries as ps
 from setcensus import species
@@ -390,6 +391,38 @@ class TestFrozenCactusCounts:
 
     def test_builtin(self):
         assert _digest(species.coefficients(species.builtin("cacti"), 400)) == _FROZEN_CACTI_400
+
+
+def _cactus_file_class(tmp_path):
+    return _block_file_class(tmp_path, {"name": "cacti", "block": {"kind": "cactus"}})
+
+
+class TestCactusLagrange:
+    """Cactus counts by Lagrange inversion against the block fixed point."""
+
+    def test_matches_recurrences(self, tmp_path):
+        got = species.coefficients(_cactus_file_class(tmp_path), 60)
+        assert got == recurrences.connected_counts("cactus", 60)
+
+    def test_matches_fixed_point_to_300(self, tmp_path):
+        # y_series still solves the labeled fixed point: n |C_n| = y_n
+        y = species.y_series(_cactus_file_class(tmp_path), 300)
+        got = species.coefficients(_cactus_file_class(tmp_path), 300)
+        assert got == [y[n] // n for n in range(1, 301)]
+
+    def test_memo_grown_in_steps(self, tmp_path):
+        cls = _cactus_file_class(tmp_path)
+        parts = [species.coefficients(cls, T) for T in (50, 120, 300)]
+        whole = species.coefficients(_cactus_file_class(tmp_path), 300)
+        assert parts == [whole[:T] for T in (50, 120, 300)]
+        assert cls._table is None  # no fixed point was solved
+
+    def test_a_thousand_sizes_in_three_seconds(self, tmp_path):
+        # the labeled fixed point took about 11 s
+        cls = _cactus_file_class(tmp_path)
+        with deadline(3):
+            counts = species.coefficients(cls, 1000)
+        assert counts[:6] == CACTI6
 
 
 _SYNTHETIC_B = {"1": 1.0, "1/sqrt(2pi)": 1 / math.sqrt(2 * math.pi)}
