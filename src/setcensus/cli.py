@@ -260,9 +260,10 @@ def _cmd_sample(args):
         if args.class_name not in (None, "trees") or args.class_file or args.synthetic:
             raise DomainError("forest sampling is defined for the trees class")
     # numpy and the sampler load after the checks, so a refused call skips them; a
-    # from-import of names, so that -X importtime shows setcensus.sampler on its own line
-    import numpy as np
+    # from-import of names, so that -X importtime shows setcensus.sampler on its own
+    # line; the sampler first, since it loads its siblings before numpy
     from .sampler import sample_forest, sample_set, size_distribution
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     lines = []

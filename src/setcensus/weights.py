@@ -18,8 +18,7 @@ exact.count_log imports it only when it needs the float tier.
 
 import math
 
-# The siblings load before numpy, as in the sampler: compiled without a
-# bytecode cache, they then add nothing to the peak that numpy sets.
+# Siblings before numpy, for the reason given in the sampler.
 from . import powerseries as ps
 from . import species
 from .asymptotics import _safe_newton
